@@ -59,7 +59,6 @@ __all__ = [
     "envelope_residual",
     "envelope_residual_sup",
     "k_plus_plus",
-    "envelope_ratio_sup",
     "default_residual_grid",
     "bessel_trial_norm_sq",
     "bessel_trial_sq_norm_sq",
@@ -190,10 +189,10 @@ class ElementaryBoundData:
 
 _U_LO = 1e-12
 _U_HI = 1e12
+_U_TOL_X = 1e-9
 
 
-def k_plus(q: BoundQuery, tol_x: float = 1e-9,
-           warm_start_u: float | None = None) -> BoundResult:
+def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
 
     For n <= d/2 + 1/2 the curve increases toward its limit, which is then
@@ -213,7 +212,7 @@ def k_plus(q: BoundQuery, tol_x: float = 1e-9,
 
     try:
         res = maximize_1d(objective, math.log(_U_LO), math.log(_U_HI),
-                          math.log(u0), tol_x=tol_x)
+                          math.log(u0), tol_x=_U_TOL_X)
         u_star = math.exp(res.argmax[0])
         value = math.exp(0.5 * res.max_value)
         diags = {"route": "maximize", "evaluations": res.iterations,
@@ -222,7 +221,7 @@ def k_plus(q: BoundQuery, tol_x: float = 1e-9,
             diags["caveat"] = "optimizer budget exhausted; value is a valid lower estimate of K+"
         return BoundResult(value=value, kind="upper_plus",
                            argmax=TrialParams(u=u_star),
-                           error_estimate=value * max(tol_x, 1e-12),
+                           error_estimate=value * _U_TOL_X,
                            diagnostics=diags)
     except BracketBoundaryError:
         # Still increasing at the bracket ceiling: sup effectively at inf.
@@ -338,14 +337,10 @@ def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
         endpoint_warning=warn)
 
 
-def envelope_residual_sup(d: int, grid: tuple[float, ...] | None = None) -> ElementaryBoundData:
-    """Z_d = sup of the residual over the gap grid, with endpoint warning."""
-    return _residual_scan(d, grid if grid is not None else default_residual_grid(d))
-
-
-def envelope_ratio_sup(d: int, grid: tuple[float, ...] | None = None) -> ElementaryBoundData:
-    """Theta_d = sup over the grid of K++/K+ (same scan as the residual)."""
-    return _residual_scan(d, grid if grid is not None else default_residual_grid(d))
+def envelope_residual_sup(d: int) -> ElementaryBoundData:
+    """Z_d = sup of the residual and Theta_d = sup of K++/K+ over the
+    default gap grid, from one scan, with endpoint warning."""
+    return _residual_scan(d, default_residual_grid(d))
 
 
 # ----------------------------------------------------------------------
@@ -409,38 +404,20 @@ def _log_sq_norm_prefactor(q: BoundQuery, lam: float) -> float:
 
 
 def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> float:
-    """Squared Sobolev norm of the squared trial kernel.
-
-    Half-integer-gap queries use the closed double sum over hypergeometric
-    values; everything else integrates
+    """Squared Sobolev norm of the squared trial kernel: a Gamma prefactor
+    times the integral of
 
         u^(d/2-1) (1 + 4 lam^2 u)^n F(2n-d/2, n, n+1/2; -u)^2
 
-    on [0, inf), whose tail decays like u^(-1-(n-d/2)).  The quadrature
-    refuses gaps below 0.01 (switch to the minorant route instead).
+    on [0, inf), whose tail decays like u^(-1-(n-d/2)).  At a half-integer
+    gap n - d/2 = m + 1/2 the kernel factor is the terminating sum for
+    m <= 8.  The quadrature refuses gaps below 0.01 (switch to the minorant
+    route instead).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     n, d = q.n, q.d
     log_pref = _log_sq_norm_prefactor(q, lam)
-    if q.is_gap:
-        m = q.gap_order
-        w = 1.0 - 4.0 * lam * lam
-        coefs = [1.0]
-        for ell in range(m):
-            coefs.append(coefs[-1] * (n + ell) * (-m + ell)
-                         / ((n + 0.5 + ell) * (ell + 1.0)))
-        total = 0.0
-        for ell in range(m + 1):
-            for j in range(m + 1):
-                lg = (sf.log_gamma(d / 2.0 + ell + j) + sf.log_gamma(q.n_gap)
-                      - sf.log_gamma(n + ell + j))
-                fval = sf.hyp2f1(-n, d / 2.0 + ell + j, n + ell + j, w)
-                total += coefs[ell] * coefs[j] * math.exp(lg) * fval
-        if not total > 0.0:
-            raise ArithmeticError("squared-norm double sum collapsed to <= 0")
-        return math.exp(log_pref + math.log(total))
-
     if q.n_gap < _KB_MIN_GAP:
         raise SlowTailError(
             f"gap {q.n_gap} < {_KB_MIN_GAP}: integral tail too slow, "
@@ -510,7 +487,7 @@ _LAM_LO = math.log(1e-3)
 _LAM_HI = math.log(1e3)
 
 
-def k_bessel(q: BoundQuery, tol: float = 1e-9, lam0: float = 1.4) -> BoundResult:
+def k_bessel(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
 
     Needs n - d/2 >= 0.01 (the squared-norm integral converges too slowly
@@ -525,7 +502,7 @@ def k_bessel(q: BoundQuery, tol: float = 1e-9, lam0: float = 1.4) -> BoundResult
                 - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
 
     res = maximize_1d(lambda x: log_quotient(math.exp(x), 1e-7),
-                      _LAM_LO, _LAM_HI, math.log(lam0), tol_x=1e-7)
+                      _LAM_LO, _LAM_HI, math.log(1.4), tol_x=1e-7)
     lam_star = math.exp(res.argmax[0])
     value = math.exp(log_quotient(lam_star, tol))
     return BoundResult(value=value, kind="lower_bessel",
@@ -535,7 +512,7 @@ def k_bessel(q: BoundQuery, tol: float = 1e-9, lam0: float = 1.4) -> BoundResult
                                     "converged": res.converged})
 
 
-def k_bessel_minorant(q: BoundQuery, lam0: float = 1.42) -> BoundResult:
+def k_bessel_minorant(q: BoundQuery) -> BoundResult:
     """K^BB: like K^B but with the analytic minorant in the numerator;
     valid for d/2 < n <= d/2 + 1/2 and cheap arbitrarily close to d/2."""
 
@@ -544,7 +521,7 @@ def k_bessel_minorant(q: BoundQuery, lam0: float = 1.42) -> BoundResult:
                 - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
 
     res = maximize_1d(lambda x: log_quotient(math.exp(x)),
-                      _LAM_LO, _LAM_HI, math.log(lam0), tol_x=1e-9)
+                      _LAM_LO, _LAM_HI, math.log(1.42), tol_x=1e-9)
     lam_star = math.exp(res.argmax[0])
     value = math.exp(res.max_value)
     return BoundResult(value=value, kind="lower_bessel_bb",
@@ -675,19 +652,16 @@ def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float, tol: float) -> 
     return 0.5 * num - den
 
 
-def k_fourier(q: BoundQuery, tol: float = 1e-9,
-              starts: list[tuple[float, float]] | None = None,
-              max_iter: int = 400) -> BoundResult:
+def k_fourier(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
     """K^F: simplex search over (p, sigma) in log coordinates, multistart."""
     n = q.n
-    if starts is None:
-        starts = [(0.5 / math.sqrt(2.0), 0.75 / n),
-                  (0.4, 1.0 / n),
-                  (0.35, 4.0 / n ** 2)]
+    starts = [(0.5 / math.sqrt(2.0), 0.75 / n),
+              (0.4, 1.0 / n),
+              (0.35, 4.0 / n ** 2)]
     search_tol = 1e-7
 
     res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, search_tol),
-                      starts, tol=3e-7, max_iter=max_iter)
+                      starts, tol=3e-7, max_iter=400)
     p_star, sigma_star = res.argmax
     value = math.exp(_log_fourier_quotient(q, p_star, sigma_star, tol))
     return BoundResult(value=value, kind="lower_fourier",

@@ -7,7 +7,7 @@
     sobomul table2   [--dmax 10] [--compare]
     sobomul asymp    --regime small -d 1
 
-Common flags: --json, --csv, --tol-rel X, --config PATH.  n accepts
+Common flags: --json, --csv, --tol-rel X.  n accepts
 decimals or exact fractions ("5/2"); fractions keep the half-integer and
 integer fast paths exact.  Exit codes: 0 success, 2 domain violation
 (n <= d/2), 3 numerical non-convergence (partial results still printed).
@@ -57,10 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="CSV output")
-    common.add_argument("--tol-rel", type=float, default=None,
+    common.add_argument("--tol-rel", type=float, default=1e-9,
                         help="relative tolerance for quadrature/optimization")
-    common.add_argument("--config", default=None,
-                        help="key = value file; flags override it")
 
     p = argparse.ArgumentParser(
         prog="sobomul",
@@ -100,31 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     asy.add_argument("--n-list", default=None,
                      help="comma-separated n values (regime-appropriate)")
     return p
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
-
-
-def _tolerance(args) -> float:
-    if args.tol_rel is not None:
-        return args.tol_rel
-    cfg = _load_config(args.config)
-    if "tol_rel" in cfg:
-        return float(cfg["tol_rel"])
-    return 1e-9
 
 
 def _query(ns: Fraction, d: int) -> BoundQuery:
@@ -358,12 +331,7 @@ def _emit_human(records: list[dict]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        tol = _tolerance(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-
+    tol = args.tol_rel
     started = time.perf_counter()
     try:
         records, code = _COMMANDS[args.command](args, tol)

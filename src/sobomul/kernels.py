@@ -9,13 +9,16 @@ whole argument range and for large n:
 
       (1+u)^(d/2-2n) F(2n - d/2, 1/2, n + 1/2; u/(1+u)),
 
-  switching to an Euler-integral evaluation once u/(1+u) > 0.9, so no
-  cancellation occurs for any n; when n - d/2 - 1/2 is a small non-negative
-  integer the terminating form
+  switching to an Euler integral (tanh-sinh, one batch of arguments per
+  call) once u/(1+u) > 0.9, so no cancellation occurs for any n; when
+  n - d/2 - 1/2 is an integer m in 0..8 the terminating form
 
       sum_l c_l u^l / (1+u)^(n+l)
 
-  is used instead.
+  is used instead.  The kernel enters the upper curve and the integrand of
+  the (B) squared trial norm.  ``log_hyper_kernel`` runs a pure-Python loop
+  for a float argument (the optimizer's hot path) and numpy for arrays
+  (the quadrature nodes).
 * ``upper_curve``       the function of u whose supremum over [0, inf)
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
@@ -38,6 +41,7 @@ import numpy as np
 
 from . import specfun as sf
 from .bessel import bessel_k
+from .quad import tanh_sinh_01
 
 __all__ = [
     "DomainError",
@@ -139,8 +143,7 @@ def _positive_series_log(a: float, b: float, c: float, w: np.ndarray) -> np.ndar
     return np.log(total)
 
 
-def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray,
-                              tol: float = 1e-13, max_level: int = 12) -> np.ndarray:
+def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray) -> np.ndarray:
     """log 2F1(n, d/2 + 1/2 - n, n + 1/2; w) for a batch of arguments given
     as omw = 1 - w (each in (0, 1]), via the Euler integral with parameters
     (a, b) = (d/2+1/2-n, n):
@@ -154,40 +157,14 @@ def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray,
     expo = n - d / 2.0 - 0.5
     lg_pref = sf.log_gamma(n + 0.5) - sf.log_gamma(n) - 0.5 * math.log(math.pi)
 
-    def node_block(x: np.ndarray) -> np.ndarray:
-        u = 0.5 * math.pi * np.sinh(x)
-        with np.errstate(over="ignore", under="ignore"):
-            e2u = np.exp(-2.0 * np.abs(u))
-        small = e2u / (1.0 + e2u)
-        big = 1.0 / (1.0 + e2u)
-        s = np.where(u >= 0, big, small)
-        oms = np.where(u >= 0, small, big)
-        wt = math.pi * np.cosh(x) * s * oms
-        # matrix of integrand values: rows omw, cols s-nodes
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            one_minus_ws = oms[None, :] + np.outer(omw, s)
-            lg = ((n - 1.0) * np.log(s)[None, :]
-                  - 0.5 * np.log(oms)[None, :]
-                  + expo * np.log(one_minus_ws))
-            block = np.exp(lg) * wt[None, :]
-        return np.where(np.isfinite(block), block, 0.0).sum(axis=1)
+    def integrand(s: np.ndarray, oms: np.ndarray) -> np.ndarray:
+        # rows: arguments omw, columns: s-nodes
+        one_minus_ws = oms[None, :] + np.outer(omw, s)
+        return np.exp((n - 1.0) * np.log(s)[None, :]
+                      - 0.5 * np.log(oms)[None, :]
+                      + expo * np.log(one_minus_ws))
 
-    h = 0.5
-    total = node_block(np.array([0.0]))
-    k = np.arange(1, int(6.7 / h) + 1)
-    x = k * h
-    total = total + node_block(np.concatenate((-x[::-1], x)))
-    value = h * total
-    for _ in range(2, max_level + 1):
-        h *= 0.5
-        k = np.arange(1, int(6.7 / h) + 1, 2)
-        x = k * h
-        total = total + node_block(np.concatenate((-x[::-1], x)))
-        new_value = h * total
-        if np.all(np.abs(new_value - value) <= tol * np.abs(new_value) + 1e-300):
-            value = new_value
-            break
-        value = new_value
+    value, _err, _nev = tanh_sinh_01(integrand, tol=1e-13)
     return lg_pref + np.log(value)
 
 

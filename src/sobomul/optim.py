@@ -90,18 +90,17 @@ def _bracket(f, x0: float, lo: float, hi: float, step0: float):
 
 
 def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
-                tol_x: float = 1e-8, max_iter: int = 300,
-                step0: float | None = None) -> MaxResult:
+                tol_x: float = 1e-8, max_iter: int = 300) -> MaxResult:
     """Maximize a continuous unimodal function on [lo, hi] from start x0.
 
-    tol_x is relative in the abscissa.  Raises :class:`BracketBoundaryError`
-    when the function is still increasing at either boundary (supremum not
+    tol_x is relative in the abscissa; the bracket search starts with a
+    step of 5% of max(|x0|, 1).  Raises :class:`BracketBoundaryError` when
+    the function is still increasing at either boundary (supremum not
     interior).
     """
     if not (lo <= x0 <= hi) or not lo < hi:
         raise ValueError(f"need lo <= x0 <= hi, got ({lo}, {x0}, {hi})")
-    if step0 is None:
-        step0 = max(abs(x0), 1.0) * 0.05
+    step0 = max(abs(x0), 1.0) * 0.05
 
     history: list[tuple[float, ...]] = []
     nev = 0
@@ -175,14 +174,13 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
 
 def maximize_2d(f: Callable[[float, float], float],
                 starts: Sequence[tuple[float, float]],
-                tol: float = 1e-8, max_iter: int = 500,
-                log_space: bool = True) -> MaxResult:
+                tol: float = 1e-8, max_iter: int = 500) -> MaxResult:
     """Maximize f over the positive quadrant by Nelder-Mead multistart.
 
-    The simplex moves in (log p, log s) when ``log_space`` is set, which
-    keeps both variables positive without constraint handling.  The result
-    is the best point over all starts and all evaluations; ties between
-    starts break toward the lexicographically smallest argmax.
+    The simplex moves in (log p, log s), which keeps both variables
+    positive without constraint handling.  The result is the best point
+    over all starts and all evaluations; ties between starts break toward
+    the lexicographically smallest argmax.
     """
     if not starts:
         raise ValueError("need at least one start")
@@ -192,9 +190,9 @@ def maximize_2d(f: Callable[[float, float], float],
     any_converged = False
 
     for sx, sy in starts:
-        if log_space and (sx <= 0.0 or sy <= 0.0):
+        if sx <= 0.0 or sy <= 0.0:
             raise ValueError("log-space search needs positive starts")
-        res = _nelder_mead(f, (sx, sy), tol, max_iter, log_space)
+        res = _nelder_mead(f, (sx, sy), tol, max_iter)
         total_ev += res.iterations
         any_converged = any_converged or res.converged
         key = (res.max_value, tuple(-c for c in res.argmax))
@@ -205,26 +203,20 @@ def maximize_2d(f: Callable[[float, float], float],
                      iterations=total_ev, converged=any_converged)
 
 
-def _nelder_mead(f, start, tol, max_iter, log_space):
-    def enc(p):
-        return (math.log(p[0]), math.log(p[1])) if log_space else tuple(p)
-
-    def dec(z):
-        return (math.exp(z[0]), math.exp(z[1])) if log_space else tuple(z)
-
+def _nelder_mead(f, start, tol, max_iter):
     nev = 0
     best_seen = [None, -math.inf]
 
     def val(z):
         nonlocal nev
         nev += 1
-        p = dec(z)
+        p = (math.exp(z[0]), math.exp(z[1]))
         v = f(p[0], p[1])
         if v > best_seen[1]:
             best_seen[0], best_seen[1] = p, v
         return -v
 
-    z0 = enc(start)
+    z0 = (math.log(start[0]), math.log(start[1]))
     scale = 0.25
     simplex = [z0, (z0[0] + scale, z0[1]), (z0[0], z0[1] + scale)]
     fvals = [val(z) for z in simplex]

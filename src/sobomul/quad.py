@@ -12,11 +12,10 @@ bisection:
   substitution chosen from the declared decay exponent.
 
 A tanh-sinh rule on (0, 1) is also provided for integrands with strong but
-integrable endpoint singularities; the special-function code uses it for
-Euler integrals.
+integrable endpoint singularities; the special-function and kernel code use
+it for Euler integrals, the kernel code for a batch of integrands at once.
 
-Integrand callbacks receive numpy arrays and must be pure; scalar-only
-callables are detected and wrapped.
+Integrand callbacks receive numpy arrays and must be pure.
 """
 
 from __future__ import annotations
@@ -100,25 +99,9 @@ _W7 = np.zeros(15)
 _W7[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
 _TINY = 1e-305
-
-
-def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept array-aware callables; fall back to a scalar loop."""
-    state = {"mode": None}
-
-    def call(x: np.ndarray) -> np.ndarray:
-        if state["mode"] != "scalar":
-            try:
-                y = np.asarray(f(x), dtype=float)
-                if y.shape == x.shape:
-                    state["mode"] = "array"
-                    return y
-            except (TypeError, ValueError):
-                pass
-            state["mode"] = "scalar"
-        return np.array([float(f(xi)) for xi in x])
-
-    return call
+_INIT_PANELS = 8
+# Evaluation budget of one adaptive Gauss-Kronrod pass.
+_MAX_EVALS = 500_000
 
 
 def _gk_panels(fv, lo: np.ndarray, hi: np.ndarray):
@@ -134,21 +117,20 @@ def _gk_panels(fv, lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive(fv, a: float, b: float, tol_rel: float, tol_abs: float,
-              max_evals: int, init_panels: int = 8) -> QuadResult:
-    edges = np.linspace(a, b, init_panels + 1)
+def _adaptive(fv, a: float, b: float, tol: float) -> QuadResult:
+    edges = np.linspace(a, b, _INIT_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_panels(fv, lo, hi)
-    nev = 15 * init_panels
+    nev = 15 * _INIT_PANELS
     min_width = 2.3e-16 * max(abs(a), abs(b), 1.0)
 
     while True:
         total = float(vals.sum())
         toterr = float(errs.sum())
-        allow = max(tol_rel * abs(total), tol_abs, _TINY)
+        allow = max(tol * abs(total), _TINY)
         if toterr <= allow:
             return QuadResult(total, toterr, nev, True)
-        if nev >= max_evals:
+        if nev >= _MAX_EVALS:
             return QuadResult(total, toterr, nev, False)
 
         splittable = (hi - lo) > min_width
@@ -175,8 +157,7 @@ def _adaptive(fv, a: float, b: float, tol_rel: float, tol_abs: float,
         errs = np.concatenate((errs[keep], new_errs))
 
 
-def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-9,
-                     tol_abs: float = 0.0, max_evals: int = 1_000_000) -> QuadResult:
+def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-9) -> QuadResult:
     """Integrate f on [a, b].
 
     Inverse-square-root endpoint singularities are admissible (and in fact
@@ -187,55 +168,38 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-9,
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    fv = _vectorized(f)
     m = 0.5 * (a + b)
 
     def left(x: np.ndarray) -> np.ndarray:
         x2 = x * x
-        return 4.0 * x2 * x * fv(a + x2 * x2)
+        return 4.0 * x2 * x * f(a + x2 * x2)
 
     def right(x: np.ndarray) -> np.ndarray:
         x2 = x * x
-        return 4.0 * x2 * x * fv(b - x2 * x2)
+        return 4.0 * x2 * x * f(b - x2 * x2)
 
-    half_budget = max_evals // 2
-    rl = _adaptive(left, 0.0, (m - a) ** 0.25, tol, 0.5 * tol_abs, half_budget)
-    rr = _adaptive(right, 0.0, (b - m) ** 0.25, tol, 0.5 * tol_abs, half_budget)
+    rl = _adaptive(left, 0.0, (m - a) ** 0.25, tol)
+    rr = _adaptive(right, 0.0, (b - m) ** 0.25, tol)
     value = rl.value + rr.value
     err = rl.abs_error_estimate + rr.abs_error_estimate
-    converged = err <= max(tol * abs(value), tol_abs, _TINY)
+    converged = err <= max(tol * abs(value), _TINY)
     return QuadResult(value, err, rl.evaluations + rr.evaluations, converged)
 
 
-def integrate_semiinf(f: Callable, a: float, tail: TailSpec, tol: float = 1e-9,
-                      tol_abs: float = 0.0, max_evals: int = 1_000_000,
-                      cutoff: float | None = None) -> QuadResult:
+def integrate_semiinf(f: Callable, a: float, tail: TailSpec,
+                      tol: float = 1e-9) -> QuadResult:
     """Integrate f on [a, inf) given its algebraic tail decay.
 
     The unit interval [a, a+1] is integrated directly (so an endpoint
     singularity at a keeps full machine resolution); the tail is then
     compactified through u = a + v**(-m) with m ~ 1/decay_exponent, which
-    turns it into a bounded factor v**(m*kappa - 1) at v = 0.  With
-    ``cutoff=U`` the integral is instead truncated at U and the analytic
-    tail bound C * U**(-kappa) / kappa (C estimated from f(U)) is added to
-    the error estimate, not the value.
+    turns it into a bounded factor v**(m*kappa - 1) at v = 0.
     """
     kappa = tail.decay_exponent
     if kappa < 0.01:
         raise SlowTailError(
             f"tail exponent {kappa} < 0.01: direct quadrature is impractical, "
             "switch to an analytic bound")
-    fv = _vectorized(f)
-
-    if cutoff is not None:
-        if cutoff <= a:
-            raise ValueError("cutoff must exceed the lower limit")
-        res = integrate_finite(fv, a, cutoff, tol, tol_abs, max_evals)
-        c_est = abs(float(fv(np.array([cutoff]))[0])) * cutoff ** (1.0 + kappa)
-        rem = c_est * cutoff ** (-kappa) / kappa
-        return QuadResult(res.value, res.abs_error_estimate + rem,
-                          res.evaluations + 1, res.converged)
-
     m = int(min(24, max(1, math.ceil(1.0 / kappa))))
 
     def tail_part(v: np.ndarray) -> np.ndarray:
@@ -243,15 +207,14 @@ def integrate_semiinf(f: Callable, a: float, tail: TailSpec, tol: float = 1e-9,
         expo = np.minimum(-m * logv, 690.0)
         u = a + np.exp(expo)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out = m * np.exp(expo - logv) * fv(u)
+            out = m * np.exp(expo - logv) * f(u)
         return np.where(np.isfinite(out), out, 0.0)
 
-    half_budget = max_evals // 2
-    head = integrate_finite(fv, a, a + 1.0, tol, 0.5 * tol_abs, half_budget)
-    rest = integrate_finite(tail_part, 0.0, 1.0, tol, 0.5 * tol_abs, half_budget)
+    head = integrate_finite(f, a, a + 1.0, tol)
+    rest = integrate_finite(tail_part, 0.0, 1.0, tol)
     value = head.value + rest.value
     err = head.abs_error_estimate + rest.abs_error_estimate
-    converged = err <= max(tol * abs(value), tol_abs, _TINY)
+    converged = err <= max(tol * abs(value), _TINY)
     return QuadResult(value, err, head.evaluations + rest.evaluations, converged)
 
 
@@ -260,22 +223,23 @@ def integrate_semiinf(f: Callable, a: float, tail: TailSpec, tol: float = 1e-9,
 # ----------------------------------------------------------------------
 
 _TS_XMAX = 6.7
+_TS_MAX_LEVEL = 12
 
 
 def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 tol: float = 1e-12, max_level: int = 12) -> tuple[float, float, int]:
+                 tol: float = 1e-12) -> tuple[np.ndarray | float, np.ndarray | float, int]:
     """Double-exponential quadrature of g over (0, 1).
 
     g receives both s and 1-s (each computed without cancellation), so
     integrands singular at either endpoint keep full relative accuracy.
-    Returns (value, error_estimate, evaluations).
+    g may return a (batch, nodes) array for a batch of integrands that
+    share the nodes: the rule sums over the last axis and refines until
+    every integral has converged.  Returns (value, error_estimate,
+    evaluations); value and error_estimate have g's leading shape.
     """
 
     def level_nodes(h: float, odd_only: bool) -> tuple[np.ndarray, ...]:
-        k = np.arange(1, int(_TS_XMAX / h) + 1)
-        if odd_only:
-            k = k[k % 2 == 1]
-        x = k * h
+        x = np.arange(1, int(_TS_XMAX / h) + 1, 2 if odd_only else 1) * h
         x = np.concatenate((-x[::-1], x))
         u = 0.5 * math.pi * np.sinh(x)
         # s and 1-s via logistic forms; both stable at the extremes.
@@ -288,29 +252,29 @@ def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
         w = math.pi * np.cosh(x) * s * oms
         return s, oms, w
 
-    def accumulate(s, oms, w) -> float:
+    def accumulate(s, oms, w) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             terms = w * g(s, oms)
-        return float(np.where(np.isfinite(terms), terms, 0.0).sum())
+        return np.where(np.isfinite(terms), terms, 0.0).sum(axis=-1)
 
     nev = 0
     h = 0.5
     s0 = np.array([0.5])
     total = accumulate(s0, s0, np.array([math.pi * 0.25]))  # centre node, x = 0
     s, oms, w = level_nodes(h, odd_only=False)
-    total += accumulate(s, oms, w)
+    total = total + accumulate(s, oms, w)
     nev += 1 + len(s)
     value = h * total
     err = abs(value)
 
-    for _level in range(2, max_level + 1):
+    for _level in range(2, _TS_MAX_LEVEL + 1):
         h *= 0.5
         s, oms, w = level_nodes(h, odd_only=True)
-        total += accumulate(s, oms, w)
+        total = total + accumulate(s, oms, w)
         nev += len(s)
         new_value = h * total
         err = abs(new_value - value)
         value = new_value
-        if err <= max(tol * abs(value), _TINY):
+        if np.all(err <= np.maximum(tol * abs(value), _TINY)):
             break
     return value, err, nev

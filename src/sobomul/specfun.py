@@ -24,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
-    "CONSTANTS",
-    "MathConstants",
     "HyperEval",
     "GammaPoleError",
     "HypergeometricError",
@@ -64,17 +62,6 @@ class UnsupportedRegimeError(HypergeometricError):
 
 class SeriesError(HypergeometricError):
     """Power series failed to converge to the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class MathConstants:
-    """The two scalar constants the identities below are anchored to."""
-
-    euler_gamma: float = EULER_GAMMA
-    pi: float = math.pi
-
-
-CONSTANTS = MathConstants()
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +296,7 @@ def _terminating(a: float, m: int, c: float, w: float) -> float:
     return total
 
 
-def _integral_rep(a: float, b: float, c: float, w: float, tol: float = 1e-13) -> float:
+def _integral_rep(a: float, b: float, c: float, w: float) -> float:
     """Euler integral for c > b > 0, w < 1:
 
         2F1 = Gamma(c)/(Gamma(b) Gamma(c-b)) *
@@ -327,9 +314,9 @@ def _integral_rep(a: float, b: float, c: float, w: float, tol: float = 1e-13) ->
         return np.exp(bm1 * np.log(s) + cbm1 * np.log(one_minus_s)
                       - a * np.log1p(-w * s))
 
-    value, _err, _n = tanh_sinh_01(integrand, tol=tol)
+    value, _err, _n = tanh_sinh_01(integrand, tol=1e-13)
     lg = log_gamma(c) - log_gamma(b) - log_gamma(c - b)
-    return math.exp(lg) * value
+    return math.exp(lg) * float(value)
 
 
 def hyp2f1(a, b=None, c=None, w=None) -> float:
@@ -391,9 +378,7 @@ def _kummer(a: float, b: float, c: float, w: float) -> float:
         penalty = (pa < 0.0) + (pb < 0.0)
         cands.append((penalty, expo, pa, pb))
     cands.sort(key=lambda t: t[0])
-    penalty, expo, pa, pb = cands[0]
-    if penalty == 0:
-        return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)
+    _penalty, expo, pa, pb = cands[0]
     try:
         return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)
     except SeriesError:

@@ -112,6 +112,7 @@ class Table1Cell:
     label: str
     k_plus: float
     k_minus: float
+    k_minus_error: float  # the lower bound's absolute error estimate
     ratio: float
     tag: str
     upper_argmax: tuple[float, ...]
@@ -134,7 +135,7 @@ def table1_rows(d: int, with_lower: bool = True, tol: float = 1e-9) -> list[Tabl
         q = BoundQuery(d=d, n=float(n_exact), n_exact=n_exact)
         started = time.perf_counter()
         err = None
-        k_minus = ratio = float("nan")
+        k_minus = k_minus_error = ratio = float("nan")
         lower_arg: tuple[float, ...] = ()
         kp = bounds.k_plus(q, warm_start_u=warm)
         if kp.argmax is not None and kp.argmax.u is not None and math.isfinite(kp.argmax.u):
@@ -143,6 +144,7 @@ def table1_rows(d: int, with_lower: bool = True, tol: float = 1e-9) -> list[Tabl
             try:
                 low = bounds.best_lower(q, tol=tol)
                 k_minus = low.value
+                k_minus_error = low.error_estimate
                 ratio = low.value / kp.value
                 tag = low.tag
                 lower_arg = low.argmax.as_tuple() if low.argmax else ()
@@ -153,7 +155,7 @@ def table1_rows(d: int, with_lower: bool = True, tol: float = 1e-9) -> list[Tabl
             tag = ""
         cells.append(Table1Cell(
             d=d, n_exact=n_exact, label=gap_label(d, gap), k_plus=kp.value,
-            k_minus=k_minus, ratio=ratio, tag=tag,
+            k_minus=k_minus, k_minus_error=k_minus_error, ratio=ratio, tag=tag,
             upper_argmax=kp.argmax.as_tuple() if kp.argmax else (),
             lower_argmax=lower_arg, error=err,
             seconds=time.perf_counter() - started))

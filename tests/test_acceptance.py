@@ -99,22 +99,17 @@ def mp_log_fourier_quotient(mp, d, n, p, sigma):
                 - mp_log_gaussian_norm_sq(mp, d, n, p, sigma))
 
 
-# error_estimate / value of k_fourier and k_fourier_fixed at the tolerance
-# that table1_rows runs them with; a Table1Cell keeps K- but not its error.
-LOWER_REL_ERROR = {"(F)": 1e-9, "(FF)": 1e-10}
-
-
 def fourier_certificate(mp, cell):
     """True when the cell's K- is a plane-wave quotient below K+: its tag is
     (F) or (FF), and the quotient recomputed at 30 digits at the reported
     argmax matches K- within the result's own error estimate.  Any Rayleigh
     quotient is a lower bound for K(n, d), so such a K- is not inflated,
     whatever the published ratio says."""
-    if cell.tag not in LOWER_REL_ERROR or not cell.k_minus < cell.k_plus:
+    if cell.tag not in ("(F)", "(FF)") or not cell.k_minus < cell.k_plus:
         return False
     p, sigma = cell.lower_argmax
     exact = mp.exp(mp_log_fourier_quotient(mp, cell.d, cell.n_exact, p, sigma))
-    return abs(cell.k_minus / exact - 1) <= LOWER_REL_ERROR[cell.tag]
+    return abs(cell.k_minus - exact) <= cell.k_minus_error
 
 
 def test_gaussian_norm_oracle_matches_closed_sum():
@@ -302,7 +297,7 @@ def test_criterion_6_identity_suite():
     assert max(worst.values()) <= 1e-9, worst
 
 
-def test_criterion_7_two_path_oracles():
+def test_criterion_7_two_path_oracles(sq_norm_double_sum):
     """Closed forms against their independent second routes, >= 20 draws
     each, agreement <= 1e-7 relative."""
     rng = np.random.default_rng(777)
@@ -321,17 +316,15 @@ def test_criterion_7_two_path_oracles():
         errs.append(abs(math.expm1(a - b)))
     worst["kernel_norm"] = max(errs)
 
-    errs = []  # squared-kernel norm: gap double sum vs direct integral
+    errs = []  # squared-kernel norm: direct integral vs gap double sum
     for _ in range(20):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
         n = d / 2.0 + 0.5 + m
         lam = float(rng.uniform(0.7, 2.0))
-        gap_val = B.bessel_trial_sq_norm_sq(
-            BoundQuery(d=d, n=n, n_exact=Fraction(d, 2) + Fraction(1, 2) + m), lam)
-        quad_val = B.bessel_trial_sq_norm_sq(BoundQuery(d=d, n=n + 1e-9), lam,
-                                             tol=1e-10)
-        errs.append(rel_err(gap_val, quad_val))
+        q = BoundQuery(d=d, n=n, n_exact=Fraction(d, 2) + Fraction(1, 2) + m)
+        quad_val = B.bessel_trial_sq_norm_sq(q, lam, tol=1e-10)
+        errs.append(rel_err(quad_val, sq_norm_double_sum(q, lam)))
     worst["squared_kernel_norm"] = max(errs)
 
     errs = []  # Gaussian trial norm: closed sum vs Bessel-integral route

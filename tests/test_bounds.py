@@ -163,12 +163,10 @@ def test_bessel_norm_against_defining_integral():
     assert rel_err(B.bessel_trial_norm_sq(q, lam), want) < 1e-8
 
 
-def test_bessel_sq_norm_gap_vs_quadrature():
-    # (5/2, 2): terminating double sum against the direct integral route
-    gap_val = B.bessel_trial_sq_norm_sq(q_of(2, Fraction(5, 2)), 1.0)
-    quad_val = B.bessel_trial_sq_norm_sq(BoundQuery(d=2, n=2.5 + 1e-11), 1.0,
-                                         tol=1e-10)
-    assert rel_err(gap_val, quad_val) < 1e-7
+def test_bessel_sq_norm_gap_vs_quadrature(sq_norm_double_sum):
+    # (5/2, 2): the direct integral route against the terminating double sum
+    q = q_of(2, Fraction(5, 2))
+    assert rel_err(B.bessel_trial_sq_norm_sq(q, 1.0), sq_norm_double_sum(q, 1.0)) < 1e-7
 
 
 def test_bessel_sq_norm_positive_gap_case():

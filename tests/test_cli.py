@@ -144,23 +144,28 @@ def test_asymp_large_ratio_of_laws(capsys):
     assert abs(kk["law_ratio"] / 1.2599 - 1.0) < 0.03
 
 
-def test_config_file_sets_tolerance(tmp_path, capsys):
-    cfg = tmp_path / "sobomul.cfg"
-    cfg.write_text("# comment\ntol_rel = 1e-6\n")
+def test_tol_rel_flag_sets_tolerance(capsys):
     code, out, _ = run(capsys, ["sandwich", "-n", "1", "-d", "1", "--json",
-                                "--config", str(cfg)])
+                                "--tol-rel", "1e-8"])
     assert code == 0
-    assert json.loads(out)["tol_rel"] == 1e-6
-    # flags override the config
-    code, out, _ = run(capsys, ["sandwich", "-n", "1", "-d", "1", "--json",
-                                "--config", str(cfg), "--tol-rel", "1e-8"])
     assert json.loads(out)["tol_rel"] == 1e-8
+
+
+@pytest.mark.parametrize("n, d", [("35", "1"), ("41", "1"), ("23", "9")])
+def test_large_half_integer_gap_sandwich(capsys, n, d):
+    # odd d and integer n put the gap n - d/2 at 18.5 or more: best_lower
+    # also evaluates the (B) quotient there, whose squared-kernel norm must
+    # stay accurate although (F) wins
+    code, out, _ = run(capsys, ["sandwich", "-n", n, "-d", d, "--json"])
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert 0.0 < rec["k_minus"] < rec["k_plus"]
 
 
 def test_nonconvergence_exit_3(monkeypatch, capsys):
     from sobomul import bounds
 
-    def fake_k_plus(q, tol_x=1e-9, warm_start_u=None):
+    def fake_k_plus(q, warm_start_u=None):
         return bounds.BoundResult(value=1.0, kind="upper_plus",
                                   argmax=bounds.TrialParams(u=1.0),
                                   diagnostics={"caveat": "budget exhausted"})

@@ -51,11 +51,6 @@ def test_converged_implies_error_below_tolerance():
         assert res.abs_error_estimate <= max(tol * abs(res.value), 1e-305)
 
 
-def test_scalar_callable_fallback():
-    res = quad.integrate_finite(lambda s: math.exp(float(s)), 0.0, 1.0)
-    assert rel_err(res.value, math.e - 1.0) < 1e-12
-
-
 # ----------------------------------------------------------------------
 # semi-infinite intervals
 # ----------------------------------------------------------------------
@@ -94,23 +89,6 @@ def test_slow_tail_error():
                                quad.TailSpec(0.005))
     with pytest.raises(ValueError):
         quad.TailSpec(0.0)
-
-
-def test_cutoff_mode_consistency():
-    # The squared-kernel-norm integrand at (n, d, lam) = (2, 2, 1): two
-    # different cutoffs agree within the combined (tail-inflated) estimates;
-    # the tail decays like u^(-1-(n-d/2)) = u^-2.
-    from sobomul.kernels import BoundQuery, log_hyper_kernel
-    q = BoundQuery(d=2, n=2.0)
-
-    def f(u):
-        return np.exp(2.0 * np.log1p(4.0 * u) + 2.0 * log_hyper_kernel(q, u))
-
-    r3 = quad.integrate_semiinf(f, 0.0, quad.TailSpec(1.0), cutoff=1e3)
-    r6 = quad.integrate_semiinf(f, 0.0, quad.TailSpec(1.0), cutoff=1e6)
-    assert abs(r3.value - r6.value) <= r3.abs_error_estimate + r6.abs_error_estimate
-    full = quad.integrate_semiinf(f, 0.0, quad.TailSpec(1.0))
-    assert abs(full.value - r6.value) <= r3.abs_error_estimate + full.abs_error_estimate
 
 
 # ----------------------------------------------------------------------

@@ -98,12 +98,6 @@ def test_digamma_pole():
         sf.digamma(-2.0)
 
 
-def test_math_constants_invariant():
-    c = sf.CONSTANTS
-    assert abs(sf.digamma(1.0) + c.euler_gamma) <= 1e-13
-    assert c.pi == math.pi
-
-
 # ----------------------------------------------------------------------
 # pochhammer / semifactorial
 # ----------------------------------------------------------------------
