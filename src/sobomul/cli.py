@@ -58,7 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--tol-rel", type=float, default=1e-9,
-                        help="relative tolerance for quadrature/optimization")
+                        help="relative tolerance of the searched lower bounds "
+                             "(lower --method bessel|fourier|best, sandwich, "
+                             "table1); K+, (BB), (FF), table2 and asymp use "
+                             "fixed internal tolerances")
 
     p = argparse.ArgumentParser(
         prog="sobomul",

@@ -127,6 +127,25 @@ def test_gaussian_norm_oracle_matches_closed_sum():
     assert worst <= 1e-12, worst
 
 
+def test_gaussian_norm_quadrature_matches_oracle_at_noninteger_n():
+    """The runtime quadrature route (the only one at non-integer n) against
+    the 30-digit oracle at (p, sigma) and (2p, 2 sigma), the two norms of
+    the Fourier quotient: (1, 61/2) at its reported argmax, the other cells
+    near theirs.  Criterion 7's two-path check runs only at integer n."""
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for d, n, p, sigma in ((1, Fraction(61, 2), 0.19953412956448163, 0.03784497692973889),
+                           (2, Fraction(5, 2), 0.475, 0.665),
+                           (3, Fraction(7, 4), 0.53, 4.27),
+                           (4, Fraction(9, 4), 0.484, 3.9)):
+        q = BoundQuery(d=d, n=float(n), n_exact=n)
+        for scale in (1.0, 2.0):
+            quad = B._log_gaussian_norm_sq_quad(q, scale * p, scale * sigma, tol=1e-10)
+            oracle = mp_log_gaussian_norm_sq(mp, d, n, scale * p, scale * sigma)
+            worst = max(worst, abs(math.expm1(quad - float(oracle))))
+    assert worst <= 1e-9, worst
+
+
 def test_criterion_2_table1_ratios_and_tags(table1_cells):
     """Ratios within [published - 0.002, published + 0.01] per cell; a cell
     above the ceiling passes only with a 30-digit Fourier certificate.  Tags

@@ -97,6 +97,30 @@ def test_i_minus_half_closed_form():
         assert rel_err(bs.bessel_i(-0.5, s), want) < 1e-12
 
 
+def test_i_half_orders_vs_scipy_and_series():
+    """The elementary nu = -1/2, 1/2 route against scipy's ive on
+    [1e-10, 1e6] and, unscaled, against the ascending series for x <= 30;
+    x = 1e-10 tests I_{1/2}, where expm1 carries the accuracy."""
+    scipy_special = pytest.importorskip("scipy.special")
+    xs = np.geomspace(1e-10, 1e6, 97)
+    for nu in (-0.5, 0.5):
+        got = bs.bessel_i(nu, xs, scaled=True)
+        want = scipy_special.ive(nu, xs)
+        assert np.max(np.abs(got - want) / want) < 1e-13
+        for x in xs[xs <= 30.0]:
+            val = bs.bessel_i(nu, float(x))
+            assert isinstance(val, float)
+            assert rel_err(val, i_series_oracle(nu, float(x))) < 1e-13
+
+
+def test_i_series_vs_oracle_sweep():
+    xs = np.geomspace(1e-6, 29.9, 60)
+    for nu in (0.0, 1.0, 1.5, 2.5, 4.0):
+        got = bs._i_series_scaled(nu, xs) * np.exp(xs)
+        for g, x in zip(got, xs):
+            assert rel_err(g, i_series_oracle(nu, float(x))) < 1e-13
+
+
 def test_i_small_argument_limit():
     assert rel_err(bs.bessel_i(0.0, 1e-9), 1.0) < 1e-12
 

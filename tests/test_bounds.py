@@ -313,6 +313,25 @@ def test_gaussian_norm_against_1d_definition():
     assert rel_err(got, want) < 1e-8
 
 
+def test_gaussian_norm_quadrature_makes_no_scalar_calls(monkeypatch):
+    # The quadrature route evaluates Bessel I on whole grids and panels only:
+    # no one-point call and no 1-D search (its peak shift needs neither).
+    sizes = []
+    searches = []
+    bessel_i = B.bessel_i
+
+    def counting_bessel_i(nu, x, scaled=False):
+        sizes.append(np.size(x))
+        return bessel_i(nu, x, scaled=scaled)
+
+    monkeypatch.setattr(B, "bessel_i", counting_bessel_i)
+    monkeypatch.setattr(B, "maximize_1d", lambda *a, **k: searches.append(a))
+    for d in (1, 2):
+        B.log_gaussian_trial_norm_sq(q_of(d, Fraction(61, 2)), 0.2, 0.038)
+    assert sizes and min(sizes) > 1
+    assert not searches
+
+
 def test_k_fourier_two_two():
     res = B.k_fourier(q_of(2, 2))
     assert abs(res.argmax.p - 0.511) <= 0.02
