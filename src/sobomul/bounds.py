@@ -53,6 +53,7 @@ __all__ = [
     "ElementaryBoundData",
     "TwoPathMismatch",
     "TAG_BY_KIND",
+    "LOWER_TOL",
     "k_plus",
     "k_plus_asymp_small",
     "k_plus_asymp_large",
@@ -81,6 +82,10 @@ _LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
 _BB_SWITCH = 0.1 * (1.0 + 1e-9)
 _FF_SWITCH = 50.0
 _KB_MIN_GAP = 0.01
+# Relative quadrature tolerances of the lower bounds.
+_SEARCH_TOL = 1e-7  # objective evaluations inside the searches
+LOWER_TOL = 1e-9    # reported (B) and (F) values, and their error estimate
+_FF_TOL = 1e-10     # reported (FF) value, and its error estimate
 
 TAG_BY_KIND = {
     "lower_bessel": "(B)",
@@ -487,7 +492,7 @@ _LAM_LO = math.log(1e-3)
 _LAM_HI = math.log(1e3)
 
 
-def k_bessel(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
+def k_bessel(q: BoundQuery) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
 
     Needs n - d/2 >= 0.01 (the squared-norm integral converges too slowly
@@ -501,13 +506,13 @@ def k_bessel(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
         return (0.5 * math.log(bessel_trial_sq_norm_sq(q, lam, tol=qtol))
                 - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
 
-    res = maximize_1d(lambda x: log_quotient(math.exp(x), 1e-7),
+    res = maximize_1d(lambda x: log_quotient(math.exp(x), _SEARCH_TOL),
                       _LAM_LO, _LAM_HI, math.log(1.4), tol_x=1e-7)
     lam_star = math.exp(res.argmax[0])
-    value = math.exp(log_quotient(lam_star, tol))
+    value = math.exp(log_quotient(lam_star, LOWER_TOL))
     return BoundResult(value=value, kind="lower_bessel",
                        argmax=TrialParams(lam=lam_star),
-                       error_estimate=value * max(tol, 1e-10),
+                       error_estimate=value * LOWER_TOL,
                        diagnostics={"evaluations": res.iterations,
                                     "converged": res.converged})
 
@@ -538,29 +543,23 @@ def k_bessel_minorant(q: BoundQuery) -> BoundResult:
 @lru_cache(maxsize=256)
 def _gaussian_sum_tables(n: int, d: int):
     """Precomputed (log-coefficient, p-exponent, sigma-exponent) arrays of
-    the integer-n closed form; d = 1 keeps only the surviving l = j terms."""
-    lgc, pe, se = [], [], []
-    lg_half_pref = sf.log_gamma(d / 2.0 - 0.5) if d >= 2 else 0.0
-    for ell in range(n + 1):
-        for j in range(ell + 1):
-            if d == 1 and ell != j:
-                continue  # (0)_(l-j) kills every l != j term
-            for g in range(j + 1):
-                lg = (sf.log_gamma(n + 1.0) - sf.log_gamma(ell + 1.0)
-                      - sf.log_gamma(n - ell + 1.0)
-                      + sf.log_gamma(ell + 1.0) - sf.log_gamma(j + 1.0)
-                      - sf.log_gamma(ell - j + 1.0)
-                      + sf.log_gamma(2.0 * j + 1.0) - sf.log_gamma(2.0 * g + 1.0)
-                      - sf.log_gamma(2.0 * (j - g) + 1.0))
-                # (2g-1)!! / 2^g = (2g)! / (4^g g!)
-                lg += (sf.log_gamma(2.0 * g + 1.0) - sf.log_gamma(g + 1.0)
-                       - g * math.log(4.0))
-                if d >= 2 and ell > j:
-                    lg += sf.log_gamma(d / 2.0 - 0.5 + ell - j) - lg_half_pref
-                lgc.append(lg)
-                pe.append(2.0 * (j - g))
-                se.append(ell + g - j - d / 2.0)
-    return (np.asarray(lgc), np.asarray(pe), np.asarray(se))
+    the integer-n closed form, in (l, j, g) order with g <= j <= l <= n;
+    d = 1 keeps only the surviving l = j terms."""
+    lf = np.array([sf.log_gamma(k + 1.0) for k in range(2 * n + 1)])  # log k!
+    ell, j, g = np.indices((n + 1,) * 3).reshape(3, -1)
+    keep = (j <= ell) & (g <= j)
+    if d == 1:
+        keep &= ell == j  # (0)_(l-j) kills every l != j term
+    ell, j, g = ell[keep], j[keep], g[keep]
+    lgc = (lf[n] - lf[ell] - lf[n - ell] + lf[ell] - lf[j] - lf[ell - j]
+           + lf[2 * j] - lf[2 * g] - lf[2 * (j - g)])
+    # (2g-1)!! / 2^g = (2g)! / (4^g g!)
+    lgc += lf[2 * g] - lf[g] - g * math.log(4.0)
+    if d >= 2:
+        lh = np.array([sf.log_gamma(d / 2.0 - 0.5 + k) for k in range(n + 1)])
+        up = ell > j
+        lgc[up] += lh[(ell - j)[up]] - lh[0]
+    return lgc, 2.0 * (j - g), ell + g - j - d / 2.0
 
 
 def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float) -> float:
@@ -646,33 +645,31 @@ def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float, tol: float) -> 
     return 0.5 * num - den
 
 
-def k_fourier(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
+def k_fourier(q: BoundQuery) -> BoundResult:
     """K^F: simplex search over (p, sigma) in log coordinates, multistart."""
     n = q.n
     starts = [(0.5 / math.sqrt(2.0), 0.75 / n),
               (0.4, 1.0 / n),
               (0.35, 4.0 / n ** 2)]
-    search_tol = 1e-7
-
-    res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, search_tol),
+    res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, _SEARCH_TOL),
                       starts, tol=3e-7, max_iter=400)
     p_star, sigma_star = res.argmax
-    value = math.exp(_log_fourier_quotient(q, p_star, sigma_star, tol))
+    value = math.exp(_log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL))
     return BoundResult(value=value, kind="lower_fourier",
                        argmax=TrialParams(p=p_star, sigma=sigma_star),
-                       error_estimate=value * max(tol, 1e-9),
+                       error_estimate=value * LOWER_TOL,
                        diagnostics={"evaluations": res.iterations,
                                     "converged": res.converged})
 
 
-def k_fourier_fixed(q: BoundQuery, tol: float = 1e-10) -> BoundResult:
+def k_fourier_fixed(q: BoundQuery) -> BoundResult:
     """K^FF: the quotient at the frozen pair (1/(2 sqrt 2), 3/(4n))."""
     p = 0.5 / math.sqrt(2.0)
     sigma = 0.75 / q.n
-    value = math.exp(_log_fourier_quotient(q, p, sigma, tol))
+    value = math.exp(_log_fourier_quotient(q, p, sigma, _FF_TOL))
     return BoundResult(value=value, kind="lower_fourier_ff",
                        argmax=TrialParams(p=p, sigma=sigma),
-                       error_estimate=value * max(tol, 1e-10),
+                       error_estimate=value * _FF_TOL,
                        diagnostics={})
 
 
@@ -680,7 +677,7 @@ def k_fourier_fixed(q: BoundQuery, tol: float = 1e-10) -> BoundResult:
 # best lower bound
 # ----------------------------------------------------------------------
 
-def best_lower(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
+def best_lower(q: BoundQuery) -> BoundResult:
     """The best applicable lower bound, tagged (B)/(BB)/(F)/(FF).
 
     Routing: the minorant (BB) replaces the Bessel quotient within 0.1 of
@@ -693,10 +690,10 @@ def best_lower(q: BoundQuery, tol: float = 1e-9) -> BoundResult:
     if q.n_gap <= _BB_SWITCH:
         candidates.append(k_bessel_minorant(q))
     elif q.n <= _FF_SWITCH:
-        candidates.append(k_bessel(q, tol=tol))
+        candidates.append(k_bessel(q))
     if q.n_gap > _BB_SWITCH:
         if q.n <= _FF_SWITCH:
-            candidates.append(k_fourier(q, tol=tol))
+            candidates.append(k_fourier(q))
         else:
             candidates.append(k_fourier_fixed(q))
     return max(candidates, key=lambda r: r.value)

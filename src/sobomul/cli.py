@@ -7,13 +7,14 @@
     sobomul table2   [--dmax 10] [--compare]
     sobomul asymp    --regime small -d 1
 
-Common flags: --json, --csv, --tol-rel X.  n accepts
-decimals or exact fractions ("5/2"); fractions keep the half-integer and
-integer fast paths exact.  Exit codes: 0 success, 2 domain violation
-(n <= d/2), 3 numerical non-convergence (partial results still printed).
+Common flags: --json, --csv.  n accepts decimals or exact fractions
+("5/2"); fractions keep the half-integer and integer fast paths exact.
+Exit codes: 0 success, 2 domain violation (n <= d/2) or rejected argument,
+3 numerical non-convergence (partial results still printed).
 
-JSON goes to stdout and is byte-stable across runs; wall time is written
-to stderr so the payload stays deterministic.
+JSON goes to stdout and is byte-stable across runs; its "tol_rel" is the
+fixed 1e-9 relative tolerance of the (B) and (F) lower bounds.  Wall time
+is written to stderr so the payload stays deterministic.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ def parse_n(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse n = {text!r}") from exc
 
 
+def _parse_n_list(text: str) -> list[float]:
+    """Comma-separated n values, each parsed by :func:`parse_n`."""
+    return [float(parse_n(x)) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="CSV output")
-    common.add_argument("--tol-rel", type=float, default=1e-9,
-                        help="relative tolerance of the searched lower bounds "
-                             "(lower --method bessel|fourier|best, sandwich, "
-                             "table1); K+, (BB), (FF), table2 and asymp use "
-                             "fixed internal tolerances")
 
     p = argparse.ArgumentParser(
         prog="sobomul",
@@ -92,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     t2 = sub.add_parser("table2", parents=[common],
                         help="envelope constants Z_d and Theta_d")
-    t2.add_argument("--dmax", type=int, default=10)
+    t2.add_argument("--dmax", type=int, default=10, choices=range(1, 11))
     t2.add_argument("--compare", action="store_true")
 
     asy = sub.add_parser("asymp", parents=[common], help="asymptotic-regime report")
     asy.add_argument("--regime", choices=("small", "large"), required=True)
     asy.add_argument("-d", type=int, default=1)
-    asy.add_argument("--n-list", default=None,
+    asy.add_argument("--n-list", type=_parse_n_list, default=None,
                      help="comma-separated n values (regime-appropriate)")
     return p
 
@@ -131,7 +132,7 @@ def _result_fields(res: bounds.BoundResult) -> dict:
 # subcommands: each returns (records, exit_code)
 # ----------------------------------------------------------------------
 
-def _cmd_upper(args, tol) -> tuple[list[dict], int]:
+def _cmd_upper(args) -> tuple[list[dict], int]:
     q = _query(args.n, args.d)
     res = bounds.k_plus(q)
     rec = _bound_record(args.d, str(args.n), args.n, k_plus=res.value,
@@ -140,20 +141,20 @@ def _cmd_upper(args, tol) -> tuple[list[dict], int]:
     return [rec], code
 
 
-def _cmd_lower(args, tol) -> tuple[list[dict], int]:
+def _cmd_lower(args) -> tuple[list[dict], int]:
     q = _query(args.n, args.d)
     fn = _METHODS[args.method]
-    res = fn(q) if args.method in ("bessel-bb", "fourier-ff") else fn(q, tol=tol)
+    res = fn(q)
     rec = _bound_record(args.d, str(args.n), args.n, k_minus=res.value,
                         **_result_fields(res))
     code = _EXIT_NUMERIC if rec.get("caveat") else _EXIT_OK
     return [rec], code
 
 
-def _cmd_sandwich(args, tol) -> tuple[list[dict], int]:
+def _cmd_sandwich(args) -> tuple[list[dict], int]:
     q = _query(args.n, args.d)
     up = bounds.k_plus(q)
-    low = bounds.best_lower(q, tol=tol)
+    low = bounds.best_lower(q)
     rec = _bound_record(args.d, str(args.n), args.n,
                         k_plus=up.value, k_minus=low.value,
                         ratio=low.value / up.value, **_result_fields(low))
@@ -163,8 +164,8 @@ def _cmd_sandwich(args, tol) -> tuple[list[dict], int]:
     return [rec], code
 
 
-def _cmd_table1(args, tol) -> tuple[list[dict], int]:
-    cells = tables.table1_rows(args.d, with_lower=not args.upper_only, tol=tol)
+def _cmd_table1(args) -> tuple[list[dict], int]:
+    cells = tables.table1_rows(args.d, with_lower=not args.upper_only)
     golden = tables.GOLDEN_TABLE1.get(args.d)
     records = []
     code = _EXIT_OK
@@ -194,7 +195,7 @@ def _cmd_table1(args, tol) -> tuple[list[dict], int]:
     return records, code
 
 
-def _cmd_table2(args, tol) -> tuple[list[dict], int]:
+def _cmd_table2(args) -> tuple[list[dict], int]:
     rows = tables.table2_rows(args.dmax)
     records = []
     for row in rows:
@@ -213,13 +214,12 @@ _SMALL_GAPS = (1e-4, 1e-6)
 _LARGE_NS = (100.0, 200.0)
 
 
-def _cmd_asymp(args, tol) -> tuple[list[dict], int]:
+def _cmd_asymp(args) -> tuple[list[dict], int]:
     d = args.d
     consts = bounds.AsympConstants.for_dimension(d)
     records = []
     if args.regime == "small":
-        gaps = ([float(Fraction(x)) for x in args.n_list.split(",")]
-                if args.n_list else list(_SMALL_GAPS))
+        gaps = args.n_list or list(_SMALL_GAPS)
         for gap in gaps:
             q = BoundQuery(d=d, n=d / 2.0 + gap)
             kp = bounds.k_plus(q).value
@@ -235,8 +235,7 @@ def _cmd_asymp(args, tol) -> tuple[list[dict], int]:
                             "law_ratio": kbb * scale,
                             "law_target": math.sqrt(2.0 / 3.0)})
     else:
-        ns = ([float(Fraction(x)) for x in args.n_list.split(",")]
-              if args.n_list else list(_LARGE_NS))
+        ns = args.n_list or list(_LARGE_NS)
         ff_const = math.sqrt(5.0 / 3.0) / 7.0 ** 0.25
         for n in ns:
             q = BoundQuery(d=d, n=n,
@@ -334,10 +333,9 @@ def _emit_human(records: list[dict]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    tol = args.tol_rel
     started = time.perf_counter()
     try:
-        records, code = _COMMANDS[args.command](args, tol)
+        records, code = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
@@ -347,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     wall = time.perf_counter() - started
 
     if args.json:
-        payload = {"command": args.command, "tol_rel": tol, "records": records}
+        payload = {"command": args.command, "tol_rel": bounds.LOWER_TOL,
+                   "records": records}
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     elif args.csv:
         sys.stdout.write(_emit_csv(records))

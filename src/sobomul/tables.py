@@ -121,7 +121,7 @@ class Table1Cell:
     seconds: float = 0.0
 
 
-def table1_rows(d: int, with_lower: bool = True, tol: float = 1e-9) -> list[Table1Cell]:
+def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
     """Evaluate one dimension of the bounds table.
 
     Upper-bound maximizations are warm-started from the previous column's
@@ -142,7 +142,7 @@ def table1_rows(d: int, with_lower: bool = True, tol: float = 1e-9) -> list[Tabl
             warm = kp.argmax.u
         if with_lower:
             try:
-                low = bounds.best_lower(q, tol=tol)
+                low = bounds.best_lower(q)
                 k_minus = low.value
                 k_minus_error = low.error_estimate
                 ratio = low.value / kp.value

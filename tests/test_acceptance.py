@@ -114,12 +114,14 @@ def fourier_certificate(mp, cell):
 
 def test_gaussian_norm_oracle_matches_closed_sum():
     """The 30-digit oracle reproduces the integer-n closed sum to 1e-12 for
-    d = 1..4, which pins its Fourier convention to the program's."""
+    d = 1..4, which pins its Fourier convention to the program's, and at
+    n = 50 for d = 2 and 10, the largest tables a sandwich query builds."""
     mp = pytest.importorskip("mpmath")
     worst = 0.0
     for d, n, p, sigma in ((1, 30, 0.3, 0.05), (2, 31, 0.7, 0.4),
                            (3, 8, 0.5, 1.3), (4, 32, 0.9, 0.2),
-                           (2, 4, 1.1, 1.7)):
+                           (2, 4, 1.1, 1.7), (2, 50, 0.35, 0.015),
+                           (10, 50, 0.35, 0.015)):
         q = BoundQuery(d=d, n=float(n), n_exact=Fraction(n))
         oracle = mp_log_gaussian_norm_sq(mp, d, Fraction(n), p, sigma)
         closed = B._log_gaussian_norm_sq_sum(q, p, sigma)

@@ -288,6 +288,27 @@ def test_gaussian_norm_two_path():
     assert val > 0.0
 
 
+def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
+    # the closed-sum tables index one vector of log k! (k <= 2n) and one of
+    # log Gamma(d/2 - 1/2 + k) (k <= n): 3n + 2 log_gamma calls in all
+    from sobomul import specfun
+    calls = []
+    inner = specfun.log_gamma
+
+    def counting(x):
+        calls.append(x)
+        return inner(x)
+
+    n = 50
+    monkeypatch.setattr(specfun, "log_gamma", counting)
+    B._gaussian_sum_tables.cache_clear()
+    try:
+        B._gaussian_sum_tables(n, 2)
+    finally:
+        B._gaussian_sum_tables.cache_clear()
+    assert len(calls) <= 3 * n + 2, len(calls)
+
+
 def test_gaussian_norm_gaussian_limit():
     # the n = 0 closed sum collapses to the plain Gaussian L2 norm
     # pi^(d/2) sigma^(-d/2)
@@ -372,7 +393,7 @@ def test_sandwich_property():
         d = int(rng.integers(1, 5))
         nd = float(np.exp(rng.uniform(np.log(0.02), np.log(20.0))))
         q = BoundQuery(d=d, n=d / 2.0 + nd)
-        low = B.best_lower(q, tol=1e-8)
+        low = B.best_lower(q)
         up = B.k_plus(q)
         upp = B.k_plus_plus(q, B.envelope_residual_sup(d).big_z)
         assert low.value < up.value

@@ -144,11 +144,16 @@ def test_asymp_large_ratio_of_laws(capsys):
     assert abs(kk["law_ratio"] / 1.2599 - 1.0) < 0.03
 
 
-def test_tol_rel_flag_sets_tolerance(capsys):
-    code, out, _ = run(capsys, ["sandwich", "-n", "1", "-d", "1", "--json",
-                                "--tol-rel", "1e-8"])
-    assert code == 0
-    assert json.loads(out)["tol_rel"] == 1e-8
+@pytest.mark.parametrize("argv", [
+    ["table2", "--dmax", "0"],
+    ["table2", "--dmax", "11"],
+    ["asymp", "--regime", "large", "--n-list", "abc"],
+])
+def test_bad_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, d", [("35", "1"), ("41", "1"), ("23", "9")])
