@@ -11,7 +11,10 @@ Upper bounds
 
 Lower bounds (Rayleigh quotients of explicit trial functions)
     k_bessel            K^B  = sup_lam ||g_lam^2||_n / ||g_lam||_n^2 with
-                        g_lam the scaled Macdonald kernel.
+                        g_lam the scaled Macdonald kernel; the numerator
+                        integrates a lam-free kernel on one fixed exp-sinh
+                        rule in log u with a closed-form far tail, so the
+                        kernel is evaluated once per query.
     k_bessel_minorant   K^BB <= K^B, replaces the slowly converging
                         squared-kernel norm by an analytic minorant; the
                         route of choice for n within 0.1 of d/2.
@@ -43,7 +46,7 @@ from .bessel import bessel_i
 from .kernels import (BoundQuery, DomainError, log_hyper_kernel,
                       log_upper_curve, log_upper_curve_limit)
 from .optim import BracketBoundaryError, MaxResult, maximize_1d, maximize_2d
-from .quad import SlowTailError, TailSpec, integrate_finite, integrate_semiinf
+from .quad import integrate_finite
 
 __all__ = [
     "BoundResult",
@@ -83,8 +86,9 @@ _BB_SWITCH = 0.1 * (1.0 + 1e-9)
 _FF_SWITCH = 50.0
 _KB_MIN_GAP = 0.01
 # Relative quadrature tolerances of the lower bounds.
-_SEARCH_TOL = 1e-7  # objective evaluations inside the searches
-LOWER_TOL = 1e-9    # reported (B) and (F) values, and their error estimate
+_SEARCH_TOL = 1e-7  # objective evaluations inside the (F) search
+LOWER_TOL = 1e-9    # reported (F) value and its error estimate; cap on the
+                    # measured rule error of the reported (B) value
 _FF_TOL = 1e-10     # reported (FF) value, and its error estimate
 
 TAG_BY_KIND = {
@@ -408,37 +412,108 @@ def _log_sq_norm_prefactor(q: BoundQuery, lam: float) -> float:
             - d * math.log(lam))
 
 
+# The (B) squared-kernel norm integrates over x = log u with one fixed
+# exp-sinh rule, nodes x = (pi/2) sinh(k h) on [-92/d, 46/gap + 10]: the
+# integrand falls like e^(d x / 2) below the bulk and like e^(-gap x) above
+# it, so both cuts sit e^-46 down.  The searches run on the h rule; reported
+# values add the midpoints (the h/2 rule) and measure |I_h/2 - I_h|.
+_SQ_STEP = 0.05
+# Beyond log u = 200 (only gaps below 0.24 reach it) the kernel takes its
+# two-term large-u form, whose next terms are e^-200 smaller.
+_SQ_X_FAR = 200.0
+
+
+def _log_kernel_far(q: BoundQuery, x: np.ndarray) -> np.ndarray:
+    """log F(2n-d/2, n, n+1/2; -e^x) for x > _SQ_X_FAR, from the w -> 1
+    connection formula (DLMF 15.8.4) of the positive-series form:
+
+        u^(-n) (A + B u^(-gap)),
+        A = Gamma(n+1/2) Gamma(gap) / (Gamma(1/2) Gamma(2n-d/2)),
+        B = Gamma(n+1/2) Gamma(-gap) / (Gamma(n) Gamma(1/2-gap)).
+
+    Needs a gap that is neither an integer nor a half-integer (Gamma(-gap)
+    and 1/Gamma(1/2-gap) are finite and B non-zero); gaps that reach
+    _SQ_X_FAR lie below 0.25.
+    """
+    n, d, gap = q.n, q.d, q.n_gap
+    log_a = (sf.log_gamma(n + 0.5) + sf.log_gamma(gap) - 0.5 * _LOG_PI
+             - sf.log_gamma(2.0 * n - d / 2.0))
+    lg_neg, sign_neg = sf.log_gamma_signed(-gap)
+    lg_half, sign_half = sf.log_gamma_signed(0.5 - gap)
+    b_over_a = sign_neg * sign_half * math.exp(
+        sf.log_gamma(n + 0.5) + lg_neg - sf.log_gamma(n) - lg_half - log_a)
+    return -n * x + log_a + np.log1p(b_over_a * np.exp(-gap * x))
+
+
+def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x = (pi/2) sinh((k + offset) h) of the squared-norm rule and
+    the lam-free log terms of its integrand there,
+
+        log(dx/dt) + (d/2) x + 2 log F(2n-d/2, n, n+1/2; -e^x),
+
+    from one vector kernel call.  offset = 1/2 gives the midpoints that
+    turn the h rule into the h/2 rule."""
+    t_lo = math.asinh(-92.0 / q.d / (0.5 * math.pi))
+    t_hi = math.asinh((46.0 / q.n_gap + 10.0) / (0.5 * math.pi))
+    k = np.arange(math.floor(t_lo / _SQ_STEP), math.ceil(t_hi / _SQ_STEP) + 1)
+    t = (k + offset) * _SQ_STEP
+    x = 0.5 * math.pi * np.sinh(t)
+    far = x > _SQ_X_FAR
+    log_k = np.empty_like(x)
+    log_k[~far] = log_hyper_kernel(q, np.exp(x[~far]))
+    if far.any():
+        log_k[far] = _log_kernel_far(q, x[far])
+    return x, np.log(0.5 * math.pi * np.cosh(t)) + 0.5 * q.d * x + 2.0 * log_k
+
+
+def _log_sq_norm_sum(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
+                     lam: float) -> float:
+    """log of the h rule for int u^(d/2-1) (1 + 4 lam^2 u)^n K(u)^2 du on
+    the given nodes: one logsumexp."""
+    x, base = nodes
+    y = base + q.n * np.logaddexp(0.0, math.log(4.0 * lam * lam) + x)
+    m = float(y.max())
+    return m + math.log(_SQ_STEP * np.exp(y - m).sum())
+
+
+def _log_sq_norm_refined(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
+                         lam: float, tol: float) -> tuple[float, float, int]:
+    """(log I_h/2, |I_h/2 - I_h| / I_h/2, node count) of the squared-norm
+    integral at lam, given the h-rule nodes; one more kernel call, at the
+    midpoints.  Raises ArithmeticError when the relative difference
+    exceeds tol."""
+    mid = _sq_norm_nodes(q, 0.5)
+    log_h = _log_sq_norm_sum(q, nodes, lam)
+    log_half = float(np.logaddexp(log_h, _log_sq_norm_sum(q, mid, lam))) - math.log(2.0)
+    rule_error = abs(math.expm1(log_h - log_half))
+    if not rule_error <= tol:
+        raise ArithmeticError(
+            f"squared-norm rule error {rule_error:.2e} exceeds {tol:.0e} "
+            f"(n={q.n}, d={q.d}, lam={lam})")
+    return log_half, rule_error, len(nodes[0]) + len(mid[0])
+
+
 def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> float:
     """Squared Sobolev norm of the squared trial kernel: a Gamma prefactor
     times the integral of
 
         u^(d/2-1) (1 + 4 lam^2 u)^n F(2n-d/2, n, n+1/2; -u)^2
 
-    on [0, inf), whose tail decays like u^(-1-(n-d/2)).  At a half-integer
-    gap n - d/2 = m + 1/2 the kernel factor is the terminating sum for
-    m <= 8.  The quadrature refuses gaps below 0.01 (switch to the minorant
-    route instead).
+    on [0, inf), whose tail decays like u^(-1-(n-d/2)).  The integral runs
+    in x = log u on a fixed exp-sinh rule, nodes x = (pi/2) sinh(k h / 2),
+    h = 0.05, over [-92/d, 46/gap + 10]; beyond x = 200 the kernel is its
+    two-term large-u form (DLMF 15.8.4).  tol bounds the relative
+    difference between the h/2 and h rules (ArithmeticError above it).
+    Gaps below 0.01 raise DomainError (use the minorant route instead).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    n, d = q.n, q.d
-    log_pref = _log_sq_norm_prefactor(q, lam)
     if q.n_gap < _KB_MIN_GAP:
-        raise SlowTailError(
-            f"gap {q.n_gap} < {_KB_MIN_GAP}: integral tail too slow, "
-            "use the minorant bound")
-    lam2_4 = 4.0 * lam * lam
-    c1 = d / 2.0 - 1.0
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.exp(c1 * np.log(u) + n * np.log1p(lam2_4 * u)
-                      + 2.0 * log_hyper_kernel(q, u))
-
-    res = integrate_semiinf(integrand, 0.0, TailSpec(q.n_gap), tol=tol)
-    if not res.converged:
-        raise ArithmeticError(
-            f"squared-norm quadrature did not converge (n={n}, d={d}, lam={lam})")
-    return math.exp(log_pref + math.log(res.value))
+        raise DomainError(
+            f"squared-kernel norm needs n - d/2 >= {_KB_MIN_GAP}; "
+            "use squared_trial_minorant")
+    log_int, _err, _nodes = _log_sq_norm_refined(q, _sq_norm_nodes(q, 0.0), lam, tol)
+    return math.exp(_log_sq_norm_prefactor(q, lam) + log_int)
 
 
 def minorant_coeffs(q: BoundQuery) -> MinorantCoeffs:
@@ -495,26 +570,39 @@ _LAM_HI = math.log(1e3)
 def k_bessel(q: BoundQuery) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
 
-    Needs n - d/2 >= 0.01 (the squared-norm integral converges too slowly
-    below; use :func:`k_bessel_minorant` there).
+    The squared-kernel norm's kernel does not depend on lam, so it is
+    evaluated once on the h-rule nodes, and each lam the search tries costs
+    one logsumexp.  K^B is the h/2 rule at the maximizer; its error estimate
+    is half the measured relative difference |I_h/2 - I_h| / I_h/2 (K^B
+    goes with the square root of the integral), and the diagnostics record
+    the node count and that difference as "nodes" and "rule_error".
+    Needs n - d/2 >= 0.01, as the squared-kernel norm does; use
+    :func:`k_bessel_minorant` below.
     """
     if q.n_gap < _KB_MIN_GAP:
         raise DomainError(
             f"k_bessel needs n - d/2 >= {_KB_MIN_GAP}; use k_bessel_minorant")
+    nodes = _sq_norm_nodes(q, 0.0)
 
-    def log_quotient(lam: float, qtol: float) -> float:
-        return (0.5 * math.log(bessel_trial_sq_norm_sq(q, lam, tol=qtol))
+    def log_quotient(lam: float, log_int: float) -> float:
+        return (0.5 * (_log_sq_norm_prefactor(q, lam) + log_int)
                 - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
 
-    res = maximize_1d(lambda x: log_quotient(math.exp(x), _SEARCH_TOL),
-                      _LAM_LO, _LAM_HI, math.log(1.4), tol_x=1e-7)
+    def objective(x: float) -> float:
+        lam = math.exp(x)
+        return log_quotient(lam, _log_sq_norm_sum(q, nodes, lam))
+
+    res = maximize_1d(objective, _LAM_LO, _LAM_HI, math.log(1.4), tol_x=1e-7)
     lam_star = math.exp(res.argmax[0])
-    value = math.exp(log_quotient(lam_star, LOWER_TOL))
+    log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
+    value = math.exp(log_quotient(lam_star, log_int))
     return BoundResult(value=value, kind="lower_bessel",
                        argmax=TrialParams(lam=lam_star),
-                       error_estimate=value * LOWER_TOL,
+                       error_estimate=0.5 * rule_error * value,
                        diagnostics={"evaluations": res.iterations,
-                                    "converged": res.converged})
+                                    "converged": res.converged,
+                                    "nodes": n_nodes,
+                                    "rule_error": rule_error})
 
 
 def k_bessel_minorant(q: BoundQuery) -> BoundResult:

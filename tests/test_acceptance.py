@@ -148,6 +148,70 @@ def test_gaussian_norm_quadrature_matches_oracle_at_noninteger_n():
     assert worst <= 1e-9, worst
 
 
+def mp_log_bessel_norms(mp, d, n, lam):
+    """(log ||g_lam^2||_n^2, log ||g_lam||_n^2) of the scaled Macdonald trial
+    kernel at 20 digits, both as integrals over x = log u:
+
+        ||g^2||^2 = pi^(d/2) Gamma(2n-d/2)^2 / (Gamma(d/2) Gamma(2n)^2 lam^d)
+                    * int e^(d x/2) (1 + 4 lam^2 e^x)^n F(2n-d/2, n, n+1/2; -e^x)^2 dx
+        ||g||^2   = pi^(d/2) / (Gamma(d/2) lam^(2d))
+                    * int e^(d x/2) (1 + e^x)^n (1 + e^x / lam^2)^(-2n) dx
+
+    (the second is the radial Plancherel integral in u = rho^2).  Nothing of
+    sobomul is used: mpmath's 2F1 and tanh-sinh rule, split at x = -10, 0,
+    10 and 50.  Both integrands fall like e^(-gap x) beyond the bulk, so the
+    part beyond x = 50 runs in s = gap (x - 50).  `n` is a Fraction.
+    """
+    with mp.workdps(20):
+        n = mp.mpf(n.numerator) / n.denominator
+        lam = mp.mpf(lam)
+        half_d = mp.mpf(d) / 2
+        gap = n - half_d
+
+        def integral(f):
+            head = mp.quad(f, [-mp.inf, -10, 0, 10, 50])
+            tail = mp.quad(lambda s: f(50 + s / gap), [0, 1, 10, mp.inf])
+            return head + tail / gap
+
+        def sq_integrand(x):
+            u = mp.exp(x)
+            return (mp.exp(half_d * x) * (1 + 4 * lam ** 2 * u) ** n
+                    * mp.hyp2f1(2 * n - half_d, n, n + mp.mpf(1) / 2, -u) ** 2)
+
+        def norm_integrand(x):
+            u = mp.exp(x)
+            return mp.exp(half_d * x) * (1 + u) ** n * (1 + u / lam ** 2) ** (-2 * n)
+
+        log_pref = half_d * mp.log(mp.pi) - mp.loggamma(half_d)
+        log_sq = (log_pref + 2 * mp.loggamma(2 * n - half_d) - 2 * mp.loggamma(2 * n)
+                  - d * mp.log(lam) + mp.log(integral(sq_integrand)))
+        log_norm = log_pref - 2 * d * mp.log(lam) + mp.log(integral(norm_integrand))
+        return log_sq, log_norm
+
+
+def test_bessel_norms_match_oracle():
+    """The (B) squared-kernel norm and the K^B quotient against the 20-digit
+    oracle: (2, 3) at k_bessel's maximizer, where the reported K^B is
+    compared too, and the small gaps 1/100 and 1/50 at lam = 1.4, where the
+    slowly decaying tail reaches u = e^4600."""
+    mp = pytest.importorskip("mpmath")
+    best = B.k_bessel(BoundQuery(d=2, n=3.0, n_exact=Fraction(3)))
+    worst = 0.0
+    for d, n, lam in ((2, Fraction(3), best.argmax.lam),
+                      (2, Fraction(101, 100), 1.4),
+                      (2, Fraction(51, 50), 1.4)):
+        q = BoundQuery(d=d, n=float(n), n_exact=n)
+        log_sq, log_norm = mp_log_bessel_norms(mp, d, n, lam)
+        sq = B.bessel_trial_sq_norm_sq(q, lam)
+        quotient = math.sqrt(sq) / B.bessel_trial_norm_sq(q, lam, validate=False)
+        worst = max(worst, abs(math.expm1(math.log(sq) - float(log_sq))),
+                    abs(math.expm1(math.log(quotient) - float(log_sq / 2 - log_norm))))
+        if n == 3:
+            worst = max(worst, abs(math.expm1(
+                math.log(best.value) - float(log_sq / 2 - log_norm))))
+    assert worst <= 1e-12, worst
+
+
 def test_criterion_2_table1_ratios_and_tags(table1_cells):
     """Ratios within [published - 0.002, published + 0.01] per cell; a cell
     above the ceiling passes only with a 30-digit Fourier certificate.  Tags

@@ -169,6 +169,18 @@ def test_bessel_sq_norm_gap_vs_quadrature(sq_norm_double_sum):
     assert rel_err(B.bessel_trial_sq_norm_sq(q, 1.0), sq_norm_double_sum(q, 1.0)) < 1e-7
 
 
+def test_far_kernel_form_matches_kernel():
+    # the two-term large-u form that replaces the kernel beyond log u = 200
+    # at gaps below 0.25, against the kernel itself where both run
+    from sobomul.kernels import log_hyper_kernel
+    x = np.array([150.0, 200.0, 300.0, 600.0])
+    for d in (1, 2, 5, 10):
+        for gap in (0.01, 0.037, 0.1, 0.24, 0.3):
+            q = BoundQuery(d=d, n=d / 2.0 + gap)
+            far = B._log_kernel_far(q, x)
+            assert np.allclose(far, log_hyper_kernel(q, np.exp(x)), rtol=1e-14, atol=0.0)
+
+
 def test_bessel_sq_norm_positive_gap_case():
     assert B.bessel_trial_sq_norm_sq(q_of(1, Fraction(3, 2)), 1.0) > 0.0
 
@@ -231,6 +243,46 @@ def test_k_bessel_one_one_ratio():
 def test_k_bessel_domain_guard():
     with pytest.raises(DomainError):
         B.k_bessel(BoundQuery(d=2, n=1.0 + 1e-4))
+    with pytest.raises(DomainError):
+        B.bessel_trial_sq_norm_sq(BoundQuery(d=2, n=1.0 + 1e-4), 1.4)
+
+
+def test_bessel_sq_norm_tol_bounds_rule_error():
+    # tol caps the measured |I_h/2 - I_h| / I_h/2 of the exp-sinh rule
+    q = q_of(2, Fraction(101, 100))
+    _log_int, rule_error, _nodes = B._log_sq_norm_refined(
+        q, B._sq_norm_nodes(q, 0.0), 1.4, 1.0)
+    assert 0.0 < rule_error < 1e-12
+    assert B.bessel_trial_sq_norm_sq(q, 1.4, tol=rule_error) > 0.0
+    with pytest.raises(ArithmeticError):
+        B.bessel_trial_sq_norm_sq(q, 1.4, tol=0.5 * rule_error)
+
+
+def test_k_bessel_evaluates_kernel_twice(monkeypatch):
+    # one vector kernel call on the h-rule nodes, one on the midpoints for
+    # the reported value, and no adaptive quadrature, whatever the gap
+    from sobomul import quad
+    calls = {"kernel": 0, "semiinf": 0}
+    kernel, semiinf = B.log_hyper_kernel, quad.integrate_semiinf
+
+    def counting_kernel(q, u):
+        calls["kernel"] += 1
+        return kernel(q, u)
+
+    def counting_semiinf(*args, **kwargs):
+        calls["semiinf"] += 1
+        return semiinf(*args, **kwargs)
+
+    monkeypatch.setattr(B, "log_hyper_kernel", counting_kernel)
+    monkeypatch.setattr(quad, "integrate_semiinf", counting_semiinf)
+    monkeypatch.setattr(B, "integrate_semiinf", counting_semiinf, raising=False)
+    for d, n in ((2, 3), (1, Fraction(3, 2)), (4, Fraction(9, 4)),
+                 (2, Fraction(101, 100))):
+        calls.update(kernel=0, semiinf=0)
+        res = B.k_bessel(q_of(d, n))
+        assert calls["kernel"] <= 2 and calls["semiinf"] == 0, (d, n, calls)
+        assert res.diagnostics["nodes"] > 0
+        assert 0.0 <= res.diagnostics["rule_error"] <= B.LOWER_TOL
 
 
 def test_minorant_coeffs():
