@@ -566,6 +566,26 @@ def squared_trial_minorant(q: BoundQuery, lam: float) -> float:
 _LAM_LO = math.log(1e-3)
 _LAM_HI = math.log(1e3)
 
+# Bound on the error of specfun.log_gamma(x) relative to
+# max(1, |log Gamma(x)|); measured at most 2.2e-15 against 40-digit mpmath
+# on [0.01, 2000].
+_LOG_GAMMA_ERR = 4e-15
+
+
+def _bessel_gamma_error(q: BoundQuery) -> float:
+    """Bound on the error that specfun.log_gamma leaves in log K^B.  The
+    squared-norm prefactor enters with weight 1/2 (Gamma(2n-d/2)^2,
+    Gamma(d/2), Gamma(2n)^2), the trial norm with weight 1 (Gamma(n+1-d/2),
+    Gamma(n)).  Only the sizes of the log Gammas matter here, so they come
+    from math.lgamma."""
+    n, d = q.n, q.d
+
+    def size(x: float) -> float:
+        return max(1.0, abs(math.lgamma(x)))
+
+    return _LOG_GAMMA_ERR * (size(2.0 * n - d / 2.0) + 0.5 * size(d / 2.0)
+                             + size(2.0 * n) + size(n + 1.0 - d / 2.0) + size(n))
+
 
 def k_bessel(q: BoundQuery) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
@@ -574,8 +594,9 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     evaluated once on the h-rule nodes, and each lam the search tries costs
     one logsumexp.  K^B is the h/2 rule at the maximizer; its error estimate
     is half the measured relative difference |I_h/2 - I_h| / I_h/2 (K^B
-    goes with the square root of the integral), and the diagnostics record
-    the node count and that difference as "nodes" and "rule_error".
+    goes with the square root of the integral) plus a rounding bound for the
+    Gamma constants, and the diagnostics record the node count and that
+    difference as "nodes" and "rule_error".
     Needs n - d/2 >= 0.01, as the squared-kernel norm does; use
     :func:`k_bessel_minorant` below.
     """
@@ -598,7 +619,7 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     value = math.exp(log_quotient(lam_star, log_int))
     return BoundResult(value=value, kind="lower_bessel",
                        argmax=TrialParams(lam=lam_star),
-                       error_estimate=0.5 * rule_error * value,
+                       error_estimate=(0.5 * rule_error + _bessel_gamma_error(q)) * value,
                        diagnostics={"evaluations": res.iterations,
                                     "converged": res.converged,
                                     "nodes": n_nodes,

@@ -16,9 +16,11 @@ whole argument range and for large n:
       sum_l c_l u^l / (1+u)^(n+l)
 
   is used instead.  The kernel enters the upper curve and the integrand of
-  the (B) squared trial norm.  ``log_hyper_kernel`` runs a pure-Python loop
-  for a float argument (the optimizer's hot path) and numpy for arrays
-  (the quadrature nodes).
+  the (B) squared trial norm.  For a float argument (the optimizer's hot
+  path) ``log_hyper_kernel`` sums the series in blocks of terms with numpy
+  accumulates, which reproduce the term-by-term recurrence bit for bit;
+  for arrays (the quadrature nodes) it sums over all arguments at once.
+  The Gamma constants of a query are computed once per query.
 * ``upper_curve``       the function of u whose supremum over [0, inf)
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +96,7 @@ class BoundQuery:
         """n - d/2 > 0."""
         return self.n - self.d / 2.0
 
-    @property
+    @cached_property
     def gap_order(self) -> int | None:
         """m such that n - d/2 - 1/2 = m in N, else None."""
         if self.n_exact is not None:
@@ -119,6 +122,20 @@ class BoundQuery:
         """n <= d/2 + 1/2: the upper curve is increasing, sup at infinity."""
         return self.n <= self.d / 2.0 + 0.5 + _GAP_TOL
 
+    @cached_property
+    def _log_curve_scale(self) -> float:
+        """log of Gamma(2n-d/2) / ((4 pi)^(d/2) Gamma(2n)), the constant
+        factor of the upper curve."""
+        return (sf.log_gamma(2.0 * self.n - self.d / 2.0) - sf.log_gamma(2.0 * self.n)
+                - 0.5 * self.d * _LOG_4PI)
+
+    @cached_property
+    def _log_euler_scale(self) -> float:
+        """log of Gamma(n+1/2) / (Gamma(n) Gamma(1/2)), the constant factor
+        of the kernel's Euler integral."""
+        return (sf.log_gamma(self.n + 0.5) - sf.log_gamma(self.n)
+                - 0.5 * math.log(math.pi))
+
 
 # ----------------------------------------------------------------------
 # the hypergeometric kernel
@@ -143,7 +160,7 @@ def _positive_series_log(a: float, b: float, c: float, w: np.ndarray) -> np.ndar
     return np.log(total)
 
 
-def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray) -> np.ndarray:
+def _euler_integral_log_batch(q: BoundQuery, omw: np.ndarray) -> np.ndarray:
     """log 2F1(n, d/2 + 1/2 - n, n + 1/2; w) for a batch of arguments given
     as omw = 1 - w (each in (0, 1]), via the Euler integral with parameters
     (a, b) = (d/2+1/2-n, n):
@@ -154,8 +171,8 @@ def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray) -> np.ndarray:
     1 - w s is assembled as (1-s) + s (1-w), which keeps full relative
     precision as w -> 1.  Tanh-sinh levels are shared across the batch.
     """
-    expo = n - d / 2.0 - 0.5
-    lg_pref = sf.log_gamma(n + 0.5) - sf.log_gamma(n) - 0.5 * math.log(math.pi)
+    n = q.n
+    expo = n - q.d / 2.0 - 0.5
 
     def integrand(s: np.ndarray, oms: np.ndarray) -> np.ndarray:
         # rows: arguments omw, columns: s-nodes
@@ -165,7 +182,7 @@ def _euler_integral_log_batch(n: float, d: int, omw: np.ndarray) -> np.ndarray:
                       + expo * np.log(one_minus_ws))
 
     value, _err, _nev = tanh_sinh_01(integrand, tol=1e-13)
-    return lg_pref + np.log(value)
+    return q._log_euler_scale + np.log(value)
 
 
 def _terminating_sum_log(q: BoundQuery, u: np.ndarray) -> np.ndarray:
@@ -181,6 +198,54 @@ def _terminating_sum_log(q: BoundQuery, u: np.ndarray) -> np.ndarray:
         power = power * w
         total = total + coef * power
     return np.log(total) - n * np.log1p(u)
+
+
+# The scalar series takes terms ell = 0 .. _SERIES_MAX_TERMS - 1 at most.
+_SERIES_MAX_TERMS = 20_001
+# log(1e-17), the series' relative stop level.
+_LOG_SERIES_STOP = math.log(1e-17)
+
+
+def _positive_series_scalar(a: float, c: float, w: float) -> float:
+    """2F1(a, 1/2, c; w) for a, c > 0 and 0 <= w < 1 by its all-positive
+    series, stopped at the first term <= 1e-17 times the partial sum.
+
+    The terms come in blocks: each block forms its term ratios and runs
+    ``np.multiply.accumulate`` and ``np.add.accumulate`` seeded with the
+    carried term and sum.  Both accumulates are sequential, so every term
+    and partial sum equals, bit for bit, that of the recurrence
+
+        term *= (a + ell) (1/2 + ell) / ((c + ell) (ell + 1)) * w
+        total += term
+
+    The first block holds twice the terms after which w^ell alone falls
+    below the stop level (at least 8); later blocks double.
+    """
+    size = 8
+    if w > 0.0:
+        size = max(size, 2 * math.ceil(_LOG_SERIES_STOP / math.log(w)))
+    term = 1.0
+    total = 1.0
+    start = 0
+    while start < _SERIES_MAX_TERMS:
+        stop = min(start + size, _SERIES_MAX_TERMS)
+        ell = np.arange(start, stop, dtype=float)
+        terms = (a + ell) * (0.5 + ell) / ((c + ell) * (ell + 1.0)) * w
+        terms[0] *= term
+        np.multiply.accumulate(terms, out=terms)
+        sums = np.empty(stop - start + 1)
+        sums[0] = total
+        sums[1:] = terms
+        np.add.accumulate(sums, out=sums)
+        done = terms <= 1e-17 * sums[1:]
+        k = int(done.argmax())
+        if done[k]:
+            return float(sums[k + 1])
+        term = float(terms[-1])
+        total = float(sums[-1])
+        start = stop
+        size *= 2
+    raise sf.SeriesError("positive 2F1 series did not converge")
 
 
 def _log_hyper_kernel_scalar(q: BoundQuery, u: float) -> float:
@@ -203,20 +268,9 @@ def _log_hyper_kernel_scalar(q: BoundQuery, u: float) -> float:
     a = 2.0 * n - q.d / 2.0
     c = n + 0.5
     if w <= _W_SERIES_CUT and (a - q.d / 2.0) * log1pu <= _LOG_SUM_LIMIT:
-        term = 1.0
-        total = 1.0
-        ell = 0
-        while True:
-            term *= (a + ell) * (0.5 + ell) / ((c + ell) * (ell + 1.0)) * w
-            total += term
-            ell += 1
-            if term <= 1e-17 * total:
-                break
-            if ell > 20_000:
-                raise sf.SeriesError("positive 2F1 series did not converge")
-        return (q.d / 2.0 - 2.0 * n) * log1pu + math.log(total)
+        return (q.d / 2.0 - 2.0 * n) * log1pu + math.log(_positive_series_scalar(a, c, w))
     omw = 1.0 / (1.0 + u)
-    return -n * log1pu + float(_euler_integral_log_batch(n, q.d, np.array([omw]))[0])
+    return -n * log1pu + float(_euler_integral_log_batch(q, np.array([omw]))[0])
 
 
 def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
@@ -246,7 +300,7 @@ def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
     if rest.any():
         omw = 1.0 / (1.0 + u[rest])
         out[rest] = (-n * log1pu[rest]
-                     + _euler_integral_log_batch(n, d, omw))
+                     + _euler_integral_log_batch(q, omw))
     return out[0] if scalar else out
 
 
@@ -272,8 +326,7 @@ def hyper_kernel_terminating(q: BoundQuery, u) -> float | np.ndarray:
 
 def log_upper_curve(q: BoundQuery, u) -> float | np.ndarray:
     """log of (Gamma(2n-d/2) / ((4 pi)^(d/2) Gamma(2n))) (1+4u)^n F(...;-u)."""
-    lg = (sf.log_gamma(2.0 * q.n - q.d / 2.0) - sf.log_gamma(2.0 * q.n)
-          - 0.5 * q.d * _LOG_4PI)
+    lg = q._log_curve_scale
     if isinstance(u, (int, float)):
         return lg + q.n * math.log1p(4.0 * u) + _log_hyper_kernel_scalar(q, float(u))
     u_arr = np.asarray(u, dtype=float)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -226,20 +227,18 @@ _TS_XMAX = 6.7
 _TS_MAX_LEVEL = 12
 
 
-def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 tol: float = 1e-12) -> tuple[np.ndarray | float, np.ndarray | float, int]:
-    """Double-exponential quadrature of g over (0, 1).
-
-    g receives both s and 1-s (each computed without cancellation), so
-    integrands singular at either endpoint keep full relative accuracy.
-    g may return a (batch, nodes) array for a batch of integrands that
-    share the nodes: the rule sums over the last axis and refines until
-    every integral has converged.  Returns (value, error_estimate,
-    evaluations); value and error_estimate have g's leading shape.
-    """
-
-    def level_nodes(h: float, odd_only: bool) -> tuple[np.ndarray, ...]:
-        x = np.arange(1, int(_TS_XMAX / h) + 1, 2 if odd_only else 1) * h
+@lru_cache(maxsize=None)
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (s, 1-s, w) tables of one tanh-sinh level, built on first
+    use and shared by every later call.  Level 0 is the centre node x = 0,
+    level 1 the nodes x = k/2, and level L > 1 the odd multiples of
+    2^-L, the nodes that step 2^-L adds."""
+    if level == 0:
+        s = np.array([0.5])
+        tables = (s, s, np.array([math.pi * 0.25]))
+    else:
+        h = 0.5 ** level
+        x = np.arange(1, int(_TS_XMAX / h) + 1, 1 if level == 1 else 2) * h
         x = np.concatenate((-x[::-1], x))
         u = 0.5 * math.pi * np.sinh(x)
         # s and 1-s via logistic forms; both stable at the extremes.
@@ -250,28 +249,41 @@ def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
         s = np.where(u >= 0, big, small)
         oms = np.where(u >= 0, small, big)
         w = math.pi * np.cosh(x) * s * oms
-        return s, oms, w
+        tables = (s, oms, w)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    def accumulate(s, oms, w) -> np.ndarray:
+
+def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 tol: float = 1e-12) -> tuple[np.ndarray | float, np.ndarray | float, int]:
+    """Double-exponential quadrature of g over (0, 1).
+
+    g receives both s and 1-s (each computed without cancellation), so
+    integrands singular at either endpoint keep full relative accuracy.
+    g may return a (batch, nodes) array for a batch of integrands that
+    share the nodes: the rule sums over the last axis and refines until
+    every integral has converged.  Returns (value, error_estimate,
+    evaluations); value and error_estimate have g's leading shape.
+    The node tables are built once per process (read-only arrays).
+    """
+
+    def accumulate(level: int) -> np.ndarray:
+        s, oms, w = _ts_level(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             terms = w * g(s, oms)
         return np.where(np.isfinite(terms), terms, 0.0).sum(axis=-1)
 
-    nev = 0
     h = 0.5
-    s0 = np.array([0.5])
-    total = accumulate(s0, s0, np.array([math.pi * 0.25]))  # centre node, x = 0
-    s, oms, w = level_nodes(h, odd_only=False)
-    total = total + accumulate(s, oms, w)
-    nev += 1 + len(s)
+    total = accumulate(0) + accumulate(1)
+    nev = 1 + len(_ts_level(1)[0])
     value = h * total
     err = abs(value)
 
-    for _level in range(2, _TS_MAX_LEVEL + 1):
+    for level in range(2, _TS_MAX_LEVEL + 1):
         h *= 0.5
-        s, oms, w = level_nodes(h, odd_only=True)
-        total = total + accumulate(s, oms, w)
-        nev += len(s)
+        total = total + accumulate(level)
+        nev += len(_ts_level(level)[0])
         new_value = h * total
         err = abs(new_value - value)
         value = new_value

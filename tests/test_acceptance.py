@@ -191,9 +191,9 @@ def mp_log_bessel_norms(mp, d, n, lam):
 
 def test_bessel_norms_match_oracle():
     """The (B) squared-kernel norm and the K^B quotient against the 20-digit
-    oracle: (2, 3) at k_bessel's maximizer, where the reported K^B is
-    compared too, and the small gaps 1/100 and 1/50 at lam = 1.4, where the
-    slowly decaying tail reaches u = e^4600."""
+    oracle: (2, 3) at k_bessel's maximizer, where the reported K^B and its
+    error estimate are checked too, and the small gaps 1/100 and 1/50 at
+    lam = 1.4, where the slowly decaying tail reaches u = e^4600."""
     mp = pytest.importorskip("mpmath")
     best = B.k_bessel(BoundQuery(d=2, n=3.0, n_exact=Fraction(3)))
     worst = 0.0
@@ -209,6 +209,10 @@ def test_bessel_norms_match_oracle():
         if n == 3:
             worst = max(worst, abs(math.expm1(
                 math.log(best.value) - float(log_sq / 2 - log_norm))))
+            # the reported estimate covers the true error, which comes from
+            # log_gamma's rounding in the Gamma constants
+            oracle = float(mp.exp(log_sq / 2 - log_norm))
+            assert abs(best.value - oracle) <= best.error_estimate
     assert worst <= 1e-12, worst
 
 

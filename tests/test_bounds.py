@@ -96,6 +96,55 @@ def test_large_n_law_within_band_of_table():
 # elementary envelope
 # ----------------------------------------------------------------------
 
+def test_k_plus_log_gamma_count(monkeypatch):
+    # the Gamma constants of the upper curve and of the kernel's Euler
+    # integral are computed once per query, so a search makes a fixed number
+    # of log_gamma calls whatever its number of evaluations
+    from sobomul import specfun
+    calls = []
+    inner = specfun.log_gamma
+
+    def counting(x):
+        calls.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(specfun, "log_gamma", counting)
+    # (3, 40) sums the series at every point; (2, 33/10) also takes the
+    # Euler route once
+    for d, n, want in ((3, 40.0, 2), (2, 3.3, 4)):
+        calls.clear()
+        res = B.k_plus(BoundQuery(d=d, n=n))
+        assert res.diagnostics["route"] == "maximize"
+        assert res.diagnostics["evaluations"] >= 15
+        assert len(calls) == want, (d, n, len(calls))
+
+
+def test_residual_scan_searches_converge(monkeypatch):
+    # every k_plus of the d = 1 and d = 10 scans either converges in its
+    # search or takes the closed-form limit (gap <= 1/2); none leaves
+    # through the bracket boundary.  The scans run uncached (__wrapped__),
+    # which leaves the per-process cache to the other tests.
+    results = []
+    inner = B.k_plus
+
+    def recording(q, warm_start_u=None):
+        res = inner(q, warm_start_u)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(B, "k_plus", recording)
+    for d in (1, 10):
+        results.clear()
+        grid = B.default_residual_grid(d)
+        B._residual_scan.__wrapped__(d, grid)
+        routes = [r.diagnostics["route"] for r in results]
+        assert len(routes) == len(grid) == 400
+        assert routes.count("maximize") == 220, d
+        assert routes.count("closed_form_limit") == 180, d
+        assert all(r.diagnostics["converged"] for r in results
+                   if r.diagnostics["route"] == "maximize"), d
+
+
 def test_envelope_residual_roundtrip():
     # K++ built with the cell's own residual reproduces K+ exactly
     for (d, n) in [(1, 2.0), (2, 4.0), (3, 2.5)]:
@@ -238,6 +287,19 @@ def test_k_bessel_two_two_argmax():
 def test_k_bessel_one_one_ratio():
     res = B.k_bessel(q_of(1, 1))
     assert abs(res.value / B.k_plus(q_of(1, 1)).value - 0.842) <= 0.002
+
+
+def test_log_gamma_within_k_bessel_rounding_bound():
+    # k_bessel's error estimate assumes |log_gamma(x) - log Gamma(x)| <=
+    # _LOG_GAMMA_ERR * max(1, |log Gamma(x)|); the Gamma arguments of the
+    # (B) quotient run from d/2 = 1/2 up to 2n
+    mp = pytest.importorskip("mpmath")
+    from sobomul import specfun
+    with mp.workdps(30):
+        for x in np.concatenate((np.linspace(0.5, 10.0, 39), np.geomspace(10.0, 2000.0, 40))):
+            want = mp.loggamma(mp.mpf(float(x)))
+            err = abs(mp.mpf(specfun.log_gamma(float(x))) - want)
+            assert err <= B._LOG_GAMMA_ERR * max(1, abs(want)), x
 
 
 def test_k_bessel_domain_guard():

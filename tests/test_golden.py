@@ -20,6 +20,7 @@ SNAPSHOTS = {
     "upper": ["upper", "-n", "7/2", "-d", "1"],
     "table1_d2_upper": ["table1", "-d", "2", "--upper-only", "--compare"],
     "table2_d3": ["table2", "--dmax", "3", "--compare"],
+    "table2_d10": ["table2", "--dmax", "10", "--compare"],
 }
 
 

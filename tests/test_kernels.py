@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sobomul import kernels as K
 from sobomul import specfun as sf
 from sobomul.bessel import bessel_j, bessel_k
+from sobomul.bounds import default_residual_grid
 from sobomul.kernels import (BoundQuery, DomainError, bessel_macdonald_moment,
                              hyper_kernel, hyper_kernel_terminating,
-                             log_upper_curve, macdonald_profile, upper_curve,
-                             upper_curve_limit)
+                             log_hyper_kernel, log_upper_curve,
+                             macdonald_profile, upper_curve, upper_curve_limit)
 from sobomul.quad import integrate_finite
 
 
@@ -106,6 +108,74 @@ def test_kernel_positive_everywhere():
     q = BoundQuery(d=3, n=2.2)
     u = np.geomspace(1e-8, 1e10, 40)
     assert np.all(hyper_kernel(q, u) > 0.0)
+
+
+# ----------------------------------------------------------------------
+# the float path's series, in blocks of terms
+# ----------------------------------------------------------------------
+
+def test_scalar_series_equals_loop_bitwise(series_loop):
+    # d = 1..10, every residual-scan gap above 1/2, u in [1e-6, 9] (w <= 0.9):
+    # the float path equals the term-by-term loop exactly wherever it sums
+    # the series
+    checked = 0
+    for d in range(1, 11):
+        for gap in default_residual_grid(d):
+            q = BoundQuery(d=d, n=d / 2.0 + gap)
+            if gap <= 0.5 or q.is_gap:
+                continue
+            n = q.n
+            a = 2.0 * n - d / 2.0
+            for u in np.geomspace(1e-6, 9.0, 6):
+                u = float(u)
+                log1pu = math.log1p(u)
+                if (a - d / 2.0) * log1pu > 600.0:
+                    continue  # the Euler-integral route
+                total, _ = series_loop(a, n + 0.5, u / (1.0 + u))
+                want = (d / 2.0 - 2.0 * n) * log1pu + math.log(total)
+                assert log_hyper_kernel(q, u) == want, (d, gap, u)
+                checked += 1
+    assert checked > 10_000
+
+
+# c -> series length at a = 2c, w = 1/2.  The first block holds
+# 2 ceil(log(1e-17) / log(1/2)) = 114 terms and each later block twice the
+# one before, so blocks end after 114, 342, 798, ..., 14478 terms and at the
+# cap of 20,001 terms; each length here is a block end or the one after it.
+_BLOCK_EDGE_LENGTHS = {
+    41.6: 114, 42.6: 115, 698.0: 342, 706.5: 343, 4460.0: 798, 4470.0: 799,
+    21990.0: 1710, 22000.0: 1711, 98100.0: 3534, 98200.0: 3535,
+    418700.0: 7182, 418900.0: 7183, 1750000.0: 14478, 1750100.0: 14479,
+    3380600.0: 20001,
+}
+
+
+def test_scalar_series_block_edges_and_cap(series_loop):
+    for a, c, w in ((1.0, 1.0, 0.0), (1.0, 1.0, 1e-20)):
+        assert series_loop(a, c, w) == (1.0 + 0.5 * w, 1)
+        assert K._positive_series_scalar(a, c, w) == 1.0 + 0.5 * w
+    for c, length in _BLOCK_EDGE_LENGTHS.items():
+        total, ell = series_loop(2.0 * c, c, 0.5)
+        assert ell == length
+        assert K._positive_series_scalar(2.0 * c, c, 0.5) == total, length
+    # this series needs 20,002 terms: one past the cap, so both raise
+    c = 3381000.0
+    with pytest.raises(sf.SeriesError):
+        series_loop(2.0 * c, c, 0.5)
+    with pytest.raises(sf.SeriesError):
+        K._positive_series_scalar(2.0 * c, c, 0.5)
+
+
+def test_euler_batch_bitwise():
+    # one batch of the Euler-integral route, bit for bit as recorded with
+    # node tables rebuilt on every call and the Gamma constant recomputed
+    # (numpy 2.4, x86-64: the bits depend on the platform's exp and log)
+    q = BoundQuery(d=3, n=7.3)
+    got = K._euler_integral_log_batch(q, np.array([1.0, 0.5, 0.1, 1e-3, 1e-8]))
+    want = ["0x1.2400000000000p-48", "-0x1.a1ca3aa821a2fp+1",
+            "-0x1.d77c7afbe5829p+2", "-0x1.075af496ef616p+3",
+            "-0x1.079d079c767c6p+3"]
+    assert [float(v).hex() for v in got] == want
 
 
 # ----------------------------------------------------------------------

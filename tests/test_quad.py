@@ -193,3 +193,37 @@ def test_tanh_sinh_beta():
     val, err, _ = quad.tanh_sinh_01(lambda s, oms: s ** -0.25 * oms ** -0.75)
     want = math.exp(log_gamma(0.75) + log_gamma(0.25) - log_gamma(1.0))
     assert rel_err(val, want) < 1e-11
+
+
+def test_tanh_sinh_beta_bitwise():
+    # (value, error estimate, evaluations) of the three integrals above, bit
+    # for bit as recorded with node tables rebuilt on every call (numpy 2.4,
+    # x86-64: the bits depend on the platform's exp, sinh and cosh)
+    cases = (
+        (lambda s, oms: s ** -0.5 * oms ** -0.5,
+         ("0x1.921fb54442d18p+1", "0x1.8000000000000p-50", 107)),
+        (lambda s, oms: np.exp(s),
+         ("0x1.b7e151628aed2p+0", "0x1.0000000000000p-52", 215)),
+        (lambda s, oms: s ** -0.25 * oms ** -0.75,
+         ("0x1.1c5831add62e4p+2", "0x0.0p+0", 107)),
+    )
+    for g, want in cases:
+        val, err, nev = quad.tanh_sinh_01(g)
+        assert (float(val).hex(), float(err).hex(), nev) == want
+
+
+def test_tanh_sinh_nodes_built_once():
+    # each level's (s, 1-s, w) tables are built at most once per process and
+    # are read-only, so no integrand can alter the shared nodes
+    quad.tanh_sinh_01(lambda s, oms: np.exp(s))
+    for tol in (1e-6, 1e-12, 1e-14):
+        quad.tanh_sinh_01(lambda s, oms: s ** -0.5 * oms ** -0.5, tol=tol)
+        quad.tanh_sinh_01(lambda s, oms: np.cos(40.0 * s), tol=tol)
+    info = quad._ts_level.cache_info()
+    assert info.currsize == info.misses <= quad._TS_MAX_LEVEL + 1
+    assert info.hits > info.misses
+    for level in range(info.currsize):
+        for table in quad._ts_level(level):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
