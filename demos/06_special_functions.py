@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from sobomul import (HyperEval, TailSpec, bessel_i, bessel_j, bessel_k,
+from sobomul import (HyperEval, TailSpec, bessel_j, bessel_k,
                      digamma, gamma, hyp2f1, integrate_finite,
                      integrate_semiinf, pochhammer, semifactorial)
 
@@ -27,9 +27,8 @@ for e in (HyperEval(2.0, 1.5, 1.5, -3.0),      # degeneration -> (1-w)^-a
     print(f"  F({e.a}, {e.b}, {e.c}; {e.w:6.2f}) = {hyp2f1(e):.12g}   [{e.regime}]")
 
 print()
-print("Bessel family (J, I with exponential scaling, Macdonald K):")
+print("Bessel family (J, Macdonald K):")
 print("  J_1(1)            =", bessel_j(1.0, 1.0))
-print("  e^-x I_0(x), x=1e6 =", bessel_i(0.0, 1e6, scaled=True))
 print("  K_1/2(1)          =", bessel_k(0.5, 1.0),
       " (= sqrt(pi/2) e^-1 =", math.sqrt(math.pi / 2) * math.exp(-1.0), ")")
 

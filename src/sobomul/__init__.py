@@ -3,7 +3,7 @@ algebras H^n(R^d), n > d/2, together with the special functions, quadrature
 and derivative-free optimizers they are built on.
 """
 
-from .bessel import bessel_i, bessel_j, bessel_k
+from .bessel import bessel_j, bessel_k
 from .bounds import (AsympConstants, BoundResult, ElementaryBoundData,
                      MinorantCoeffs, TrialParams, best_lower,
                      bessel_trial_norm_sq, bessel_trial_sq_norm_sq,

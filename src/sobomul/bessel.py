@@ -1,25 +1,16 @@
-"""Bessel functions J_nu, I_nu and the Macdonald function K_nu.
+"""Bessel function J_nu and the Macdonald function K_nu.
 
 Real order, positive real argument, vectorized over the argument.  The
 selection of method per function:
 
 * J_nu: ascending series for x <= 12, Hankel asymptotic expansion beyond.
-* I_nu: for nu = -1/2 and 1/2 (odd d) the elementary closed form
-  (DLMF 10.49), exp(-x) I_{-1/2}(x) = (1 + exp(-2x)) / sqrt(2 pi x) and
-  exp(-x) I_{1/2}(x) = -expm1(-2x) / sqrt(2 pi x), at every x.  Other
-  orders: ascending series for x < 30, exponentially scaled asymptotic
-  expansion beyond (higher half-integer orders cancel at small x in
-  elementary form, so they stay on the series).  ``scaled=True`` returns
-  exp(-x) I_nu(x) and never overflows (contractually up to x = 1e6, in
-  practice far beyond).
 * K_nu: the cosh integral K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,
   evaluated in exponentially scaled form on a trapezoid grid with step
   halving; the integrand is even and analytic, so the rule converges
   spectrally.
 
-These cover every order the bound evaluators need (nu = d/2 - 1 for the
-Gaussian trial norms, nu = n - d/2 for the Macdonald kernel profile, and
-the low orders used by cross-check quadratures).
+No bound evaluates either: ``kernels.macdonald_profile`` draws on K_nu
+(nu = n - d/2), and the tests use both in their cross-check quadratures.
 """
 
 from __future__ import annotations
@@ -28,9 +19,9 @@ import math
 
 import numpy as np
 
-from .specfun import log_gamma, log_gamma_signed
+from .specfun import log_gamma_signed
 
-__all__ = ["bessel_j", "bessel_i", "bessel_k"]
+__all__ = ["bessel_j", "bessel_k"]
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -95,63 +86,6 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
         p, q = _hankel_pq(nu, xl)
         omega = xl - (0.5 * nu + 0.25) * math.pi
         out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(omega) - q * np.sin(omega))
-    return float(out[0]) if scalar else out
-
-
-# ----------------------------------------------------------------------
-# Modified, first kind
-# ----------------------------------------------------------------------
-
-def _i_series_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    q = 0.25 * x * x
-    lg, sg = log_gamma_signed(nu + 1.0)
-    term = sg * np.exp(nu * np.log(0.5 * x) - lg - x)
-    total = term.copy()
-    for k in range(400):
-        term = term * q / ((k + 1.0) * (nu + k + 1.0))
-        total += term
-        # Tested every 8 terms; the terms summed past convergence are < 1e-17 relative.
-        if k % 8 == 7 and np.all(term <= 1e-17 * np.abs(total) + 1e-300):
-            break
-    return total
-
-
-def _i_asymp_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    # exp(-x) I_nu(x) ~ (2 pi x)^(-1/2) sum_k (-1)^k a_k(nu) / x^k
-    mu = 4.0 * nu * nu
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(40):
-        term = term * -(mu - (2 * k + 1) ** 2) / (8.0 * (k + 1.0) * x)
-        total += term
-        if np.all(np.abs(term) < 1e-17):
-            break
-    return total / np.sqrt(2.0 * math.pi * x)
-
-
-def bessel_i(nu: float, x, scaled: bool = False) -> float | np.ndarray:
-    """Modified Bessel function of the first kind, nu >= -1/2, x > 0.
-
-    With ``scaled=True`` returns exp(-x) I_nu(x).
-    """
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_i requires x > 0")
-    if nu == -0.5:
-        out = (1.0 + np.exp(-2.0 * arr)) / np.sqrt(2.0 * math.pi * arr)
-    elif nu == 0.5:
-        out = -np.expm1(-2.0 * arr) / np.sqrt(2.0 * math.pi * arr)
-    else:
-        out = np.empty_like(arr)
-        small = arr < 30.0
-        if small.any():
-            out[small] = _i_series_scaled(nu, arr[small])
-        if (~small).any():
-            out[~small] = _i_asymp_scaled(nu, arr[~small])
-    if not scaled:
-        if np.any(arr > 700.0):
-            raise OverflowError("unscaled I_nu overflows; pass scaled=True")
-        out = out * np.exp(arr)
     return float(out[0]) if scalar else out
 
 

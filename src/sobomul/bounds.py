@@ -19,7 +19,8 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         squared-kernel norm by an analytic minorant; the
                         route of choice for n within 0.1 of d/2.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
-                        plane-wave quotient.
+                        plane-wave quotient; off the integer-n closed sum
+                        its norms take a trapezoid x exp-sinh rule.
     k_fourier_fixed     K^FF, the same quotient frozen at
                         (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for
                         n > 50 where the 2-D search buys nothing.
@@ -42,11 +43,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun as sf
-from .bessel import bessel_i
 from .kernels import (BoundQuery, DomainError, log_hyper_kernel,
                       log_upper_curve, log_upper_curve_limit)
 from .optim import BracketBoundaryError, MaxResult, maximize_1d, maximize_2d
-from .quad import integrate_finite
 
 __all__ = [
     "BoundResult",
@@ -78,6 +77,7 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
+_HALF_PI = 0.5 * math.pi
 _LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
 
 # Routing thresholds (see best_lower): the minorant route takes over within
@@ -85,11 +85,10 @@ _LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
 _BB_SWITCH = 0.1 * (1.0 + 1e-9)
 _FF_SWITCH = 50.0
 _KB_MIN_GAP = 0.01
-# Relative quadrature tolerances of the lower bounds.
-_SEARCH_TOL = 1e-7  # objective evaluations inside the (F) search
-LOWER_TOL = 1e-9    # reported (F) value and its error estimate; cap on the
-                    # measured rule error of the reported (B) value
-_FF_TOL = 1e-10     # reported (FF) value, and its error estimate
+# Relative quadrature tolerances of the lower bounds: the (F) and (FF) error
+# estimates, and caps on the reported values' measured rule errors.
+LOWER_TOL = 1e-9
+_FF_TOL = 1e-10
 
 TAG_BY_KIND = {
     "lower_bessel": "(B)",
@@ -445,6 +444,18 @@ def _log_kernel_far(q: BoundQuery, x: np.ndarray) -> np.ndarray:
     return -n * x + log_a + np.log1p(b_over_a * np.exp(-gap * x))
 
 
+def _exp_sinh_nodes(lo: float, hi: float, step: float,
+                    offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x = (pi/2) sinh(t), t = (k + offset) step, of the exp-sinh
+    trapezoid rule (Takahasi & Mori 1974) over the integers k that cover
+    x in [lo, hi], and log(dx/dt) there.  offset = 1/2 gives the midpoints
+    that turn the step-h rule into the h/2 rule."""
+    k = np.arange(math.floor(math.asinh(lo / _HALF_PI) / step),
+                  math.ceil(math.asinh(hi / _HALF_PI) / step) + 1)
+    t = (k + offset) * step
+    return _HALF_PI * np.sinh(t), np.log(_HALF_PI * np.cosh(t))
+
+
 def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x = (pi/2) sinh((k + offset) h) of the squared-norm rule and
     the lam-free log terms of its integrand there,
@@ -453,17 +464,13 @@ def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray
 
     from one vector kernel call.  offset = 1/2 gives the midpoints that
     turn the h rule into the h/2 rule."""
-    t_lo = math.asinh(-92.0 / q.d / (0.5 * math.pi))
-    t_hi = math.asinh((46.0 / q.n_gap + 10.0) / (0.5 * math.pi))
-    k = np.arange(math.floor(t_lo / _SQ_STEP), math.ceil(t_hi / _SQ_STEP) + 1)
-    t = (k + offset) * _SQ_STEP
-    x = 0.5 * math.pi * np.sinh(t)
+    x, log_dx = _exp_sinh_nodes(-92.0 / q.d, 46.0 / q.n_gap + 10.0, _SQ_STEP, offset)
     far = x > _SQ_X_FAR
     log_k = np.empty_like(x)
     log_k[~far] = log_hyper_kernel(q, np.exp(x[~far]))
     if far.any():
         log_k[far] = _log_kernel_far(q, x[far])
-    return x, np.log(0.5 * math.pi * np.cosh(t)) + 0.5 * q.d * x + 2.0 * log_k
+    return x, log_dx + 0.5 * q.d * x + 2.0 * log_k
 
 
 def _log_sq_norm_sum(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
@@ -679,107 +686,164 @@ def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float) -> float:
     return 0.5 * q.d * _LOG_PI + m + math.log(np.exp(logs - m).sum())
 
 
-def _log_gaussian_norm_sq_quad(q: BoundQuery, p: float, sigma: float,
-                               tol: float) -> float:
+# Off the closed sum the Gaussian trial norm is, with s = |k_perp|^2,
+#     sigma^-d pi^((d-1)/2) / Gamma((d-1)/2) int dk_1 exp(-(k_1 - p)^2 / sigma)
+#         int_0^inf s^((d-3)/2) (1 + k_1^2 + s)^n exp(-s / sigma) ds
+# (d = 1 keeps the k_1 integral).  The uniform trapezoid rule in k_1 errs
+# like exp(-2 pi / h) for the branch points at distance 1 and like
+# exp(-pi^2 / (h^2 (1/sigma + n/8))) for the integrand's growth off the real
+# line (Trefethen & Weideman, SIAM Rev. 56, 2014), hence its step.  s takes
+# the exp-sinh rule in x = log s, centred on each k_1 row's peak.  Both are
+# cut 40 nats below the peak.  Searches run on the h rule; reported values
+# add the midpoints in both variables (the h/2 rule) and measure |I_h/2 - I_h|.
+_GAUSS_T_STEP = 0.07
+_GAUSS_CUT = 40.0
+
+
+def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
+                         t_offset: float) -> tuple[float, int]:
+    """(log of the h rule, node count) of the Gaussian trial norm on the
+    nodes shifted by k_offset steps in k_1 and t_offset in the exp-sinh
+    variable; offsets of 1/2 give the midpoints."""
     n, d = q.n, q.d
-    nu = d / 2.0 - 1.0
-    two_p_over_sigma = 2.0 * p / sigma
-
-    def exponent(rho: np.ndarray) -> np.ndarray:
-        x = two_p_over_sigma * rho
-        return (0.5 * d * np.log(rho) + n * np.log1p(rho * rho)
-                - (rho - p) ** 2 / sigma
-                + np.log(bessel_i(nu, x, scaled=True)))
-
-    # Locate the peak and the effective support on a log-spaced scan.  The
-    # shift g_star cancels exactly in the result, so the grid maximum serves:
-    # it lies at or below the true peak, which can only widen the support cut.
+    h1 = min(0.5 / math.sqrt(1.0 / sigma + n / 8.0), 0.25)
+    # Beyond |k| = hi the integrand lies 60 nats below its value at p e_1.
     hi = p + math.sqrt(sigma * 60.0)
     while n * math.log1p(hi * hi) > (hi - p) ** 2 / sigma - 60.0:
         hi *= 1.5
-    grid = np.geomspace(1e-8, hi, 400)
-    ge = exponent(grid)
-    g_star = float(ge.max())
-    keep = ge > g_star - 46.0
-    lo_edge = grid[max(np.argmax(keep) - 1, 0)]
-    hi_edge = grid[min(len(grid) - np.argmax(keep[::-1]), len(grid) - 1)]
+    m = math.ceil(hi / h1)
+    k1 = (np.arange(-m, m + 1) + k_offset) * h1
+    a = 1.0 + k1 * k1
+    y = -(k1 - p) ** 2 / sigma
+    log_scale = math.log(h1) - d * math.log(sigma)
+    if d == 1:
+        y = y + n * np.log(a)
+    else:
+        # A row's log integrand y + b x + n log(a + e^x) - e^x / sigma,
+        # b = (d-1)/2, peaks at x* = log s*, s* the positive root of
+        # s^2 + c s - sigma b a (in the form free of cancellation for
+        # either sign of c).  It falls by at least b (delta - 1) at
+        # x* - delta and b (e^delta - 1 - delta) at x* + delta.
+        b = 0.5 * (d - 1)
+        c = a - sigma * (b + n)
+        r = np.sqrt(c * c + 4.0 * sigma * b * a)
+        s_peak = np.where(c > 0.0, 2.0 * sigma * b * a / (r + np.abs(c)), 0.5 * (r - c))
+        row_peak = y + b * np.log(s_peak) + n * np.log(a + s_peak) - s_peak / sigma
+        keep = row_peak > row_peak.max() - _GAUSS_CUT
+        reach = 1.0 + _GAUSS_CUT / b
+        x_rel, log_dx = _exp_sinh_nodes(-reach, math.log(2.0 * reach),
+                                        _GAUSS_T_STEP, t_offset)
+        x = np.log(s_peak[keep])[:, None] + x_rel
+        s = np.exp(x)
+        y = y[keep, None] + b * x + n * np.log(a[keep, None] + s) - s / sigma + log_dx
+        log_scale += b * _LOG_PI - math.lgamma(b) + math.log(_GAUSS_T_STEP)
+    top = float(y.max())
+    return log_scale + top + math.log(np.exp(y - top).sum()), y.size
 
-    def integrand(rho: np.ndarray) -> np.ndarray:
-        return np.exp(exponent(rho) - g_star)
 
-    res = integrate_finite(integrand, float(lo_edge), float(hi_edge), tol=tol)
-    if not res.converged:
+def _log_gaussian_norm_sq_refined(q: BoundQuery, p: float, sigma: float,
+                                  tol: float) -> tuple[float, float, int]:
+    """(log I_h/2, |I_h/2 - I_h| / I_h/2, node count) of the Gaussian trial
+    norm's rule: the h rule plus its midpoint blocks.  Raises ArithmeticError
+    when the relative difference exceeds tol."""
+    offsets = ((0.0, 0.0), (0.5, 0.0)) if q.d == 1 else (
+        (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5))
+    logs, sizes = zip(*(_gaussian_rule_block(q, p, sigma, *off) for off in offsets))
+    log_half = float(np.logaddexp.reduce(logs)) - math.log(len(offsets))
+    rule_error = abs(math.expm1(logs[0] - log_half))
+    if not rule_error <= tol:
         raise ArithmeticError(
-            f"Gaussian-trial norm quadrature failed (n={n}, d={d}, p={p}, sigma={sigma})")
-    log_pref = (math.log(2.0) + 0.5 * d * _LOG_PI
-                - (0.5 * d + 1.0) * math.log(sigma) - (0.5 * d - 1.0) * math.log(p))
-    return log_pref + g_star + math.log(res.value)
+            f"Gaussian-trial norm rule error {rule_error:.2e} exceeds {tol:.0e} "
+            f"(n={q.n}, d={q.d}, p={p}, sigma={sigma})")
+    return log_half, rule_error, sum(sizes)
 
 
 def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
                                tol: float = 1e-10,
                                validate: bool | None = None) -> float:
-    """log of the squared Sobolev norm of exp(i p x_1 - sigma |x|^2 / 2).
+    """log of the squared Sobolev norm of exp(i p x_1 - sigma |x|^2 / 2),
 
-    Integer n up to 50 uses the closed triple sum; otherwise the radial
-    integral with the exponentially scaled Bessel factor (no overflow for
-    arguments up to 1e6).  When both routes run they must agree to 1e-8.
+        sigma^-d int_{R^d} (1 + |k|^2)^n exp(-|k - p e_1|^2 / sigma) dk.
+
+    Integer n up to 50 uses the closed triple sum, any other n the h/2 value
+    of a trapezoid rule in k_1 times an exp-sinh rule in |k_perp|^2; tol
+    bounds its relative difference from the h rule (ArithmeticError above
+    it).  validate (default: on for the closed sum when tol <= 1e-9) runs
+    both routes, which must agree to 1e-11 (TwoPathMismatch otherwise).
     """
     if not (p > 0.0 and sigma > 0.0):
         raise ValueError("p and sigma must be positive")
     use_sum = q.n_is_integer and q.n <= _FF_SWITCH
     if validate is None:
         validate = use_sum and tol <= 1e-9
-    if use_sum:
-        log_val = _log_gaussian_norm_sq_sum(q, p, sigma)
-        if validate:
-            log_quad = _log_gaussian_norm_sq_quad(q, p, sigma, tol=min(tol, 1e-10))
-            if abs(log_quad - log_val) > 1e-8:
-                raise TwoPathMismatch(
-                    f"Gaussian norm routes disagree at (n={q.n}, d={q.d}, "
-                    f"p={p}, sigma={sigma}): {log_val} vs {log_quad}")
-        return log_val
-    return _log_gaussian_norm_sq_quad(q, p, sigma, tol=tol)
+    if not use_sum:
+        return _log_gaussian_norm_sq_refined(q, p, sigma, tol)[0]
+    log_val = _log_gaussian_norm_sq_sum(q, p, sigma)
+    if validate:
+        log_rule = _log_gaussian_norm_sq_refined(q, p, sigma, min(tol, 1e-10))[0]
+        if abs(log_rule - log_val) > 1e-11:
+            raise TwoPathMismatch(
+                f"Gaussian norm routes disagree at (n={q.n}, d={q.d}, "
+                f"p={p}, sigma={sigma}): {log_val} vs {log_rule}")
+    return log_val
 
 
 def gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
                            tol: float = 1e-10,
                            validate: bool | None = None) -> float:
+    """exp of :func:`log_gaussian_trial_norm_sq`; overflows for n in the
+    hundreds, where the log form does not."""
     return math.exp(log_gaussian_trial_norm_sq(q, p, sigma, tol, validate))
 
 
-def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float, tol: float) -> float:
-    num = log_gaussian_trial_norm_sq(q, 2.0 * p, 2.0 * sigma, tol=tol, validate=False)
-    den = log_gaussian_trial_norm_sq(q, p, sigma, tol=tol, validate=False)
-    return 0.5 * num - den
+def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,
+                          tol: float | None) -> tuple[float, dict]:
+    """log of the plane-wave quotient at (p, sigma), with the norm route as
+    diagnostics.  Off the closed sum the norms take the h rule when tol is
+    None (the (F) search) and the h/2 rule otherwise; the diagnostics then
+    add the nodes of both norms and the larger of their rule errors."""
+    if q.n_is_integer and q.n <= _FF_SWITCH:
+        return (0.5 * _log_gaussian_norm_sq_sum(q, 2.0 * p, 2.0 * sigma)
+                - _log_gaussian_norm_sq_sum(q, p, sigma)), {"route": "closed_sum"}
+    if tol is None:
+        return (0.5 * _gaussian_rule_block(q, 2.0 * p, 2.0 * sigma, 0.0, 0.0)[0]
+                - _gaussian_rule_block(q, p, sigma, 0.0, 0.0)[0]), {"route": "rule"}
+    num, err_num, nodes_num = _log_gaussian_norm_sq_refined(q, 2.0 * p, 2.0 * sigma, tol)
+    den, err_den, nodes_den = _log_gaussian_norm_sq_refined(q, p, sigma, tol)
+    return 0.5 * num - den, {"route": "rule", "nodes": nodes_num + nodes_den,
+                             "rule_error": max(err_num, err_den)}
 
 
 def k_fourier(q: BoundQuery) -> BoundResult:
-    """K^F: simplex search over (p, sigma) in log coordinates, multistart."""
+    """K^F: simplex search over (p, sigma) in log coordinates, multistart,
+    on the closed sum or the h rule; K^F is the closed sum or the h/2 rule
+    at the maximizer."""
     n = q.n
     starts = [(0.5 / math.sqrt(2.0), 0.75 / n),
               (0.4, 1.0 / n),
               (0.35, 4.0 / n ** 2)]
-    res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, _SEARCH_TOL),
+    res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, None)[0],
                       starts, tol=3e-7, max_iter=400)
     p_star, sigma_star = res.argmax
-    value = math.exp(_log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL))
+    log_value, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
+    value = math.exp(log_value)
     return BoundResult(value=value, kind="lower_fourier",
                        argmax=TrialParams(p=p_star, sigma=sigma_star),
                        error_estimate=value * LOWER_TOL,
                        diagnostics={"evaluations": res.iterations,
-                                    "converged": res.converged})
+                                    "converged": res.converged, **diags})
 
 
 def k_fourier_fixed(q: BoundQuery) -> BoundResult:
     """K^FF: the quotient at the frozen pair (1/(2 sqrt 2), 3/(4n))."""
     p = 0.5 / math.sqrt(2.0)
     sigma = 0.75 / q.n
-    value = math.exp(_log_fourier_quotient(q, p, sigma, _FF_TOL))
+    log_value, diags = _log_fourier_quotient(q, p, sigma, _FF_TOL)
+    value = math.exp(log_value)
     return BoundResult(value=value, kind="lower_fourier_ff",
                        argmax=TrialParams(p=p, sigma=sigma),
                        error_estimate=value * _FF_TOL,
-                       diagnostics={})
+                       diagnostics=diags)
 
 
 # ----------------------------------------------------------------------

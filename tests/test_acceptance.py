@@ -130,22 +130,25 @@ def test_gaussian_norm_oracle_matches_closed_sum():
 
 
 def test_gaussian_norm_quadrature_matches_oracle_at_noninteger_n():
-    """The runtime quadrature route (the only one at non-integer n) against
-    the 30-digit oracle at (p, sigma) and (2p, 2 sigma), the two norms of
-    the Fourier quotient: (1, 61/2) at its reported argmax, the other cells
-    near theirs.  Criterion 7's two-path check runs only at integer n."""
+    """The runtime rule (the only route at non-integer n and beyond n = 50)
+    against the 30-digit oracle at (p, sigma) and (2p, 2 sigma), the two
+    norms of the Fourier quotient: (1, 61/2) at its reported argmax, the
+    other non-integer cells near theirs, and the frozen (FF) pair of
+    `sandwich -n 60 -d 1`.  Criterion 7's two-path check runs only at
+    integer n up to 50."""
     mp = pytest.importorskip("mpmath")
     worst = 0.0
     for d, n, p, sigma in ((1, Fraction(61, 2), 0.19953412956448163, 0.03784497692973889),
                            (2, Fraction(5, 2), 0.475, 0.665),
                            (3, Fraction(7, 4), 0.53, 4.27),
-                           (4, Fraction(9, 4), 0.484, 3.9)):
+                           (4, Fraction(9, 4), 0.484, 3.9),
+                           (1, Fraction(60), 0.5 / math.sqrt(2.0), 0.75 / 60)):
         q = BoundQuery(d=d, n=float(n), n_exact=n)
         for scale in (1.0, 2.0):
-            quad = B._log_gaussian_norm_sq_quad(q, scale * p, scale * sigma, tol=1e-10)
+            rule = B.log_gaussian_trial_norm_sq(q, scale * p, scale * sigma, tol=1e-10)
             oracle = mp_log_gaussian_norm_sq(mp, d, n, scale * p, scale * sigma)
-            worst = max(worst, abs(math.expm1(quad - float(oracle))))
-    assert worst <= 1e-9, worst
+            worst = max(worst, abs(math.expm1(rule - float(oracle))))
+    assert worst <= 1e-12, worst
 
 
 def mp_log_bessel_norms(mp, d, n, lam):
@@ -416,7 +419,7 @@ def test_criterion_7_two_path_oracles(sq_norm_double_sum):
         errs.append(rel_err(quad_val, sq_norm_double_sum(q, lam)))
     worst["squared_kernel_norm"] = max(errs)
 
-    errs = []  # Gaussian trial norm: closed sum vs Bessel-integral route
+    errs = []  # Gaussian trial norm: closed sum vs Cartesian rule
     for _ in range(20):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(int(d / 2) + 1, 9))
@@ -424,7 +427,7 @@ def test_criterion_7_two_path_oracles(sq_norm_double_sum):
         sigma = float(rng.uniform(0.1, 2.0))
         q = BoundQuery(d=d, n=float(n), n_exact=Fraction(n))
         a = B._log_gaussian_norm_sq_sum(q, p, sigma)
-        b = B._log_gaussian_norm_sq_quad(q, p, sigma, tol=1e-10)
+        b = B._log_gaussian_norm_sq_refined(q, p, sigma, 1e-10)[0]
         errs.append(abs(math.expm1(a - b)))
     worst["gaussian_norm"] = max(errs)
 

@@ -1,4 +1,4 @@
-"""Bessel J / I / K tests against series oracles, closed forms and scipy."""
+"""Bessel J / K tests against series oracles, closed forms and scipy."""
 
 import math
 
@@ -21,15 +21,6 @@ def j_series_oracle(nu, x, terms=400):
     for k in range(terms):
         total += term
         term *= -(0.25 * x * x) / ((k + 1.0) * (nu + k + 1.0))
-    return total
-
-
-def i_series_oracle(nu, x, terms=400):
-    total = 0.0
-    term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-    for k in range(terms):
-        total += term
-        term *= (0.25 * x * x) / ((k + 1.0) * (nu + k + 1.0))
     return total
 
 
@@ -87,79 +78,6 @@ def test_j_large_argument_vs_scipy():
 
 
 # ----------------------------------------------------------------------
-# I
-# ----------------------------------------------------------------------
-
-def test_i_minus_half_closed_form():
-    # I_{-1/2}(s) = (e^s + e^{-s}) / sqrt(2 pi s)
-    for s in (0.3, 1.0, 4.0, 20.0):
-        want = (math.exp(s) + math.exp(-s)) / math.sqrt(2.0 * math.pi * s)
-        assert rel_err(bs.bessel_i(-0.5, s), want) < 1e-12
-
-
-def test_i_half_orders_vs_scipy_and_series():
-    """The elementary nu = -1/2, 1/2 route against scipy's ive on
-    [1e-10, 1e6] and, unscaled, against the ascending series for x <= 30;
-    x = 1e-10 tests I_{1/2}, where expm1 carries the accuracy."""
-    scipy_special = pytest.importorskip("scipy.special")
-    xs = np.geomspace(1e-10, 1e6, 97)
-    for nu in (-0.5, 0.5):
-        got = bs.bessel_i(nu, xs, scaled=True)
-        want = scipy_special.ive(nu, xs)
-        assert np.max(np.abs(got - want) / want) < 1e-13
-        for x in xs[xs <= 30.0]:
-            val = bs.bessel_i(nu, float(x))
-            assert isinstance(val, float)
-            assert rel_err(val, i_series_oracle(nu, float(x))) < 1e-13
-
-
-def test_i_series_vs_oracle_sweep():
-    xs = np.geomspace(1e-6, 29.9, 60)
-    for nu in (0.0, 1.0, 1.5, 2.5, 4.0):
-        got = bs._i_series_scaled(nu, xs) * np.exp(xs)
-        for g, x in zip(got, xs):
-            assert rel_err(g, i_series_oracle(nu, float(x))) < 1e-13
-
-
-def test_i_small_argument_limit():
-    assert rel_err(bs.bessel_i(0.0, 1e-9), 1.0) < 1e-12
-
-
-def test_i_one_two():
-    got = bs.bessel_i(1.0, 2.0)
-    assert rel_err(got, i_series_oracle(1.0, 2.0)) < 1e-13
-    assert rel_err(got, 1.5906368546) < 1e-9
-
-
-def test_i_scaled_never_overflows():
-    for x in (1e2, 1e4, 1e6):
-        val = bs.bessel_i(0.0, x, scaled=True)
-        assert 0.0 < val < 1.0
-        # leading asymptotic term 1/sqrt(2 pi x)
-        assert rel_err(val, 1.0 / math.sqrt(2.0 * math.pi * x)) < 0.01
-    with pytest.raises(OverflowError):
-        bs.bessel_i(0.0, 1e4, scaled=False)
-
-
-def test_i_scaled_consistent_with_unscaled():
-    for nu in (-0.5, 0.0, 1.5):
-        for x in (0.5, 5.0, 40.0):
-            a = bs.bessel_i(nu, x, scaled=True) * math.exp(x)
-            b = bs.bessel_i(nu, x)
-            assert rel_err(a, b) < 1e-13
-
-
-def test_i_vs_scipy_sweep():
-    scipy_special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        nu = float(rng.uniform(-0.5, 4.0))
-        x = float(rng.uniform(0.01, 300.0))
-        want = float(scipy_special.ive(nu, x))
-        assert rel_err(bs.bessel_i(nu, x, scaled=True), want) < 1e-10
-
-
-# ----------------------------------------------------------------------
 # K
 # ----------------------------------------------------------------------
 
@@ -208,7 +126,5 @@ def test_k_vectorized():
 def test_domain_errors():
     with pytest.raises(ValueError):
         bs.bessel_j(0.5, -1.0)
-    with pytest.raises(ValueError):
-        bs.bessel_i(0.5, 0.0)
     with pytest.raises(ValueError):
         bs.bessel_k(0.5, -2.0)

@@ -2,6 +2,7 @@
 and asymptotic invariants."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -397,7 +398,7 @@ def test_k_bessel_minorant_domain():
 # ----------------------------------------------------------------------
 
 def test_gaussian_norm_two_path():
-    # integer n: closed sum against the Bessel-integral quadrature
+    # integer n: closed sum against the Cartesian rule
     val = B.gaussian_trial_norm_sq(q_of(2, 2), 0.511, 1.05, validate=True)
     assert val > 0.0
 
@@ -448,23 +449,63 @@ def test_gaussian_norm_against_1d_definition():
     assert rel_err(got, want) < 1e-8
 
 
-def test_gaussian_norm_quadrature_makes_no_scalar_calls(monkeypatch):
-    # The quadrature route evaluates Bessel I on whole grids and panels only:
-    # no one-point call and no 1-D search (its peak shift needs neither).
-    sizes = []
-    searches = []
-    bessel_i = B.bessel_i
+def test_gaussian_norm_rule_calls_no_bessel_quad_or_optim():
+    # Off the closed sum the norm is one elementary vectorized rule: no
+    # special function, adaptive quadrature or search runs under it, and
+    # bounds binds no name from bessel or quad.
+    from sobomul import bessel, optim, quad
+    watched = {mod.__file__ for mod in (bessel, quad, optim)}
+    hits = []
 
-    def counting_bessel_i(nu, x, scaled=False):
-        sizes.append(np.size(x))
-        return bessel_i(nu, x, scaled=scaled)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in watched:
+            hits.append(frame.f_code.co_name)
 
-    monkeypatch.setattr(B, "bessel_i", counting_bessel_i)
-    monkeypatch.setattr(B, "maximize_1d", lambda *a, **k: searches.append(a))
-    for d in (1, 2):
-        B.log_gaussian_trial_norm_sq(q_of(d, Fraction(61, 2)), 0.2, 0.038)
-    assert sizes and min(sizes) > 1
-    assert not searches
+    sys.setprofile(profile)
+    try:
+        for d in (1, 2, 5):
+            B.log_gaussian_trial_norm_sq(q_of(d, Fraction(61, 2)), 0.2, 0.038)
+    finally:
+        sys.setprofile(None)
+    assert not hits, sorted(set(hits))
+    assert not [name for name, v in vars(B).items()
+                if getattr(v, "__module__", None) in (bessel.__name__, quad.__name__)]
+
+
+def test_gaussian_norm_rule_matches_closed_sum_on_grid():
+    # The rule against the closed sum over the (F) search's box: d = 1..10,
+    # integer n, p in [0.15, 1.9] and sigma n in [0.08, 8] (912 points).
+    points = [(d, n, p, sigma_n / n) for d in range(1, 11)
+              for n in sorted({d // 2 + 1, 5, 12, 25, 37, 50}) if n > d / 2
+              for p in (0.15, 0.35, 0.8, 1.9) for sigma_n in (0.08, 0.75, 3.0, 8.0)]
+    assert len(points) == 912
+    worst = 0.0
+    for d, n, p, sigma in points:
+        q = q_of(d, n)
+        rule = B._log_gaussian_norm_sq_refined(q, p, sigma, 1e-10)[0]
+        closed = B._log_gaussian_norm_sq_sum(q, p, sigma)
+        worst = max(worst, abs(math.expm1(rule - closed)))
+    assert worst <= 1e-12, worst
+
+
+def test_gaussian_norm_tol_bounds_rule_error():
+    # tol caps the measured |I_h/2 - I_h| / I_h/2 of the Gaussian-norm rule
+    q, p, sigma = q_of(1, Fraction(61, 2)), 0.2, 0.038
+    _log_norm, rule_error, _nodes = B._log_gaussian_norm_sq_refined(q, p, sigma, 1.0)
+    assert 0.0 < rule_error < 1e-12
+    assert B.log_gaussian_trial_norm_sq(q, p, sigma, tol=rule_error) > 0.0
+    with pytest.raises(ArithmeticError):
+        B.log_gaussian_trial_norm_sq(q, p, sigma, tol=0.5 * rule_error)
+
+
+def test_fourier_diagnostics_name_norm_route():
+    closed = B.k_fourier_fixed(q_of(2, 4)).diagnostics
+    assert closed == {"route": "closed_sum"}
+    for res, tol in ((B.k_fourier_fixed(q_of(1, 60)), B._FF_TOL),
+                     (B.k_fourier(q_of(1, Fraction(61, 2))), B.LOWER_TOL)):
+        assert res.diagnostics["route"] == "rule"
+        assert res.diagnostics["nodes"] > 0
+        assert 0.0 <= res.diagnostics["rule_error"] <= tol
 
 
 def test_k_fourier_two_two():

@@ -24,8 +24,8 @@ def test_all_names_resolve(module):
 
 
 @pytest.mark.parametrize("demo", ["01_upper_bounds.py", "02_lower_bounds.py",
-                                  "03_bounds_table.py", "05_asymptotic_laws.py",
-                                  "06_special_functions.py"])
+                                  "03_bounds_table.py", "04_elementary_envelope.py",
+                                  "05_asymptotic_laws.py", "06_special_functions.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
