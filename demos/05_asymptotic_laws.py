@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Asymptotic laws at both ends of the n-range, and the Laplace-method
-machinery that certifies the large-n ones.
+"""Asymptotic laws at both ends of the n-range.
 
 Near n = d/2 the upper bound blows up like M_d / sqrt(n - d/2) and the
 minorant lower bound tracks it at the fixed fraction sqrt(2/3) > 0.816.
@@ -14,7 +13,6 @@ import math
 
 from sobomul import (AsympConstants, BoundQuery, k_bessel_minorant,
                      k_fourier_fixed, k_plus, k_plus_asymp_large)
-from sobomul.laplace import check_asymptotics, upper_tail_spec
 
 print("Small-gap law, d = 1 (scaled by sqrt(gap)/M_d):")
 c = AsympConstants.for_dimension(1)
@@ -34,12 +32,3 @@ for n in (50, 100, 200):
           f"fixed-pair -> {k_fourier_fixed(q).value / lead:.5f} "
           f"(target {math.sqrt(5/3)/7**0.25:.5f})")
 
-print()
-print("Laplace residual ladder for the tail reduction (scaled by m^(3/2);")
-print("boundedness certifies the sqrt(3 pi / m) law):")
-rep = check_asymptotics(upper_tail_spec(), [50, 100, 200, 400])
-for n, quad_v, asymp_v, sc in zip(rep["n"], rep["quadrature"],
-                                  rep["asymptotic"], rep["residual_scaled"]):
-    print(f"  m = {n:5.0f}: quad = {quad_v:.8f} law = {asymp_v:.8f} "
-          f"scaled residual = {sc:.4f}")
-print("bounded:", rep["bounded"])

@@ -9,8 +9,13 @@ selection of method per function:
   halving; the integrand is even and analytic, so the rule converges
   spectrally.
 
-No bound evaluates either: ``kernels.macdonald_profile`` draws on K_nu
-(nu = n - d/2), and the tests use both in their cross-check quadratures.
+No bound evaluates either, and no module of the package imports this
+one: ``import sobomul`` does not load it and the package does not export
+its functions.  The tests' real-space Macdonald kernel
+(``tests/oracles/macdonald.py``) draws on K_nu, and the tests use both in
+their cross-check quadratures.  It stays in the package because the
+benchmark's tracer (``bench/tracer.py``) imports ``sobomul.bessel`` by name
+as one of its layers.
 """
 
 from __future__ import annotations

@@ -198,13 +198,20 @@ class ElementaryBoundData:
 _U_LO = 1e-12
 _U_HI = 1e12
 _U_TOL_X = 1e-9
+# The boundary-limit K+ carries a 1e-12 relative error estimate, so the
+# log of the squared curve may exceed the limit's by 2e-12 at most.
+_LIMIT_LOG_TOL = 2e-12
 
 
 def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
 
     For n <= d/2 + 1/2 the curve increases toward its limit, which is then
-    returned in closed form with the argmax reported as the boundary.
+    returned in closed form with the argmax reported as the boundary.  The
+    limit is also returned when the search is still climbing at its
+    bracket boundary, but only if the curve there is finite and not above
+    the limit; otherwise the supremum is unknown and ArithmeticError is
+    raised.
     """
     if q.has_closed_form_upper:
         value = math.exp(0.5 * log_upper_curve_limit(q))
@@ -231,9 +238,16 @@ def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
                            argmax=TrialParams(u=u_star),
                            error_estimate=value * _U_TOL_X,
                            diagnostics=diags)
-    except BracketBoundaryError:
-        # Still increasing at the bracket ceiling: sup effectively at inf.
-        value = math.exp(0.5 * log_upper_curve_limit(q))
+    except BracketBoundaryError as exc:
+        # Still increasing at the bracket boundary: sup effectively at inf,
+        # provided the curve there is finite and not above its limit.
+        log_limit = log_upper_curve_limit(q)
+        if not (math.isfinite(exc.best_f) and exc.best_f <= log_limit + _LIMIT_LOG_TOL):
+            raise ArithmeticError(
+                f"upper curve at the search boundary is {exc.best_f!r} against "
+                f"its limit {log_limit!r} (log scale); the supremum is not certified"
+            ) from exc
+        value = math.exp(0.5 * log_limit)
         return BoundResult(value=value, kind="upper_plus",
                            argmax=TrialParams(u=math.inf),
                            error_estimate=value * 1e-12,

@@ -55,7 +55,8 @@ def parse_n(text: str) -> Fraction:
 
 
 def _parse_n_list(text: str) -> list[float]:
-    """Comma-separated n values, each parsed by :func:`parse_n`."""
+    """Comma-separated values (n, or gaps n - d/2 in the small regime),
+    each parsed by :func:`parse_n`."""
     return [float(parse_n(x)) for x in text.split(",")]
 
 
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     asy.add_argument("--regime", choices=("small", "large"), required=True)
     asy.add_argument("-d", type=int, default=1)
     asy.add_argument("--n-list", type=_parse_n_list, default=None,
-                     help="comma-separated n values (regime-appropriate)")
+                     help="comma-separated values: the gaps n - d/2 for "
+                          "--regime small, the n values for --regime large")
     return p
 
 

@@ -25,10 +25,6 @@ whole argument range and for large n:
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
   finite.
-* ``macdonald_profile`` the radial profile r^(n-d/2) K_(n-d/2)(r) /
-  (2^(n-1) Gamma(n)) of the inverse transform of (1+|k|^2)^(-n).
-* ``bessel_macdonald_moment``  the closed form of
-  int_0^inf r^(mu+nu+1) J_mu(h r) K_(nu/2)(r)^2 dr.
 
 Log-space variants are provided where the bound evaluators need them.
 """
@@ -43,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun as sf
-from .bessel import bessel_k
 from .quad import tanh_sinh_01
 
 __all__ = [
@@ -51,13 +46,10 @@ __all__ = [
     "BoundQuery",
     "hyper_kernel",
     "log_hyper_kernel",
-    "hyper_kernel_terminating",
     "upper_curve",
     "log_upper_curve",
     "upper_curve_limit",
     "log_upper_curve_limit",
-    "macdonald_profile",
-    "bessel_macdonald_moment",
 ]
 
 _LOG_4PI = math.log(4.0 * math.pi)
@@ -310,16 +302,6 @@ def hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
     return float(res) if np.ndim(res) == 0 else res
 
 
-def hyper_kernel_terminating(q: BoundQuery, u) -> float | np.ndarray:
-    """The finite-sum form, valid only in the half-integer gap case."""
-    if not q.is_gap:
-        raise DomainError("terminating kernel form needs n - d/2 - 1/2 in N")
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    res = np.exp(_terminating_sum_log(q, np.atleast_1d(u)))
-    return float(res[0]) if scalar else res
-
-
 # ----------------------------------------------------------------------
 # the upper-bound curve
 # ----------------------------------------------------------------------
@@ -347,36 +329,3 @@ def log_upper_curve_limit(q: BoundQuery) -> float:
 
 def upper_curve_limit(q: BoundQuery) -> float:
     return math.exp(log_upper_curve_limit(q))
-
-
-# ----------------------------------------------------------------------
-# radial Macdonald profile and the J*K^2 moment
-# ----------------------------------------------------------------------
-
-def macdonald_profile(q: BoundQuery, r) -> float | np.ndarray:
-    """Radial profile r^(n-d/2) K_(n-d/2)(r) / (2^(n-1) Gamma(n)), r > 0."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr <= 0.0):
-        raise ValueError("macdonald_profile needs r > 0")
-    nu = q.n_gap
-    k_scaled = bessel_k(nu, r_arr, scaled=True)
-    logs = (nu * np.log(r_arr) + np.log(k_scaled) - r_arr
-            - (q.n - 1.0) * math.log(2.0) - sf.log_gamma(q.n))
-    out = np.exp(logs)
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def bessel_macdonald_moment(mu: float, nu: float, h: float) -> float:
-    """int_0^inf r^(mu+nu+1) J_mu(h r) K_(nu/2)(r)^2 dr in closed form:
-
-        sqrt(pi) Gamma(mu+nu+1) Gamma(mu+nu/2+1) / (2^(mu+2) Gamma(mu+nu/2+3/2))
-        * h^mu * F(mu+nu+1, mu+nu/2+1, mu+nu/2+3/2; -h^2/4).
-    """
-    if not (mu > -1.0 and nu > 0.0 and h > 0.0):
-        raise DomainError("need mu > -1, nu > 0, h > 0")
-    lg = (0.5 * math.log(math.pi) + sf.log_gamma(mu + nu + 1.0)
-          + sf.log_gamma(mu + nu / 2.0 + 1.0) - (mu + 2.0) * math.log(2.0)
-          - sf.log_gamma(mu + nu / 2.0 + 1.5))
-    f = sf.hyp2f1(mu + nu + 1.0, mu + nu / 2.0 + 1.0, mu + nu / 2.0 + 1.5,
-                  -0.25 * h * h)
-    return math.exp(lg + mu * math.log(h)) * f

@@ -34,8 +34,6 @@ __all__ = [
     "log_gamma",
     "log_gamma_signed",
     "digamma",
-    "pochhammer",
-    "semifactorial",
     "hyp2f1",
     "gauss_value",
 ]
@@ -186,26 +184,6 @@ def digamma(x: float) -> float:
         tail += b * p
         p *= inv2
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def pochhammer(a: float, ell: int) -> float:
-    """Rising factorial (a)_ell = a (a+1) ... (a+ell-1); (a)_0 = 1."""
-    if ell < 0 or ell != int(ell):
-        raise ValueError(f"pochhammer needs a non-negative integer count, got {ell}")
-    out = 1.0
-    for i in range(int(ell)):
-        out *= a + i
-    return out
-
-
-def semifactorial(m: int) -> int:
-    """Double factorial of an odd integer m >= -1, with (-1)!! = 1."""
-    if m < -1 or m % 2 == 0:
-        raise ValueError(f"semifactorial needs an odd integer >= -1, got {m}")
-    out = 1
-    for k in range(1, m + 1, 2):
-        out *= k
-    return out
 
 
 # ----------------------------------------------------------------------

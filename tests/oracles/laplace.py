@@ -17,8 +17,10 @@ gains an extra half power -- the engine exposes exactly that via the
 boundedness check.
 
 Factories at the bottom build the specs that arise in the large-n analysis
-of this package's bounds: the tail and centre reductions of the upper-bound
-curve, and the phase of the Gaussian-regularized plane-wave norms.
+of sobomul's bounds: the tail and centre reductions of the upper-bound
+curve, and the phase of the Gaussian-regularized plane-wave norms.  No
+bound runs this engine; the tests use it to certify the expansions behind
+the large-n laws.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .quad import integrate_finite
-from .specfun import gamma
+from sobomul.specfun import gamma
+
+from .gauss_kronrod import integrate_finite
 
 __all__ = [
     "LaplaceSpec",
@@ -168,7 +171,7 @@ def split_interior_max(amplitude: Callable, phase: Callable,
 
 
 # ----------------------------------------------------------------------
-# specs arising in this package's own large-n analysis
+# specs arising in sobomul's large-n analysis
 # ----------------------------------------------------------------------
 
 def upper_tail_spec() -> LaplaceSpec:

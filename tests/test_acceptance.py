@@ -13,13 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import laplace as L
+from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
+from oracles.macdonald import bessel_macdonald_moment
 from sobomul import bounds as B
-from sobomul import laplace as L
 from sobomul import specfun as sf
 from sobomul import tables
-from sobomul.kernels import BoundQuery, bessel_macdonald_moment
 from sobomul.bessel import bessel_j, bessel_k
-from sobomul.quad import TailSpec, integrate_finite, integrate_semiinf
+from sobomul.kernels import BoundQuery
 
 SQRT23 = math.sqrt(2.0 / 3.0)
 FF_CONST = math.sqrt(5.0 / 3.0) / 7.0 ** 0.25

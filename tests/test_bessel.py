@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles.gauss_kronrod import integrate_finite
 from sobomul import bessel as bs
-from sobomul.quad import integrate_finite
 from sobomul.specfun import log_gamma
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
 from sobomul import bounds as B
 from sobomul.kernels import BoundQuery, DomainError
-from sobomul.quad import integrate_finite, integrate_semiinf, TailSpec
 
 
 def rel_err(got, want):
@@ -45,6 +45,29 @@ def test_k_plus_monotone_regime_uses_closed_form():
         res = B.k_plus(q)
         assert res.value == math.exp(0.5 * log_upper_curve_limit(q))
         assert math.isinf(res.argmax.u)
+
+
+def test_k_plus_boundary_limit_just_above_monotone_regime():
+    # just past n = d/2 + 1/2 the curve still rises up to the search
+    # boundary, where it sits at most 2e-12 (log scale) below its limit:
+    # the bracket exit returns the closed-form limit
+    from sobomul.kernels import log_upper_curve_limit
+    for d in range(1, 11):
+        q = BoundQuery(d=d, n=d / 2.0 + 0.500000001)
+        res = B.k_plus(q)
+        assert res.diagnostics["route"] == "boundary_limit", d
+        assert res.value == math.exp(0.5 * log_upper_curve_limit(q))
+        assert math.isinf(res.argmax.u)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_k_plus_raises_when_boundary_curve_is_not_finite():
+    # at (3, 2000) every curve value on the bracket walk underflows to
+    # -inf, so the search leaves through the boundary without having seen
+    # the curve; returning the u -> inf limit would report K+ ~ 7e-4
+    # against K- ~ 4e121
+    with pytest.raises(ArithmeticError):
+        B.k_plus(q_of(3, 2000))
 
 
 def test_k_plus_warm_start_agrees():
@@ -323,27 +346,23 @@ def test_bessel_sq_norm_tol_bounds_rule_error():
 
 def test_k_bessel_evaluates_kernel_twice(monkeypatch):
     # one vector kernel call on the h-rule nodes, one on the midpoints for
-    # the reported value, and no adaptive quadrature, whatever the gap
+    # the reported value, and no adaptive quadrature, whatever the gap: the
+    # package has none (the Gauss-Kronrod drivers are test oracles)
     from sobomul import quad
-    calls = {"kernel": 0, "semiinf": 0}
-    kernel, semiinf = B.log_hyper_kernel, quad.integrate_semiinf
+    assert not {"integrate_finite", "integrate_semiinf"} & (set(vars(quad)) | set(vars(B)))
+    calls = {"kernel": 0}
+    kernel = B.log_hyper_kernel
 
     def counting_kernel(q, u):
         calls["kernel"] += 1
         return kernel(q, u)
 
-    def counting_semiinf(*args, **kwargs):
-        calls["semiinf"] += 1
-        return semiinf(*args, **kwargs)
-
     monkeypatch.setattr(B, "log_hyper_kernel", counting_kernel)
-    monkeypatch.setattr(quad, "integrate_semiinf", counting_semiinf)
-    monkeypatch.setattr(B, "integrate_semiinf", counting_semiinf, raising=False)
     for d, n in ((2, 3), (1, Fraction(3, 2)), (4, Fraction(9, 4)),
                  (2, Fraction(101, 100))):
-        calls.update(kernel=0, semiinf=0)
+        calls.update(kernel=0)
         res = B.k_bessel(q_of(d, n))
-        assert calls["kernel"] <= 2 and calls["semiinf"] == 0, (d, n, calls)
+        assert calls["kernel"] <= 2, (d, n, calls)
         assert res.diagnostics["nodes"] > 0
         assert 0.0 <= res.diagnostics["rule_error"] <= B.LOWER_TOL
 
@@ -451,8 +470,9 @@ def test_gaussian_norm_against_1d_definition():
 
 def test_gaussian_norm_rule_calls_no_bessel_quad_or_optim():
     # Off the closed sum the norm is one elementary vectorized rule: no
-    # special function, adaptive quadrature or search runs under it, and
-    # bounds binds no name from bessel or quad.
+    # special function, adaptive quadrature or search runs under it,
+    # bounds binds no name from bessel or quad, and quad holds no adaptive
+    # driver (the Gauss-Kronrod drivers are test oracles).
     from sobomul import bessel, optim, quad
     watched = {mod.__file__ for mod in (bessel, quad, optim)}
     hits = []
@@ -470,6 +490,7 @@ def test_gaussian_norm_rule_calls_no_bessel_quad_or_optim():
     assert not hits, sorted(set(hits))
     assert not [name for name, v in vars(B).items()
                 if getattr(v, "__module__", None) in (bessel.__name__, quad.__name__)]
+    assert not {"integrate_finite", "integrate_semiinf"} & set(vars(quad))
 
 
 def test_gaussian_norm_rule_matches_closed_sum_on_grid():

@@ -181,6 +181,18 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
     assert "CAVEAT" in out
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("argv", [["sandwich", "-n", "2000", "-d", "3"],
+                                  ["upper", "-n", "1000000", "-d", "2"]])
+def test_uncertified_upper_bound_exits_3(capsys, argv):
+    # the K+ search cannot see the curve there (it underflows), so no
+    # K+ far below K- may be printed
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 3
+    assert not out
+    assert "numerical failure" in err
+
+
 def test_wall_time_on_stderr_not_in_payload(capsys):
     code, out, err = run(capsys, ["upper", "-n", "1", "-d", "1", "--json"])
     assert "wall_time" in err

@@ -1,5 +1,5 @@
 """Kernel-function tests: representation agreement, boundary values,
-positivity, the Macdonald profile and the J*K^2 moment."""
+positivity, and the test oracles' Macdonald profile and J*K^2 moment."""
 
 import math
 from fractions import Fraction
@@ -7,15 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.gauss_kronrod import integrate_finite
+from oracles.macdonald import bessel_macdonald_moment, macdonald_profile
 from sobomul import kernels as K
 from sobomul import specfun as sf
 from sobomul.bessel import bessel_j, bessel_k
 from sobomul.bounds import default_residual_grid
-from sobomul.kernels import (BoundQuery, DomainError, bessel_macdonald_moment,
-                             hyper_kernel, hyper_kernel_terminating,
-                             log_hyper_kernel, log_upper_curve,
-                             macdonald_profile, upper_curve, upper_curve_limit)
-from sobomul.quad import integrate_finite
+from sobomul.kernels import (BoundQuery, DomainError, hyper_kernel,
+                             log_hyper_kernel, upper_curve, upper_curve_limit)
 
 
 def rel_err(got, want):
@@ -83,13 +82,13 @@ def test_kernel_two_representations_agree():
 
 
 def test_kernel_gap_form_matches_transformed():
-    # (n, d) = (5/2, 2): terminating form against the generic kernel at u = 1
+    # (n, d) = (5/2, 2): the kernel takes the terminating form at this
+    # half-integer gap; against the generic 2F1 at u = 1
     q = BoundQuery(d=2, n=2.5, n_exact=Fraction(5, 2))
-    a = hyper_kernel_terminating(q, 1.0)
+    assert q.is_gap
+    a = hyper_kernel(q, 1.0)
     b = sf.hyp2f1(2.0 * 2.5 - 1.0, 2.5, 3.0, -1.0)
     assert rel_err(a, b) < 1e-10
-    with pytest.raises(DomainError):
-        hyper_kernel_terminating(BoundQuery(d=2, n=2.0), 1.0)
 
 
 def test_kernel_two_two_at_one():

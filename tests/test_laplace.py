@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sobomul import laplace as L
+from oracles import laplace as L
 
 
 def test_asymp_value_leading_term():

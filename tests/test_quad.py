@@ -1,11 +1,13 @@
-"""Quadrature drivers: closed-form corpus, error-estimate honesty,
-endpoint singularities and tail handling."""
+"""Quadrature: the tanh-sinh rule of ``sobomul.quad``, and the adaptive
+Gauss-Kronrod drivers of the test oracles (closed-form corpus,
+error-estimate honesty, endpoint singularities and tail handling)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import gauss_kronrod as gk
 from sobomul import quad
 from sobomul.specfun import gamma, hyp2f1, log_gamma
 
@@ -19,7 +21,7 @@ def rel_err(got, want):
 # ----------------------------------------------------------------------
 
 def test_inverse_sqrt_endpoint():
-    res = quad.integrate_finite(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0)
+    res = gk.integrate_finite(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0)
     assert res.converged
     assert rel_err(res.value, 2.0) < 1e-12
 
@@ -27,7 +29,7 @@ def test_inverse_sqrt_endpoint():
 def test_euler_integral_reproduces_log2():
     # int_0^1 s^(b-1) (1-s)^(c-b-1) (1-w s)^(-a) ds at (a,b,c,w)=(1,1,2,-1)
     # equals (Gamma(1)Gamma(1)/Gamma(2)) F(1,1,2;-1) = log 2
-    res = quad.integrate_finite(lambda s: 1.0 / (1.0 + s), 0.0, 1.0)
+    res = gk.integrate_finite(lambda s: 1.0 / (1.0 + s), 0.0, 1.0)
     assert rel_err(res.value, math.log(2.0)) < 1e-12
 
 
@@ -39,14 +41,14 @@ def test_sharp_laplace_integrand():
     def f(t):
         return np.exp(-0.5 * np.log(t) - np.log1p(-t) - m * np.log1p(t / 3.0))
 
-    res = quad.integrate_finite(f, 0.0, 0.75, tol=1e-11)
+    res = gk.integrate_finite(f, 0.0, 0.75, tol=1e-11)
     assert res.converged
     assert rel_err(res.value, math.sqrt(3.0 * math.pi / m)) < 0.01
 
 
 def test_converged_implies_error_below_tolerance():
     for tol in (1e-6, 1e-9, 1e-11):
-        res = quad.integrate_finite(lambda s: np.cos(3.0 * s) * np.exp(-s), 0.0, 5.0, tol=tol)
+        res = gk.integrate_finite(lambda s: np.cos(3.0 * s) * np.exp(-s), 0.0, 5.0, tol=tol)
         assert res.converged
         assert res.abs_error_estimate <= max(tol * abs(res.value), 1e-305)
 
@@ -56,14 +58,14 @@ def test_converged_implies_error_below_tolerance():
 # ----------------------------------------------------------------------
 
 def test_exponential_tail():
-    res = quad.integrate_semiinf(lambda u: np.exp(-u), 0.0, quad.TailSpec(40.0))
+    res = gk.integrate_semiinf(lambda u: np.exp(-u), 0.0, gk.TailSpec(40.0))
     assert rel_err(res.value, 1.0) < 1e-11
 
 
 def test_beta_type_integral():
     # int_0^inf u^(sigma-1) (1+u)^(-gamma) du = G(s)G(g-s)/G(g), (1.5, 4)
-    res = quad.integrate_semiinf(lambda u: np.sqrt(u) / (1.0 + u) ** 4,
-                                 0.0, quad.TailSpec(2.5))
+    res = gk.integrate_semiinf(lambda u: np.sqrt(u) / (1.0 + u) ** 4,
+                                 0.0, gk.TailSpec(2.5))
     want = gamma(1.5) * gamma(2.5) / gamma(4.0)
     assert rel_err(res.value, want) < 1e-11
 
@@ -77,18 +79,18 @@ def test_cross_module_hypergeometric_identity():
         return np.exp((b - 1.0) * np.log(u) + (a - c) * np.log1p(u)
                       - a * np.log1p(w * u))
 
-    res = quad.integrate_semiinf(f, 0.0, quad.TailSpec(c - b), tol=1e-11)
+    res = gk.integrate_semiinf(f, 0.0, gk.TailSpec(c - b), tol=1e-11)
     want = math.exp(log_gamma(b) + log_gamma(c - b) - log_gamma(c)) \
         * hyp2f1(a, b, c, 1.0 - w)
     assert rel_err(res.value, want) < 1e-9
 
 
 def test_slow_tail_error():
-    with pytest.raises(quad.SlowTailError):
-        quad.integrate_semiinf(lambda u: (1.0 + u) ** -1.005, 0.0,
-                               quad.TailSpec(0.005))
+    with pytest.raises(gk.SlowTailError):
+        gk.integrate_semiinf(lambda u: (1.0 + u) ** -1.005, 0.0,
+                               gk.TailSpec(0.005))
     with pytest.raises(ValueError):
-        quad.TailSpec(0.0)
+        gk.TailSpec(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -99,65 +101,65 @@ def _corpus():
     """50 closed-form integrals: (runner(tol) -> QuadResult, exact value)."""
     cases = []
     for k in range(1, 11):  # polynomials t^k on (0, 2)
-        cases.append((lambda tol, k=k: quad.integrate_finite(
+        cases.append((lambda tol, k=k: gk.integrate_finite(
             lambda t: t ** float(k), 0.0, 2.0, tol=tol), 2.0 ** (k + 1) / (k + 1)))
     for a in (0.5, 1.0, 2.0, 3.5, 7.0):  # exponentials
-        cases.append((lambda tol, a=a: quad.integrate_finite(
+        cases.append((lambda tol, a=a: gk.integrate_finite(
             lambda t: np.exp(-a * t), 0.0, 10.0, tol=tol),
             (1.0 - math.exp(-10.0 * a)) / a))
     for w in (1.0, 3.0, 8.0):  # oscillatory
-        cases.append((lambda tol, w=w: quad.integrate_finite(
+        cases.append((lambda tol, w=w: gk.integrate_finite(
             lambda t: np.sin(w * t), 0.0, 1.0, tol=tol), (1.0 - math.cos(w)) / w))
     for p in (0.5, 0.25, 0.75):  # left-endpoint singularities t^(p-1)
-        cases.append((lambda tol, p=p: quad.integrate_finite(
+        cases.append((lambda tol, p=p: gk.integrate_finite(
             lambda t: t ** (p - 1.0), 0.0, 1.0, tol=tol), 1.0 / p))
     for (al, be) in ((0.5, 0.5), (0.5, 1.5), (1.5, 2.5)):  # beta integrals
-        cases.append((lambda tol, al=al, be=be: quad.integrate_finite(
+        cases.append((lambda tol, al=al, be=be: gk.integrate_finite(
             lambda t: t ** (al - 1.0) * (1.0 - t) ** (be - 1.0), 0.0, 1.0, tol=tol),
             math.exp(log_gamma(al) + log_gamma(be) - log_gamma(al + be))))
     for mu in (0.5, 1.0, 2.0):  # gaussians
-        cases.append((lambda tol, mu=mu: quad.integrate_finite(
+        cases.append((lambda tol, mu=mu: gk.integrate_finite(
             lambda t: np.exp(-((t - mu) ** 2)), -6.0 + mu, 6.0 + mu, tol=tol),
             math.sqrt(math.pi)))
     for (s, g) in ((0.5, 2.0), (1.5, 4.0), (2.0, 3.5), (0.25, 1.0)):  # algebraic tails
-        cases.append((lambda tol, s=s, g=g: quad.integrate_semiinf(
+        cases.append((lambda tol, s=s, g=g: gk.integrate_semiinf(
             lambda u: u ** (s - 1.0) * (1.0 + u) ** (-g), 0.0,
-            quad.TailSpec(g - s), tol=tol),
+            gk.TailSpec(g - s), tol=tol),
             math.exp(log_gamma(s) + log_gamma(g - s) - log_gamma(g))))
     for a in (1.0, 4.0):  # exponential tails
-        cases.append((lambda tol, a=a: quad.integrate_semiinf(
-            lambda u: np.exp(-a * u) * np.sqrt(u), 0.0, quad.TailSpec(30.0), tol=tol),
+        cases.append((lambda tol, a=a: gk.integrate_semiinf(
+            lambda u: np.exp(-a * u) * np.sqrt(u), 0.0, gk.TailSpec(30.0), tol=tol),
             0.5 * math.sqrt(math.pi) / a ** 1.5))
     for k in (1, 2):  # log-weighted
-        cases.append((lambda tol, k=k: quad.integrate_finite(
+        cases.append((lambda tol, k=k: gk.integrate_finite(
             lambda t: np.log(t) ** (2 * k), 0.0, 1.0, tol=tol),
             float(math.factorial(2 * k))))
     for c in (0.3, 0.6, 0.9):  # rational
-        cases.append((lambda tol, c=c: quad.integrate_finite(
+        cases.append((lambda tol, c=c: gk.integrate_finite(
             lambda t: 1.0 / (1.0 + c * t * t), 0.0, 1.0, tol=tol),
             math.atan(math.sqrt(c)) / math.sqrt(c)))
     for b in (2.0, 5.0):  # shifted powers with sqrt endpoint at both ends
-        cases.append((lambda tol, b=b: quad.integrate_finite(
+        cases.append((lambda tol, b=b: gk.integrate_finite(
             lambda t: 1.0 / np.sqrt(t * (b - t)), 0.0, b, tol=tol), math.pi))
     for m in (20.0, 60.0):  # peaked laplace-type
-        cases.append((lambda tol, m=m: quad.integrate_finite(
+        cases.append((lambda tol, m=m: gk.integrate_finite(
             lambda t: np.exp(-m * t * t), -1.0, 1.0, tol=tol),
             math.sqrt(math.pi / m) * math.erf(math.sqrt(m))))
     for s in (0.75, 1.25):  # product forms
-        cases.append((lambda tol, s=s: quad.integrate_finite(
+        cases.append((lambda tol, s=s: gk.integrate_finite(
             lambda t: t ** s * np.exp(-t), 0.0, 40.0, tol=tol), gamma(s + 1.0)))
     for a in (1.0, 2.0):  # damped oscillation on the half line
-        cases.append((lambda tol, a=a: quad.integrate_semiinf(
-            lambda u: np.exp(-a * u) * np.cos(u), 0.0, quad.TailSpec(30.0), tol=tol),
+        cases.append((lambda tol, a=a: gk.integrate_semiinf(
+            lambda u: np.exp(-a * u) * np.cos(u), 0.0, gk.TailSpec(30.0), tol=tol),
             a / (1.0 + a * a)))
     for b in (1.0, 4.0):  # sqrt singularity with a rational factor
-        cases.append((lambda tol, b=b: quad.integrate_finite(
+        cases.append((lambda tol, b=b: gk.integrate_finite(
             lambda t: 1.0 / (np.sqrt(t) * (1.0 + t)), 0.0, b, tol=tol),
             2.0 * math.atan(math.sqrt(b))))
-    cases.append((lambda tol: quad.integrate_semiinf(
-        lambda u: u / (1.0 + u * u) ** 2, 0.0, quad.TailSpec(2.0), tol=tol), 0.5))
-    cases.append((lambda tol: quad.integrate_semiinf(
-        lambda u: u * u * np.exp(-u * u), 0.0, quad.TailSpec(30.0), tol=tol),
+    cases.append((lambda tol: gk.integrate_semiinf(
+        lambda u: u / (1.0 + u * u) ** 2, 0.0, gk.TailSpec(2.0), tol=tol), 0.5))
+    cases.append((lambda tol: gk.integrate_semiinf(
+        lambda u: u * u * np.exp(-u * u), 0.0, gk.TailSpec(30.0), tol=tol),
         0.25 * math.sqrt(math.pi)))
     return cases
 
