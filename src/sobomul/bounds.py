@@ -20,7 +20,10 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         route of choice for n within 0.1 of d/2.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
                         plane-wave quotient; off the integer-n closed sum
-                        its norms take a trapezoid x exp-sinh rule.
+                        its norms take a trapezoid x exp-sinh rule.  A
+                        trust-region Newton search finds the sup, on the
+                        gradient and Hessian that both norm routes form
+                        exactly from their log-sum-exp weights.
     k_fourier_fixed     K^FF, the same quotient frozen at
                         (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for
                         n > 50 where the 2-D search buys nothing.
@@ -672,9 +675,10 @@ def k_bessel_minorant(q: BoundQuery) -> BoundResult:
 
 @lru_cache(maxsize=256)
 def _gaussian_sum_tables(n: int, d: int):
-    """Precomputed (log-coefficient, p-exponent, sigma-exponent) arrays of
-    the integer-n closed form, in (l, j, g) order with g <= j <= l <= n;
-    d = 1 keeps only the surviving l = j terms."""
+    """(log-coefficient, p-exponent, sigma-exponent) arrays of the integer-n
+    closed form sum_{a+b<=n} C_ab p^(2a) sigma^(b-d/2).  Each C_ab sums, by
+    one logsumexp, the terms (l, j, g), g <= j <= l <= n, of monomial
+    (a, b) = (j-g, l+g-j); d = 1 keeps only the surviving l = j terms."""
     lf = np.array([sf.log_gamma(k + 1.0) for k in range(2 * n + 1)])  # log k!
     ell, j, g = np.indices((n + 1,) * 3).reshape(3, -1)
     keep = (j <= ell) & (g <= j)
@@ -689,15 +693,40 @@ def _gaussian_sum_tables(n: int, d: int):
         lh = np.array([sf.log_gamma(d / 2.0 - 0.5 + k) for k in range(n + 1)])
         up = ell > j
         lgc[up] += lh[(ell - j)[up]] - lh[0]
-    return lgc, 2.0 * (j - g), ell + g - j - d / 2.0
+    group = (j - g) * (n + 1) + (ell + g - j)
+    top = np.full((n + 1) ** 2, -np.inf)
+    np.maximum.at(top, group, lgc)
+    acc = np.bincount(group, weights=np.exp(lgc - top[group]), minlength=(n + 1) ** 2)
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    mono = a + b <= n
+    return top[mono] + np.log(acc[mono]), 2.0 * a[mono], b[mono] - d / 2.0
 
 
-def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float) -> float:
+def _weighted_mean_cov(w: np.ndarray, du: np.ndarray, dv: np.ndarray):
+    """Means (E_w du, E_w dv) and covariance matrix of the pair (du, dv)
+    under the normalized weights w."""
+    mean = np.array([w @ du, w @ dv])
+    cu, cv = du - mean[0], dv - mean[1]
+    cuv = w @ (cu * cv)
+    return mean, np.array([[w @ (cu * cu), cuv], [cuv, w @ (cv * cv)]])
+
+
+def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float,
+                              moments: bool = False):
+    """log of the closed sum; with moments, also its gradient and Hessian in
+    (log p, log sigma).  The terms' logs are linear there, so the gradient
+    is their weighted mean exponent (p-exponent, sigma-exponent) and the
+    Hessian its weighted covariance."""
     n = int(round(q.n))
     lgc, pe, se = _gaussian_sum_tables(n, q.d)
     logs = lgc + pe * math.log(p) + se * math.log(sigma)
     m = float(logs.max())
-    return 0.5 * q.d * _LOG_PI + m + math.log(np.exp(logs - m).sum())
+    w = np.exp(logs - m)
+    total = w.sum()
+    log_val = 0.5 * q.d * _LOG_PI + m + math.log(total)
+    if not moments:
+        return log_val
+    return (log_val, *_weighted_mean_cov(w / total, pe, se))
 
 
 # Off the closed sum the Gaussian trial norm is, with s = |k_perp|^2,
@@ -715,10 +744,17 @@ _GAUSS_CUT = 40.0
 
 
 def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
-                         t_offset: float) -> tuple[float, int]:
-    """(log of the h rule, node count) of the Gaussian trial norm on the
-    nodes shifted by k_offset steps in k_1 and t_offset in the exp-sinh
-    variable; offsets of 1/2 give the midpoints."""
+                         t_offset: float) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """(log of the h rule, its gradient, its Hessian, node count) of the
+    Gaussian trial norm on the nodes shifted by k_offset steps in k_1 and
+    t_offset in the exp-sinh variable; offsets of 1/2 give the midpoints.
+
+    The derivatives, in (log p, log sigma), are the rule's with its nodes
+    held fixed.  With r = k_1 - p the log integrand has first derivatives
+    2 p r / sigma and (r^2 + s) / sigma - d, and second derivatives
+    2 p (r - p) / sigma, -2 p r / sigma and -(r^2 + s) / sigma, which are
+    linear in the first ones.  For d >= 2 each k_1 row first reduces to its
+    weight and the weighted mean and variance of s."""
     n, d = q.n, q.d
     h1 = min(0.5 / math.sqrt(1.0 / sigma + n / 8.0), 0.25)
     # Beyond |k| = hi the integrand lies 60 nats below its value at p e_1.
@@ -728,7 +764,8 @@ def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
     m = math.ceil(hi / h1)
     k1 = (np.arange(-m, m + 1) + k_offset) * h1
     a = 1.0 + k1 * k1
-    y = -(k1 - p) ** 2 / sigma
+    dk = k1 - p
+    y = -dk ** 2 / sigma
     log_scale = math.log(h1) - d * math.log(sigma)
     if d == 1:
         y = y + n * np.log(a)
@@ -751,8 +788,22 @@ def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
         s = np.exp(x)
         y = y[keep, None] + b * x + n * np.log(a[keep, None] + s) - s / sigma + log_dx
         log_scale += b * _LOG_PI - math.lgamma(b) + math.log(_GAUSS_T_STEP)
+        dk = dk[keep]
     top = float(y.max())
-    return log_scale + top + math.log(np.exp(y - top).sum()), y.size
+    e = np.exp(y - top)
+    total = e.sum()
+    if d == 1:
+        w, s_mean, s_var = e / total, 0.0, 0.0
+    else:
+        row = e.sum(axis=1)
+        w = row / total
+        s_mean = np.einsum("ij,ij->i", e, s) / row
+        # the mean over rows of the within-row variance of s
+        s_var = w @ (np.einsum("ij,ij,ij->i", e, s, s) / row - s_mean * s_mean)
+    grad, cov = _weighted_mean_cov(w, 2.0 * p * dk / sigma, (dk * dk + s_mean) / sigma - d)
+    hess = cov + np.array([[grad[0] - 2.0 * p * p / sigma, -grad[0]],
+                           [-grad[0], -grad[1] - d + s_var / sigma ** 2]])
+    return log_scale + top + math.log(total), grad, hess, y.size
 
 
 def _log_gaussian_norm_sq_refined(q: BoundQuery, p: float, sigma: float,
@@ -762,7 +813,8 @@ def _log_gaussian_norm_sq_refined(q: BoundQuery, p: float, sigma: float,
     when the relative difference exceeds tol."""
     offsets = ((0.0, 0.0), (0.5, 0.0)) if q.d == 1 else (
         (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5))
-    logs, sizes = zip(*(_gaussian_rule_block(q, p, sigma, *off) for off in offsets))
+    logs, _grads, _hessians, sizes = zip(*(_gaussian_rule_block(q, p, sigma, *off)
+                                           for off in offsets))
     log_half = float(np.logaddexp.reduce(logs)) - math.log(len(offsets))
     rule_error = abs(math.expm1(logs[0] - log_half))
     if not rule_error <= tol:
@@ -811,33 +863,50 @@ def gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
 
 
 def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,
-                          tol: float | None) -> tuple[float, dict]:
+                          tol: float) -> tuple[float, dict]:
     """log of the plane-wave quotient at (p, sigma), with the norm route as
-    diagnostics.  Off the closed sum the norms take the h rule when tol is
-    None (the (F) search) and the h/2 rule otherwise; the diagnostics then
-    add the nodes of both norms and the larger of their rule errors."""
+    diagnostics.  Off the closed sum the norms take the h/2 rule, and the
+    diagnostics add the nodes of both norms and the larger of their rule
+    errors."""
     if q.n_is_integer and q.n <= _FF_SWITCH:
         return (0.5 * _log_gaussian_norm_sq_sum(q, 2.0 * p, 2.0 * sigma)
                 - _log_gaussian_norm_sq_sum(q, p, sigma)), {"route": "closed_sum"}
-    if tol is None:
-        return (0.5 * _gaussian_rule_block(q, 2.0 * p, 2.0 * sigma, 0.0, 0.0)[0]
-                - _gaussian_rule_block(q, p, sigma, 0.0, 0.0)[0]), {"route": "rule"}
     num, err_num, nodes_num = _log_gaussian_norm_sq_refined(q, 2.0 * p, 2.0 * sigma, tol)
     den, err_den, nodes_den = _log_gaussian_norm_sq_refined(q, p, sigma, tol)
     return 0.5 * num - den, {"route": "rule", "nodes": nodes_num + nodes_den,
                              "rule_error": max(err_num, err_den)}
 
 
+def _fourier_search_objective(q: BoundQuery):
+    """The (F) search's objective: (p, sigma) -> (value, gradient, Hessian)
+    of the log quotient 1/2 L(2p, 2 sigma) - L(p, sigma), L the log norm on
+    the closed sum or the h rule, derivatives in (log p, log sigma)."""
+    if q.n_is_integer and q.n <= _FF_SWITCH:
+        def log_norm(p, sigma):
+            return _log_gaussian_norm_sq_sum(q, p, sigma, moments=True)
+    else:
+        def log_norm(p, sigma):
+            return _gaussian_rule_block(q, p, sigma, 0.0, 0.0)[:3]
+
+    def objective(p: float, sigma: float):
+        num, g_num, h_num = log_norm(2.0 * p, 2.0 * sigma)
+        den, g_den, h_den = log_norm(p, sigma)
+        return 0.5 * num - den, 0.5 * g_num - g_den, 0.5 * h_num - h_den
+
+    return objective
+
+
+def _fourier_starts(n: float) -> list[tuple[float, float]]:
+    """The (F) search's three (p, sigma) starts."""
+    return [(0.5 / math.sqrt(2.0), 0.75 / n), (0.4, 1.0 / n), (0.35, 4.0 / n ** 2)]
+
+
 def k_fourier(q: BoundQuery) -> BoundResult:
-    """K^F: simplex search over (p, sigma) in log coordinates, multistart,
-    on the closed sum or the h rule; K^F is the closed sum or the h/2 rule
-    at the maximizer."""
-    n = q.n
-    starts = [(0.5 / math.sqrt(2.0), 0.75 / n),
-              (0.4, 1.0 / n),
-              (0.35, 4.0 / n ** 2)]
-    res = maximize_2d(lambda p, s: _log_fourier_quotient(q, p, s, None)[0],
-                      starts, tol=3e-7, max_iter=400)
+    """K^F: trust-region Newton search over (p, sigma) in log coordinates
+    from three starts, on the closed sum or the h rule with their exact
+    gradient and Hessian; K^F is the closed sum or the h/2 rule at the
+    maximizer."""
+    res = maximize_2d(_fourier_search_objective(q), _fourier_starts(q.n))
     p_star, sigma_star = res.argmax
     log_value, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
     value = math.exp(log_value)

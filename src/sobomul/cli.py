@@ -10,7 +10,11 @@
 Common flags: --json, --csv.  n accepts decimals or exact fractions
 ("5/2"); fractions keep the half-integer and integer fast paths exact.
 Exit codes: 0 success, 2 domain violation (n <= d/2) or rejected argument,
-3 numerical non-convergence (partial results still printed).
+3 numerical non-convergence or failure.  With exit 3, table1 still prints
+every cell, a failed one with its "error" and null for the values it could
+not compute; upper, lower and sandwich print their record with a caveat
+when a search ran out of budget; a bound that raises prints nothing for
+the other commands.
 
 JSON goes to stdout and is byte-stable across runs; its "tol_rel" is the
 fixed 1e-9 relative tolerance of the (B) and (F) lower bounds.  Wall time
@@ -27,6 +31,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bounds, tables
 from .kernels import BoundQuery, DomainError
@@ -106,6 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call, once per process."""
+    return build_parser()
+
+
 def _query(ns: Fraction, d: int) -> BoundQuery:
     return BoundQuery(d=d, n=float(ns), n_exact=ns)
 
@@ -166,6 +177,11 @@ def _cmd_sandwich(args) -> tuple[list[dict], int]:
     return [rec], code
 
 
+def _or_none(x: float) -> float | None:
+    """A table value for the JSON payload: null where the cell failed."""
+    return None if math.isnan(x) else x
+
+
 def _cmd_table1(args) -> tuple[list[dict], int]:
     cells = tables.table1_rows(args.d, with_lower=not args.upper_only)
     golden = tables.GOLDEN_TABLE1.get(args.d)
@@ -173,23 +189,22 @@ def _cmd_table1(args) -> tuple[list[dict], int]:
     code = _EXIT_OK
     for i, cell in enumerate(cells):
         rec = _bound_record(cell.d, str(cell.n_exact), cell.n_exact,
-                            label=cell.label, k_plus=cell.k_plus)
+                            label=cell.label, k_plus=_or_none(cell.k_plus))
         if not args.upper_only:
-            rec["k_minus"] = None if math.isnan(cell.k_minus) else cell.k_minus
-            rec["ratio"] = None if math.isnan(cell.ratio) else cell.ratio
+            rec["k_minus"] = _or_none(cell.k_minus)
+            rec["ratio"] = _or_none(cell.ratio)
             rec["tag"] = cell.tag
             rec["argmax"] = list(cell.lower_argmax) or None
-            if cell.error:
-                rec["error"] = cell.error
-                code = _EXIT_NUMERIC
+        if cell.error:
+            rec["error"] = cell.error
+            code = _EXIT_NUMERIC
         if args.compare and golden is not None:
             gk = golden["k_plus"][i]
             cmp_block = {"golden_k_plus": gk,
-                         "k_plus_rel_diff": cell.k_plus / gk - 1.0}
+                         "k_plus_rel_diff": _or_none(cell.k_plus / gk - 1.0)}
             if not args.upper_only:
                 cmp_block["golden_ratio"] = golden["ratio"][i]
-                cmp_block["ratio_diff"] = (None if math.isnan(cell.ratio)
-                                           else cell.ratio - golden["ratio"][i])
+                cmp_block["ratio_diff"] = _or_none(cell.ratio - golden["ratio"][i])
                 cmp_block["golden_tag"] = golden["tag"][i]
                 cmp_block["tag_match"] = cell.tag == golden["tag"][i]
             rec["compare"] = cmp_block
@@ -334,7 +349,7 @@ def _emit_human(records: list[dict]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         records, code = _COMMANDS[args.command](args)

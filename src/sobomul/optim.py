@@ -1,10 +1,12 @@
-"""Derivative-free maximization.
+"""Maximization.
 
-* :func:`maximize_1d` -- bracketed scalar search: geometric bracket
-  expansion from a starting point, then golden-section refinement with
-  parabolic acceleration (Brent's scheme, written for maximization).
-* :func:`maximize_2d` -- Nelder-Mead simplex over two positive variables,
-  run in log coordinates with a small multistart set.
+* :func:`maximize_1d` -- derivative-free bracketed scalar search:
+  geometric bracket expansion from a starting point, then golden-section
+  refinement with parabolic acceleration (Brent's scheme, written for
+  maximization).
+* :func:`maximize_2d` -- trust-region, saddle-free Newton ascent over two
+  positive variables, run in log coordinates with a small multistart set;
+  the objective supplies its gradient and Hessian.
 
 Both report the best point ever evaluated, so a truncated run still yields
 a usable value for callers whose objective is itself a certified lower
@@ -172,15 +174,31 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
                      history=history)
 
 
-def maximize_2d(f: Callable[[float, float], float],
-                starts: Sequence[tuple[float, float]],
-                tol: float = 1e-8, max_iter: int = 500) -> MaxResult:
-    """Maximize f over the positive quadrant by Nelder-Mead multistart.
+# The 2-D search's trust region: initial and largest radius (in log
+# coordinates), and the floor on |Hessian eigenvalue| in the Newton step.
+_RADIUS0 = 0.5
+_RADIUS_MAX = 1.0
+_EIG_FLOOR = 1e-8
 
-    The simplex moves in (log p, log s), which keeps both variables
-    positive without constraint handling.  The result is the best point
-    over all starts and all evaluations; ties between starts break toward
-    the lexicographically smallest argmax.
+
+def maximize_2d(f: Callable[[float, float], tuple],
+                starts: Sequence[tuple[float, float]],
+                tol: float = 1e-10, max_iter: int = 200) -> MaxResult:
+    """Maximize f over the positive quadrant by a trust-region Newton
+    ascent from each start.
+
+    f(x, y) returns (value, gradient, Hessian), the derivatives taken in
+    (log x, log y).  The search moves in those coordinates, which keeps
+    both variables positive without constraint handling.  Each step is the
+    saddle-free Newton step sum_i (v_i . g) / max(|lambda_i|, 1e-8) v_i
+    over the Hessian's eigenpairs, which goes uphill along both
+    eigendirections, cut to a trust radius: 0.5 at first, doubled up to 1
+    after an accepted step that reached it, a quarter of the step after a
+    rejected one.  A start converges when its next step is shorter than
+    tol and gives up after max_iter evaluations; every accepted point is
+    the best one of its start so far.  The result is the best point over
+    all starts; ties between starts break toward the lexicographically
+    smallest argmax.
     """
     if not starts:
         raise ValueError("need at least one start")
@@ -192,61 +210,56 @@ def maximize_2d(f: Callable[[float, float], float],
     for sx, sy in starts:
         if sx <= 0.0 or sy <= 0.0:
             raise ValueError("log-space search needs positive starts")
-        res = _nelder_mead(f, (sx, sy), tol, max_iter)
-        total_ev += res.iterations
-        any_converged = any_converged or res.converged
-        key = (res.max_value, tuple(-c for c in res.argmax))
+        argmax, value, nev, converged = _newton_ascent(f, (sx, sy), tol, max_iter)
+        total_ev += nev
+        any_converged = any_converged or converged
+        key = (value, tuple(-c for c in argmax))
         if best is None or key > (best[0], tuple(-c for c in best[1])):
-            best = (res.max_value, (res.argmax[0], res.argmax[1]))
+            best = (value, argmax)
     assert best is not None
     return MaxResult(argmax=best[1], max_value=best[0],
                      iterations=total_ev, converged=any_converged)
 
 
-def _nelder_mead(f, start, tol, max_iter):
-    nev = 0
-    best_seen = [None, -math.inf]
+def _saddle_free_step(g, h) -> tuple[float, float]:
+    """sum_i (v_i . g) / max(|lambda_i|, _EIG_FLOOR) v_i over the
+    eigenpairs of the symmetric 2x2 matrix h, in closed form."""
+    a, b, c = h[0][0], h[0][1], h[1][1]
+    theta = 0.5 * math.atan2(2.0 * b, a - c)
+    cs, sn = math.cos(theta), math.sin(theta)
+    sx = sy = 0.0
+    for vx, vy in ((cs, sn), (-sn, cs)):
+        lam = a * vx * vx + 2.0 * b * vx * vy + c * vy * vy
+        coef = (vx * g[0] + vy * g[1]) / max(abs(lam), _EIG_FLOOR)
+        sx += coef * vx
+        sy += coef * vy
+    return sx, sy
 
-    def val(z):
-        nonlocal nev
-        nev += 1
-        p = (math.exp(z[0]), math.exp(z[1]))
-        v = f(p[0], p[1])
-        if v > best_seen[1]:
-            best_seen[0], best_seen[1] = p, v
-        return -v
 
-    z0 = (math.log(start[0]), math.log(start[1]))
-    scale = 0.25
-    simplex = [z0, (z0[0] + scale, z0[1]), (z0[0], z0[1] + scale)]
-    fvals = [val(z) for z in simplex]
-
+def _newton_ascent(f, start, tol, max_iter):
+    """(argmax, max value, evaluations, converged) of one start."""
+    z = (math.log(start[0]), math.log(start[1]))
+    value, g, h = f(*start)
+    nev = 1
+    radius = _RADIUS0
     converged = False
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: fvals[i])
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if (abs(fvals[2] - fvals[0]) <= tol * (abs(fvals[0]) + tol)
-                and max(abs(simplex[2][k] - simplex[0][k]) for k in range(2)) <= tol):
+    while nev < max_iter:
+        sx, sy = _saddle_free_step(g, h)
+        length = math.hypot(sx, sy)
+        if not math.isfinite(length):
+            break
+        if length > radius:
+            sx, sy, length = sx * radius / length, sy * radius / length, radius
+        if length < tol:
             converged = True
             break
-        centroid = tuple(0.5 * (simplex[0][k] + simplex[1][k]) for k in range(2))
-        refl = tuple(centroid[k] + (centroid[k] - simplex[2][k]) for k in range(2))
-        fr = val(refl)
-        if fr < fvals[0]:
-            expa = tuple(centroid[k] + 2.0 * (centroid[k] - simplex[2][k]) for k in range(2))
-            fe = val(expa)
-            simplex[2], fvals[2] = (expa, fe) if fe < fr else (refl, fr)
-        elif fr < fvals[1]:
-            simplex[2], fvals[2] = refl, fr
+        trial = (z[0] + sx, z[1] + sy)
+        t_value, t_g, t_h = f(math.exp(trial[0]), math.exp(trial[1]))
+        nev += 1
+        if t_value > value:
+            z, value, g, h = trial, t_value, t_g, t_h
+            if length == radius:
+                radius = min(2.0 * radius, _RADIUS_MAX)
         else:
-            contr = tuple(centroid[k] + 0.5 * (simplex[2][k] - centroid[k]) for k in range(2))
-            fc = val(contr)
-            if fc < fvals[2]:
-                simplex[2], fvals[2] = contr, fc
-            else:
-                for i in (1, 2):
-                    simplex[i] = tuple(0.5 * (simplex[i][k] + simplex[0][k]) for k in range(2))
-                    fvals[i] = val(simplex[i])
-    p, v = best_seen
-    return MaxResult(argmax=tuple(p), max_value=v, iterations=nev, converged=converged)
+            radius = 0.25 * length
+    return (math.exp(z[0]), math.exp(z[1])), float(value), nev, converged

@@ -126,7 +126,8 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
 
     Upper-bound maximizations are warm-started from the previous column's
     maximizer (it drifts smoothly toward 1/2 as n grows).  Per-cell
-    failures are recorded in the cell and the row continues.
+    failures, of K+ or of the lower bound, are recorded in the cell, whose
+    values not computed are NaN, and the row continues.
     """
     cells: list[Table1Cell] = []
     warm: float | None = None
@@ -135,29 +136,30 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
         q = BoundQuery(d=d, n=float(n_exact), n_exact=n_exact)
         started = time.perf_counter()
         err = None
-        k_minus = k_minus_error = ratio = float("nan")
+        k_plus = k_minus = k_minus_error = ratio = float("nan")
+        upper_arg: tuple[float, ...] = ()
         lower_arg: tuple[float, ...] = ()
-        kp = bounds.k_plus(q, warm_start_u=warm)
-        if kp.argmax is not None and kp.argmax.u is not None and math.isfinite(kp.argmax.u):
-            warm = kp.argmax.u
-        if with_lower:
-            try:
+        tag = ""
+        try:
+            kp = bounds.k_plus(q, warm_start_u=warm)
+            k_plus = kp.value
+            upper_arg = kp.argmax.as_tuple() if kp.argmax else ()
+            if kp.argmax is not None and kp.argmax.u is not None and math.isfinite(kp.argmax.u):
+                warm = kp.argmax.u
+            if with_lower:
                 low = bounds.best_lower(q)
                 k_minus = low.value
                 k_minus_error = low.error_estimate
                 ratio = low.value / kp.value
                 tag = low.tag
                 lower_arg = low.argmax.as_tuple() if low.argmax else ()
-            except Exception as exc:  # record and continue per row contract
-                tag = "(?)"
-                err = f"{type(exc).__name__}: {exc}"
-        else:
-            tag = ""
+        except Exception as exc:  # record and continue per row contract
+            tag = "(?)" if with_lower else ""
+            err = f"{type(exc).__name__}: {exc}"
         cells.append(Table1Cell(
-            d=d, n_exact=n_exact, label=gap_label(d, gap), k_plus=kp.value,
+            d=d, n_exact=n_exact, label=gap_label(d, gap), k_plus=k_plus,
             k_minus=k_minus, k_minus_error=k_minus_error, ratio=ratio, tag=tag,
-            upper_argmax=kp.argmax.as_tuple() if kp.argmax else (),
-            lower_argmax=lower_arg, error=err,
+            upper_argmax=upper_arg, lower_argmax=lower_arg, error=err,
             seconds=time.perf_counter() - started))
     return cells
 

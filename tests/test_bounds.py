@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
+from oracles.nelder_mead import maximize_2d_simplex
 from sobomul import bounds as B
 from sobomul.kernels import BoundQuery, DomainError
 
@@ -424,7 +425,9 @@ def test_gaussian_norm_two_path():
 
 def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
     # the closed-sum tables index one vector of log k! (k <= 2n) and one of
-    # log Gamma(d/2 - 1/2 + k) (k <= n): 3n + 2 log_gamma calls in all
+    # log Gamma(d/2 - 1/2 + k) (k <= n): 3n + 2 log_gamma calls in all.
+    # They group the (l, j, g) terms by monomial p^(2a) sigma^(b-d/2),
+    # a + b <= n: (n+1)(n+2)/2 entries, each pair of exponents once.
     from sobomul import specfun
     calls = []
     inner = specfun.log_gamma
@@ -437,10 +440,12 @@ def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
     monkeypatch.setattr(specfun, "log_gamma", counting)
     B._gaussian_sum_tables.cache_clear()
     try:
-        B._gaussian_sum_tables(n, 2)
+        lgc, pe, se = B._gaussian_sum_tables(n, 2)
     finally:
         B._gaussian_sum_tables.cache_clear()
     assert len(calls) <= 3 * n + 2, len(calls)
+    assert len(lgc) <= (n + 1) * (n + 2) // 2
+    assert len(set(zip(pe, se))) == len(lgc)
 
 
 def test_gaussian_norm_gaussian_limit():
@@ -527,6 +532,78 @@ def test_fourier_diagnostics_name_norm_route():
         assert res.diagnostics["route"] == "rule"
         assert res.diagnostics["nodes"] > 0
         assert 0.0 <= res.diagnostics["rule_error"] <= tol
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (3, 12), (1, Fraction(61, 2)),
+                                  (2, Fraction(9, 4)), (5, Fraction(73, 10))])
+def test_fourier_norm_derivatives_match_central_differences(d, n):
+    # gradient and Hessian in (log p, log sigma) of each norm route (the
+    # closed sum at integer n, the h rule otherwise) and of the quotient,
+    # against central differences of the values and of the gradients
+    q = q_of(d, n)
+    if q.n_is_integer:
+        def norm(p, sigma):
+            return B._log_gaussian_norm_sq_sum(q, p, sigma, moments=True)
+    else:
+        def norm(p, sigma):
+            return B._gaussian_rule_block(q, p, sigma, 0.0, 0.0)[:3]
+    p, sigma, h = 0.45, 0.6 / q.n, 1e-5
+    for f in (norm, B._fourier_search_objective(q)):
+        _value, grad, hess = f(p, sigma)
+        shifted = [[f(p * math.exp(sign * h * du), sigma * math.exp(sign * h * dv))
+                    for sign in (1.0, -1.0)] for du, dv in ((1.0, 0.0), (0.0, 1.0))]
+        fd_grad = np.array([(hi[0] - lo[0]) / (2.0 * h) for hi, lo in shifted])
+        fd_hess = np.array([(hi[1] - lo[1]) / (2.0 * h) for hi, lo in shifted])
+        scale = max(1.0, np.abs(grad).max(), np.abs(hess).max())
+        assert np.abs(grad - fd_grad).max() <= 1e-8 * scale
+        assert np.abs(hess - fd_hess).max() <= 1e-8 * scale
+
+
+def test_k_fourier_evaluation_count(monkeypatch):
+    # the Newton search makes at most 60 quotient evaluations per call over
+    # its three starts (the Nelder-Mead simplex before it made about 320)
+    counted = []
+    inner = B.maximize_2d
+
+    def counting(f, *args, **kwargs):
+        def g(p, sigma):
+            counted[-1] += 1
+            return f(p, sigma)
+        counted.append(0)
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(B, "maximize_2d", counting)
+    for d, n in ((2, 4), (1, Fraction(61, 2)), (4, Fraction(21, 10))):
+        res = B.k_fourier(q_of(d, n))
+        assert res.diagnostics["converged"]
+        assert res.diagnostics["evaluations"] == counted[-1] <= 60, (d, n, counted)
+
+
+def _simplex_sample():
+    """40 (d, n) points of the d = 1..10, n <= 50 grid: one gap in
+    0.11..0.4 at each d = 4..10, where the Gaussian trials sit closest to
+    the (BB) switch; three integer n per d; three d = 1 rule cells."""
+    gaps = (Fraction(11, 100), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5))
+    small_gaps = [(d, Fraction(d, 2) + gaps[d % 4]) for d in range(4, 11)]
+    integer_n = [(d, n) for d in range(1, 11) for n in (d // 2 + 1, 8 + 2 * d, 50 - d)]
+    d1_rule = [(1, Fraction(7, 2)), (1, Fraction(31, 2)), (1, Fraction(61, 2))]
+    return small_gaps + integer_n + d1_rule
+
+
+def test_k_fourier_newton_matches_or_beats_simplex():
+    # K^F from the Newton search is never below K^F at the argmax of the
+    # Nelder-Mead simplex it replaced, run from the same starts on the same
+    # objective values, beyond 1e-12 relative
+    points = _simplex_sample()
+    assert len(points) >= 40
+    for d, n in points:
+        q = q_of(d, n)
+        objective = B._fourier_search_objective(q)
+        simplex = maximize_2d_simplex(lambda p, s: objective(p, s)[0],
+                                      B._fourier_starts(q.n))
+        log_simplex = B._log_fourier_quotient(q, *simplex.argmax, B.LOWER_TOL)[0]
+        newton = B.k_fourier(q).value
+        assert newton >= math.exp(log_simplex) * (1.0 - 1e-12), (d, n)
 
 
 def test_k_fourier_two_two():

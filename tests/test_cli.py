@@ -198,3 +198,53 @@ def test_wall_time_on_stderr_not_in_payload(capsys):
     assert "wall_time" in err
     assert "wall_time" not in out
     validate_payload(json.loads(out))
+
+
+def test_table1_k_plus_failure_keeps_the_row(monkeypatch, capsys):
+    # a K+ that raises at one gap fails that cell only: K+ prints as null
+    # in --json and --compare, the other 12 cells print, and the exit is 3
+    from fractions import Fraction
+
+    from sobomul import bounds
+    inner = bounds.k_plus
+
+    def failing_k_plus(q, warm_start_u=None):
+        if q.n_exact == Fraction(7, 2):
+            raise ArithmeticError("upper curve not certified")
+        return inner(q, warm_start_u)
+
+    monkeypatch.setattr(bounds, "k_plus", failing_k_plus)
+    for extra in (["--upper-only"], []):
+        code, out, _ = run(capsys, ["table1", "-d", "1", "--compare", "--json"] + extra)
+        assert code == 3
+        payload = json.loads(out)
+        validate_payload(payload)
+        recs = payload["records"]
+        assert len(recs) == 13
+        failed = [r for r in recs if r.get("error")]
+        assert [r["n"] for r in failed] == ["7/2"]
+        assert "ArithmeticError" in failed[0]["error"]
+        assert failed[0]["k_plus"] is None
+        assert failed[0]["compare"]["k_plus_rel_diff"] is None
+        if not extra:
+            assert failed[0]["k_minus"] is None and failed[0]["ratio"] is None
+        assert all(r["k_plus"] > 0.0 for r in recs if r is not failed[0])
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    inner = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return inner()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(capsys, ["upper", "-n", "2", "-d", "2", "--json"])
+            assert code == 0 and out
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

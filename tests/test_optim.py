@@ -1,5 +1,6 @@
-"""Derivative-free maximizer tests: corpus accuracy, scale robustness,
-boundary detection and the objectives from the bound machinery."""
+"""Maximizer tests: 1-D corpus accuracy, scale robustness, boundary
+detection, the objectives from the bound machinery, and the 2-D Newton
+search."""
 
 import math
 
@@ -104,36 +105,88 @@ def test_upper_curve_two_two():
 
 
 # ----------------------------------------------------------------------
-# 2-D simplex
+# 2-D trust-region Newton search (the test_simplex_* names date from the
+# Nelder-Mead simplex that this search replaced)
 # ----------------------------------------------------------------------
 
+def _log_coords(value, du, dv, duu, duv, dvv):
+    """An objective's (value, gradient, Hessian) triple in log coordinates."""
+    return value, np.array([du, dv]), np.array([[duu, duv], [duv, dvv]])
+
+
+def _quadratic_in_p_s(p, s):
+    # -(p - 1)^2 - (s - 2)^2 with derivatives in (log p, log s):
+    # d/dlog p = p d/dp, d^2/dlog p^2 = p d/dp + p^2 d^2/dp^2
+    return _log_coords(-(p - 1.0) ** 2 - (s - 2.0) ** 2,
+                       -2.0 * p * (p - 1.0), -2.0 * s * (s - 2.0),
+                       -2.0 * p * (p - 1.0) - 2.0 * p * p, 0.0,
+                       -2.0 * s * (s - 2.0) - 2.0 * s * s)
+
+
 def test_simplex_trivial_quadratic():
-    res = optim.maximize_2d(lambda p, s: -(p - 1.0) ** 2 - (s - 2.0) ** 2,
-                            [(0.5, 0.5), (3.0, 3.0)])
+    res = optim.maximize_2d(_quadratic_in_p_s, [(0.5, 0.5), (3.0, 3.0)])
     assert res.converged
-    assert abs(res.argmax[0] - 1.0) < 1e-5
-    assert abs(res.argmax[1] - 2.0) < 1e-5
+    assert abs(res.argmax[0] - 1.0) < 1e-9
+    assert abs(res.argmax[1] - 2.0) < 1e-9
+    assert res.iterations < 40
 
 
 def test_simplex_log_space_positivity():
     # objective peaked at tiny coordinates; log coordinates keep positivity
-    res = optim.maximize_2d(
-        lambda p, s: -(math.log(p) + 6.0) ** 2 - (math.log(s) + 9.0) ** 2,
-        [(1.0, 1.0)])
+    def f(p, s):
+        u, v = math.log(p) + 6.0, math.log(s) + 9.0
+        return _log_coords(-u * u - v * v, -2.0 * u, -2.0 * v, -2.0, 0.0, -2.0)
+
+    res = optim.maximize_2d(f, [(1.0, 1.0)])
+    assert res.converged
     assert res.argmax[0] > 0.0 and res.argmax[1] > 0.0
-    assert abs(math.log(res.argmax[0]) + 6.0) < 1e-5
+    assert abs(math.log(res.argmax[0]) + 6.0) < 1e-9
+    assert abs(math.log(res.argmax[1]) + 9.0) < 1e-9
 
 
 def test_simplex_multistart_deterministic():
     starts = [(0.5, 0.5), (2.0, 0.2), (0.2, 2.0)]
-    f = lambda p, s: -(p - 0.7) ** 2 - (s - 0.9) ** 2
-    r1 = optim.maximize_2d(f, starts)
-    r2 = optim.maximize_2d(f, starts)
+    r1 = optim.maximize_2d(_quadratic_in_p_s, starts)
+    r2 = optim.maximize_2d(_quadratic_in_p_s, starts)
     assert r1.argmax == r2.argmax and r1.max_value == r2.max_value
+    assert r1.iterations == r2.iterations
 
 
 def test_simplex_needs_positive_starts():
+    def flat(p, s):
+        return _log_coords(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
     with pytest.raises(ValueError):
-        optim.maximize_2d(lambda p, s: 0.0, [(0.0, 1.0)])
+        optim.maximize_2d(flat, [(0.0, 1.0)])
     with pytest.raises(ValueError):
-        optim.maximize_2d(lambda p, s: 0.0, [])
+        optim.maximize_2d(flat, [])
+
+
+def test_newton_climbs_away_from_a_minimum():
+    # cos(u) + cos(v) in log coordinates, started beside its minimum at
+    # (pi, pi): the saddle-free step goes uphill along both eigendirections,
+    # where plain Newton would fall into the minimum
+    def f(p, s):
+        u, v = math.log(p), math.log(s)
+        return _log_coords(math.cos(u) + math.cos(v), -math.sin(u), -math.sin(v),
+                           -math.cos(u), 0.0, -math.cos(v))
+
+    start = (math.exp(math.pi + 0.1), math.exp(math.pi - 0.1))
+    res = optim.maximize_2d(f, [start])
+    assert res.converged
+    assert abs(res.max_value - 2.0) < 1e-14
+    assert res.iterations < 40
+
+
+def test_newton_budget_exhausted_reports_best():
+    # a budget-starved start is flagged and still reports its best point
+    evaluated = []
+
+    def f(p, s):
+        evaluated.append(_quadratic_in_p_s(p, s)[0])
+        return _quadratic_in_p_s(p, s)
+
+    res = optim.maximize_2d(f, [(0.01, 0.01)], max_iter=3)
+    assert not res.converged
+    assert res.iterations == len(evaluated) == 3
+    assert res.max_value == max(evaluated)
