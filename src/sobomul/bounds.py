@@ -33,13 +33,16 @@ Asymptotic laws
     k_plus_asymp_small  M_d / sqrt(n - d/2) * (1 - N_d (n - d/2))
     k_plus_asymp_large  T_d (2/sqrt 3)^n / n^(d/4)
 
-All heavy evaluation runs in log space, so queries up to n of a few
-hundred neither overflow nor lose digits.
+All heavy evaluation runs in log space, so the bounds hold up to where K
+itself leaves the double range (n of about 4,950 at d = 1 and 5,130 at
+d = 10); beyond it they raise DomainError, checked before any search by
+the large-n law and again at the final exp.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,6 +83,7 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _HALF_PI = 0.5 * math.pi
 _LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
 
@@ -165,10 +169,12 @@ class AsympConstants:
 
     @classmethod
     def for_dimension(cls, d: int) -> "AsympConstants":
+        if d < 1 or d != int(d):
+            raise DomainError(f"d must be a positive integer, got {d}")
         m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
                      * math.sqrt(sf.gamma(d / 2.0)))
         n_d = 0.5 * (sf.digamma(d / 2.0) + sf.EULER_GAMMA)
-        t_d = 3.0 ** (d / 4.0 + 0.25) / (2.0 ** d * math.pi ** (d / 4.0))
+        t_d = _amp_large(d)
         v_d = math.log(math.sqrt(3.0) / 2.0) + 0.5 + 3.0 / d - n_d
         return cls(d=d, amp_small=m_d, slope_small=n_d, amp_large=t_d, drift=v_d)
 
@@ -194,6 +200,15 @@ class ElementaryBoundData:
     endpoint_warning: bool
 
 
+def _exp_in_range(log_value: float, what: str, q: BoundQuery) -> float:
+    """exp(log_value), or DomainError when it leaves the double range."""
+    if log_value > _LOG_DBL_MAX:
+        raise DomainError(
+            f"{what} = exp({log_value:.6g}) at (n, d) = ({q.n:g}, {q.d}) exceeds "
+            f"the largest double, exp({_LOG_DBL_MAX:.6g}) = {sys.float_info.max:.4g}")
+    return math.exp(log_value)
+
+
 # ----------------------------------------------------------------------
 # upper bound K+
 # ----------------------------------------------------------------------
@@ -214,7 +229,8 @@ def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
     limit is also returned when the search is still climbing at its
     bracket boundary, but only if the curve there is finite and not above
     the limit; otherwise the supremum is unknown and ArithmeticError is
-    raised.
+    raised.  Where the large-n law, which lies below K+, or K+ itself
+    exceeds the double range, DomainError is raised.
     """
     if q.has_closed_form_upper:
         value = math.exp(0.5 * log_upper_curve_limit(q))
@@ -223,6 +239,7 @@ def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
                            error_estimate=value * 1e-14,
                            diagnostics={"route": "closed_form_limit"})
 
+    _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
     u0 = max(0.5, warm_start_u if warm_start_u is not None else 0.5)
 
     def objective(x: float) -> float:
@@ -232,7 +249,7 @@ def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
         res = maximize_1d(objective, math.log(_U_LO), math.log(_U_HI),
                           math.log(u0), tol_x=_U_TOL_X)
         u_star = math.exp(res.argmax[0])
-        value = math.exp(0.5 * res.max_value)
+        value = _exp_in_range(0.5 * res.max_value, "K+", q)
         diags = {"route": "maximize", "evaluations": res.iterations,
                  "converged": res.converged}
         if not res.converged:
@@ -263,11 +280,18 @@ def k_plus_asymp_small(q: BoundQuery) -> float:
     return c.amp_small / math.sqrt(q.n_gap) * (1.0 - c.slope_small * q.n_gap)
 
 
+def _amp_large(d: int) -> float:
+    """T_d = 3^(d/4+1/4) / (2^d pi^(d/4)), which needs no Gamma function."""
+    return 3.0 ** (d / 4.0 + 0.25) / (2.0 ** d * math.pi ** (d / 4.0))
+
+
+def _log_k_plus_asymp_large(q: BoundQuery) -> float:
+    return math.log(_amp_large(q.d)) + q.n * _LOG_2_OVER_SQRT3 - 0.25 * q.d * math.log(q.n)
+
+
 def k_plus_asymp_large(q: BoundQuery) -> float:
     """Leading large-n law T_d (2/sqrt 3)^n / n^(d/4)."""
-    c = AsympConstants.for_dimension(q.d)
-    return math.exp(math.log(c.amp_large) + q.n * _LOG_2_OVER_SQRT3
-                    - 0.25 * q.d * math.log(q.n))
+    return _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
 
 
 # ----------------------------------------------------------------------
@@ -909,7 +933,7 @@ def k_fourier(q: BoundQuery) -> BoundResult:
     res = maximize_2d(_fourier_search_objective(q), _fourier_starts(q.n))
     p_star, sigma_star = res.argmax
     log_value, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
-    value = math.exp(log_value)
+    value = _exp_in_range(log_value, "K^F", q)
     return BoundResult(value=value, kind="lower_fourier",
                        argmax=TrialParams(p=p_star, sigma=sigma_star),
                        error_estimate=value * LOWER_TOL,
@@ -922,7 +946,7 @@ def k_fourier_fixed(q: BoundQuery) -> BoundResult:
     p = 0.5 / math.sqrt(2.0)
     sigma = 0.75 / q.n
     log_value, diags = _log_fourier_quotient(q, p, sigma, _FF_TOL)
-    value = math.exp(log_value)
+    value = _exp_in_range(log_value, "K^FF", q)
     return BoundResult(value=value, kind="lower_fourier_ff",
                        argmax=TrialParams(p=p, sigma=sigma),
                        error_estimate=value * _FF_TOL,

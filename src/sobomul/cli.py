@@ -8,13 +8,14 @@
     sobomul asymp    --regime small -d 1
 
 Common flags: --json, --csv.  n accepts decimals or exact fractions
-("5/2"); fractions keep the half-integer and integer fast paths exact.
-Exit codes: 0 success, 2 domain violation (n <= d/2) or rejected argument,
-3 numerical non-convergence or failure.  With exit 3, table1 still prints
-every cell, a failed one with its "error" and null for the values it could
-not compute; upper, lower and sandwich print their record with a caveat
-when a search ran out of budget; a bound that raises prints nothing for
-the other commands.
+("5/2"); fractions keep the integer-n fast paths exact.
+Exit codes: 0 success, 2 domain violation (n <= d/2, d < 1, or a bound
+past the double range) or rejected argument, 3 numerical non-convergence
+or failure.  With exit 3, table1 still prints every cell, a failed one
+with its "error" and null for the values it could not compute; upper,
+lower and sandwich print their record with a caveat when a search ran
+out of budget; a bound that raises prints nothing for the other
+commands.
 
 JSON goes to stdout and is byte-stable across runs; its "tol_rel" is the
 fixed 1e-9 relative tolerance of the (B) and (F) lower bounds.  Wall time

@@ -4,23 +4,17 @@ For a query (n, d) with n > d/2 this module evaluates, stably across the
 whole argument range and for large n:
 
 * ``hyper_kernel``      F(2n - d/2, n, n + 1/2; -u), the hypergeometric
-  factor of the convolution bound.  Internally it is computed from the
-  equivalent all-positive-series form
+  factor of the convolution bound, by one route for every real n > d/2,
+  every u >= 0 and float and array u alike: the Pfaff form
 
-      (1+u)^(d/2-2n) F(2n - d/2, 1/2, n + 1/2; u/(1+u)),
+      (1+u)^(-n) F(n, d/2 + 1/2 - n, n + 1/2; u/(1+u)),
 
-  switching to an Euler integral (tanh-sinh, one batch of arguments per
-  call) once u/(1+u) > 0.9, so no cancellation occurs for any n; when
-  n - d/2 - 1/2 is an integer m in 0..8 the terminating form
-
-      sum_l c_l u^l / (1+u)^(n+l)
-
-  is used instead.  The kernel enters the upper curve and the integrand of
-  the (B) squared trial norm.  For a float argument (the optimizer's hot
-  path) ``log_hyper_kernel`` sums the series in blocks of terms with numpy
-  accumulates, which reproduce the term-by-term recurrence bit for bit;
-  for arrays (the quadrature nodes) it sums over all arguments at once.
-  The Gamma constants of a query are computed once per query.
+  whose Euler integral runs on tanh-sinh nodes in log space and is divided
+  by the same rule's value at u = 0, so F(0) = 1 exactly and no Gamma
+  constant enters.  The u-free part of the integrand is tabled once per
+  query; each u then costs one logsumexp over the nodes, checked by the
+  rule of step 2h against the rule of step h.  The kernel enters the
+  upper curve and the integrand of the (B) squared trial norm.
 * ``upper_curve``       the function of u whose supremum over [0, inf)
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
@@ -32,14 +26,16 @@ Log-space variants are provided where the bound evaluators need them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun as sf
-from .quad import tanh_sinh_01
+from .quad import _TS_MAX_LEVEL, _ts_level
 
 __all__ = [
     "DomainError",
@@ -54,7 +50,6 @@ __all__ = [
 
 _LOG_4PI = math.log(4.0 * math.pi)
 _GAP_TOL = 1e-12
-_MAX_TERMINATING_ORDER = 8
 
 
 class DomainError(ValueError):
@@ -66,8 +61,9 @@ class BoundQuery:
     """The pair (n, d) whose multiplication constant is being bounded.
 
     ``n_exact`` carries the exact rational n when the caller knows it (the
-    CLI accepts fractions); it makes the half-integer-gap and integer-n
-    detections exact instead of tolerance-based.
+    CLI accepts fractions); it makes the integer-n detection, which picks
+    the closed-sum routes of the lower bounds, exact instead of
+    tolerance-based.
     """
 
     d: int
@@ -88,21 +84,6 @@ class BoundQuery:
         """n - d/2 > 0."""
         return self.n - self.d / 2.0
 
-    @cached_property
-    def gap_order(self) -> int | None:
-        """m such that n - d/2 - 1/2 = m in N, else None."""
-        if self.n_exact is not None:
-            q = self.n_exact - Fraction(self.d, 2) - Fraction(1, 2)
-            return int(q) if q.denominator == 1 and q >= 0 else None
-        x = self.n_gap - 0.5
-        m = round(x)
-        return m if m >= 0 and abs(x - m) <= _GAP_TOL else None
-
-    @property
-    def is_gap(self) -> bool:
-        """Half-integer gap: the kernel reduces to a finite sum."""
-        return self.gap_order is not None
-
     @property
     def n_is_integer(self) -> bool:
         if self.n_exact is not None:
@@ -122,178 +103,162 @@ class BoundQuery:
                 - 0.5 * self.d * _LOG_4PI)
 
     @cached_property
-    def _log_euler_scale(self) -> float:
-        """log of Gamma(n+1/2) / (Gamma(n) Gamma(1/2)), the constant factor
-        of the kernel's Euler integral."""
-        return (sf.log_gamma(self.n + 0.5) - sf.log_gamma(self.n)
-                - 0.5 * math.log(math.pi))
+    def _kernel_rules(self) -> dict:
+        """The kernel's rule tables by tanh-sinh level, built on first use
+        and held for this query's later kernel calls."""
+        return {}
 
 
 # ----------------------------------------------------------------------
 # the hypergeometric kernel
 # ----------------------------------------------------------------------
 
-_W_SERIES_CUT = 0.9
-_LOG_SUM_LIMIT = 600.0
+# The kernel's rule starts at tanh-sinh level 6 (step 2^-6, about 850
+# nodes); a point whose h and 2h values of R differ by more than
+# _KERNEL_TOL relative, plus the floor that rounding sets on that
+# difference, moves up a level, and past _TS_MAX_LEVEL the kernel raises.
+# The log terms err by a few ulps of their size, which the log of the sum,
+# |log S|, and 2 |n - d/2 - 1/2| log1p(u) bound near the peak; 4 eps times
+# that is the floor.  It matters at large n: at (n, d) = (5000, 1),
+# u = 23.7, the difference stays near 2e-13 from level 9 on, against a
+# floor of 3.7e-11.
+_FIRST_LEVEL = 6
+_KERNEL_TOL = 1e-13
+_ROUNDING = 4.0 * sys.float_info.epsilon
+# Points per (points x nodes) block, so that block stays near 2^16 entries.
+_BLOCK_ENTRIES = 1 << 16
+# Nodes whose terms stay this far (in log) below every sum are dropped.
+_DROP_BELOW = 50.0
 
 
-def _positive_series_log(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """log of 2F1(a, b, c; w) for a, b, c > 0 and 0 <= w < 1 (all terms
-    positive, vectorized over w)."""
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    for ell in range(20_000):
-        term = term * ((a + ell) * (b + ell) / ((c + ell) * (ell + 1.0))) * w
-        total += term
-        if term.max() <= 1e-17 * total.max():
-            break
+class _KernelRule(NamedTuple):
+    """The u-free tables of one query's Euler rule at one tanh-sinh level.
+
+    The first ``h_count`` nodes form the rule of step 2h and all of them
+    the rule of step h.  ``base`` holds log(weight) + (n-1) log s
+    - (1/2) log(1-s) there.  ``log_norm`` is the log of the h rule's sum of
+    exp(base), the w = 0 integral that R is divided by, and ``step0`` the
+    2h rule's sum over the h rule's there; a point's own such ratio over
+    step0 is its 2h value of R over its h value.
+    """
+
+    oms: np.ndarray
+    base: np.ndarray
+    h_count: int
+    expo: float
+    log_norm: float = 0.0
+    step0: float = 1.0
+
+
+@lru_cache(maxsize=None)
+def _rule_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """(log weight, log s, 1-s, log(1-s), 2h-rule node count) of tanh-sinh
+    levels 0..level in level order, nodes of zero weight dropped: the
+    first nodes form the rule of step 2h, all of them the rule of step h.
+    Query-free, so built once per process."""
+    s, oms, weight = (np.concatenate(t) for t in zip(*map(_ts_level, range(level + 1))))
+    keep = weight > 0.0
+    h_count = int(np.count_nonzero(keep[:-len(_ts_level(level)[0])]))
+    s, oms, weight = s[keep], oms[keep], weight[keep]
+    tables = (np.log(weight), np.log(s), oms, np.log(oms))
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, h_count)
+
+
+def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each u of a block: the log of the h rule's sum S of the terms
+    exp(base + expo log1p(u (1-s))), and the 2h rule's sum over S.  With
+    w = u/(1+u),
+
+        log (1 - w s) = log1p(u (1-s)) - log1p(u),
+
+    exact at u = 0 and free of cancellation as w -> 1; the caller
+    subtracts expo log1p(u) along with the Pfaff factor's n log1p(u)."""
+    t = np.multiply.outer(u, rule.oms)
+    np.log1p(t, out=t)
+    t *= rule.expo
+    t += rule.base
+    top = np.maximum.reduce(t, axis=1, keepdims=True)
+    t -= top
+    np.exp(t, out=t)
+    fine = np.add.reduce(t, axis=1)
+    coarse = np.add.reduce(t[:, :rule.h_count], axis=1)
+    coarse /= fine
+    np.log(fine, out=fine)
+    fine += top[:, 0]
+    return fine, coarse
+
+
+def _kernel_rule(q: BoundQuery, level: int) -> _KernelRule:
+    """Query q's tables on tanh-sinh levels 0..level.
+
+    R is monotone in w, so each term lies below the larger of its values
+    at w = 0 and w = 1, and each sum above the smaller of its two end
+    values, which lie above their largest terms.  Nodes whose bound sits
+    e^-50 below that are dropped: even the last level's 55,000 nodes
+    together move no sum by more than about 1e-17 relative."""
+    log_weight, log_s, oms, log_oms, h_count = _rule_nodes(level)
+    base = log_weight + (q.n - 1.0) * log_s - 0.5 * log_oms
+    expo = q.n_gap - 0.5
+    at_one = base + expo * log_oms
+    floor = min(base.max(), at_one.max()) - _DROP_BELOW
+    keep = np.maximum(base, at_one) >= floor
+    rule = _KernelRule(oms[keep], base[keep], int(np.count_nonzero(keep[:h_count])), expo)
+    log_norm, step0 = _rule_sums(rule, np.zeros(1))
+    return rule._replace(log_norm=float(log_norm[0]), step0=float(step0[0]))
+
+
+def _log_kernel(q: BoundQuery, u: np.ndarray, level: int) -> np.ndarray:
+    """log F on the rule of the given level, with the points that it does
+    not settle recomputed a level up."""
+    if level > _TS_MAX_LEVEL:
+        raise ArithmeticError(
+            f"kernel rule did not settle by tanh-sinh level {_TS_MAX_LEVEL} "
+            f"(n={q.n}, d={q.d}, u={float(u[0])!r})")
+    rules = q._kernel_rules
+    if level not in rules:
+        rules[level] = _kernel_rule(q, level)
+    rule = rules[level]
+    block = _BLOCK_ENTRIES // rule.base.size
+    if u.size <= block:
+        log_sum, step = _rule_sums(rule, u)
     else:
-        raise sf.SeriesError("positive 2F1 series did not converge")
-    return np.log(total)
-
-
-def _euler_integral_log_batch(q: BoundQuery, omw: np.ndarray) -> np.ndarray:
-    """log 2F1(n, d/2 + 1/2 - n, n + 1/2; w) for a batch of arguments given
-    as omw = 1 - w (each in (0, 1]), via the Euler integral with parameters
-    (a, b) = (d/2+1/2-n, n):
-
-        Gamma(n+1/2)/(Gamma(n) Gamma(1/2)) *
-        int_0^1 s^(n-1) (1-s)^(-1/2) (1 - w s)^(n - d/2 - 1/2) ds
-
-    1 - w s is assembled as (1-s) + s (1-w), which keeps full relative
-    precision as w -> 1.  Tanh-sinh levels are shared across the batch.
-    """
-    n = q.n
-    expo = n - q.d / 2.0 - 0.5
-
-    def integrand(s: np.ndarray, oms: np.ndarray) -> np.ndarray:
-        # rows: arguments omw, columns: s-nodes
-        one_minus_ws = oms[None, :] + np.outer(omw, s)
-        return np.exp((n - 1.0) * np.log(s)[None, :]
-                      - 0.5 * np.log(oms)[None, :]
-                      + expo * np.log(one_minus_ws))
-
-    value, _err, _nev = tanh_sinh_01(integrand, tol=1e-13)
-    return q._log_euler_scale + np.log(value)
-
-
-def _terminating_sum_log(q: BoundQuery, u: np.ndarray) -> np.ndarray:
-    """Gap case: log of sum_l c_l (u/(1+u))^l minus n log(1+u)."""
-    m = q.gap_order
-    n = q.n
-    w = u / (1.0 + u)
-    coef = 1.0
-    total = np.ones_like(w)
-    power = np.ones_like(w)
-    for ell in range(m):
-        coef *= (n + ell) * (-m + ell) / ((n + 0.5 + ell) * (ell + 1.0))
-        power = power * w
-        total = total + coef * power
-    return np.log(total) - n * np.log1p(u)
-
-
-# The scalar series takes terms ell = 0 .. _SERIES_MAX_TERMS - 1 at most.
-_SERIES_MAX_TERMS = 20_001
-# log(1e-17), the series' relative stop level.
-_LOG_SERIES_STOP = math.log(1e-17)
-
-
-def _positive_series_scalar(a: float, c: float, w: float) -> float:
-    """2F1(a, 1/2, c; w) for a, c > 0 and 0 <= w < 1 by its all-positive
-    series, stopped at the first term <= 1e-17 times the partial sum.
-
-    The terms come in blocks: each block forms its term ratios and runs
-    ``np.multiply.accumulate`` and ``np.add.accumulate`` seeded with the
-    carried term and sum.  Both accumulates are sequential, so every term
-    and partial sum equals, bit for bit, that of the recurrence
-
-        term *= (a + ell) (1/2 + ell) / ((c + ell) (ell + 1)) * w
-        total += term
-
-    The first block holds twice the terms after which w^ell alone falls
-    below the stop level (at least 8); later blocks double.
-    """
-    size = 8
-    if w > 0.0:
-        size = max(size, 2 * math.ceil(_LOG_SERIES_STOP / math.log(w)))
-    term = 1.0
-    total = 1.0
-    start = 0
-    while start < _SERIES_MAX_TERMS:
-        stop = min(start + size, _SERIES_MAX_TERMS)
-        ell = np.arange(start, stop, dtype=float)
-        terms = (a + ell) * (0.5 + ell) / ((c + ell) * (ell + 1.0)) * w
-        terms[0] *= term
-        np.multiply.accumulate(terms, out=terms)
-        sums = np.empty(stop - start + 1)
-        sums[0] = total
-        sums[1:] = terms
-        np.add.accumulate(sums, out=sums)
-        done = terms <= 1e-17 * sums[1:]
-        k = int(done.argmax())
-        if done[k]:
-            return float(sums[k + 1])
-        term = float(terms[-1])
-        total = float(sums[-1])
-        start = stop
-        size *= 2
-    raise sf.SeriesError("positive 2F1 series did not converge")
-
-
-def _log_hyper_kernel_scalar(q: BoundQuery, u: float) -> float:
-    """Pure-scalar fast path of :func:`log_hyper_kernel` (optimizer hot loop)."""
-    if u < 0.0:
-        raise ValueError("hyper_kernel needs u >= 0")
-    n = q.n
-    w = u / (1.0 + u)
-    log1pu = math.log1p(u)
-    if q.is_gap and q.gap_order <= _MAX_TERMINATING_ORDER:
-        coef = 1.0
-        total = 1.0
-        power = 1.0
-        m = q.gap_order
-        for ell in range(m):
-            coef *= (n + ell) * (-m + ell) / ((n + 0.5 + ell) * (ell + 1.0))
-            power *= w
-            total += coef * power
-        return math.log(total) - n * log1pu
-    a = 2.0 * n - q.d / 2.0
-    c = n + 0.5
-    if w <= _W_SERIES_CUT and (a - q.d / 2.0) * log1pu <= _LOG_SUM_LIMIT:
-        return (q.d / 2.0 - 2.0 * n) * log1pu + math.log(_positive_series_scalar(a, c, w))
-    omw = 1.0 / (1.0 + u)
-    return -n * log1pu + float(_euler_integral_log_batch(q, np.array([omw]))[0])
+        log_sum, step = (np.concatenate(x) for x in zip(
+            *(_rule_sums(rule, u[i:i + block]) for i in range(0, u.size, block))))
+    log1pu = np.log1p(u)
+    log_f = log_sum - (rule.log_norm + (2.0 * q.n - 0.5 * q.d - 0.5) * log1pu)
+    # the rounding floor only widens the bounds, so points within these
+    # settle in any case
+    lo, hi = rule.step0 * (1.0 - _KERNEL_TOL), rule.step0 * (1.0 + _KERNEL_TOL)
+    if not (np.minimum.reduce(step) >= lo and np.maximum.reduce(step) <= hi):
+        floor = _ROUNDING * (np.abs(log_sum) + 2.0 * abs(rule.expo) * log1pu)
+        off = ~(np.abs(step / rule.step0 - 1.0) <= _KERNEL_TOL + floor)
+        if off.any():
+            log_f[off] = _log_kernel(q, u[off], level + 1)
+    return log_f
 
 
 def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
-    """log F(2n - d/2, n, n + 1/2; -u) for u >= 0 (vectorized)."""
-    if isinstance(u, (int, float)):
-        return _log_hyper_kernel_scalar(q, float(u))
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
-    if np.any(u < 0.0):
-        raise ValueError("hyper_kernel needs u >= 0")
-    out = np.zeros_like(u)
-    if q.is_gap and q.gap_order <= _MAX_TERMINATING_ORDER:
-        out = _terminating_sum_log(q, u)
-        return out[0] if scalar else out
+    """log F(2n - d/2, n, n + 1/2; -u) for u >= 0, float or array.
 
-    n, d = q.n, q.d
-    a = 2.0 * n - d / 2.0
-    w = u / (1.0 + u)
-    log1pu = np.log1p(u)
-    series_ok = (w <= _W_SERIES_CUT) & ((a - d / 2.0) * log1pu <= _LOG_SUM_LIMIT)
-    if series_ok.any():
-        ws = w[series_ok]
-        out[series_ok] = ((d / 2.0 - 2.0 * n) * log1pu[series_ok]
-                          + _positive_series_log(a, 0.5, n + 0.5, ws))
-    rest = ~series_ok
-    if rest.any():
-        omw = 1.0 / (1.0 + u[rest])
-        out[rest] = (-n * log1pu[rest]
-                     + _euler_integral_log_batch(q, omw))
-    return out[0] if scalar else out
+    Every u goes through one rule, the Pfaff form
+
+        F = (1+u)^(-n) R(u),  R(u) = int s^(n-1) (1-s)^(-1/2) (1 - w s)^(n-d/2-1/2) ds
+                                     / int s^(n-1) (1-s)^(-1/2) ds,
+
+    w = u/(1+u), both integrals on the same tanh-sinh nodes and summed in
+    log space.  Each point starts on the query's level-6 tables and moves
+    up while its h and 2h values of R differ by more than 1e-13 relative
+    (plus a rounding floor that matters at large n); past the last level
+    it raises ArithmeticError.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    flat = u_arr.reshape(-1)
+    if not np.minimum.reduce(flat, initial=math.inf) >= 0.0:
+        raise ValueError("hyper_kernel needs u >= 0")
+    out = _log_kernel(q, flat, _FIRST_LEVEL)
+    return float(out[0]) if u_arr.ndim == 0 else out.reshape(u_arr.shape)
 
 
 def hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
@@ -308,11 +273,7 @@ def hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
 
 def log_upper_curve(q: BoundQuery, u) -> float | np.ndarray:
     """log of (Gamma(2n-d/2) / ((4 pi)^(d/2) Gamma(2n))) (1+4u)^n F(...;-u)."""
-    lg = q._log_curve_scale
-    if isinstance(u, (int, float)):
-        return lg + q.n * math.log1p(4.0 * u) + _log_hyper_kernel_scalar(q, float(u))
-    u_arr = np.asarray(u, dtype=float)
-    return lg + q.n * np.log1p(4.0 * u_arr) + log_hyper_kernel(q, u_arr)
+    return q._log_curve_scale + q.n * np.log1p(4.0 * u) + log_hyper_kernel(q, u)
 
 
 def upper_curve(q: BoundQuery, u) -> float | np.ndarray:

@@ -1,10 +1,10 @@
 """The tanh-sinh (double exponential) rule on (0, 1).
 
-The special-function and kernel code use it for Euler integrals, whose
-integrands have strong but integrable endpoint singularities; the kernel
-code integrates a batch of integrands on shared nodes.  The node tables
-are built once per process.  Integrand callbacks receive numpy arrays and
-must be pure.
+Euler integrals have strong but integrable endpoint singularities, which
+this rule handles.  The node tables of each level are built once per
+process: the kernel code sums its normalised Euler rule on them directly,
+and ``tanh_sinh_01`` refines level by level for the general hypergeometric
+evaluator.  Integrand callbacks receive numpy arrays and must be pure.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ def bessel_sq_norm_double_sum(q, lam):
     reaches 1.4e3 at m = 3 and 5e4 at m = 5 for d = 1..4, lam in [0.7, 2],
     so it is a reference only for small m.
     """
-    m = q.gap_order
     n, d = q.n, q.d
+    m = round(q.n_gap - 0.5)
     w = 1.0 - 4.0 * lam * lam
     coefs = [1.0]
     for ell in range(m):
@@ -38,26 +38,3 @@ def bessel_sq_norm_double_sum(q, lam):
 @pytest.fixture
 def sq_norm_double_sum():
     return bessel_sq_norm_double_sum
-
-
-def positive_series_loop(a, c, w):
-    """(2F1(a, 1/2, c; w), number of terms) by the term-by-term recurrence:
-    the oracle that the scalar kernel path's block form must equal bit for
-    bit, including the SeriesError when 20,001 terms do not suffice."""
-    term = 1.0
-    total = 1.0
-    ell = 0
-    while True:
-        term *= (a + ell) * (0.5 + ell) / ((c + ell) * (ell + 1.0)) * w
-        total += term
-        ell += 1
-        if term <= 1e-17 * total:
-            break
-        if ell > 20_000:
-            raise sf.SeriesError("positive 2F1 series did not converge")
-    return total, ell
-
-
-@pytest.fixture
-def series_loop():
-    return positive_series_loop

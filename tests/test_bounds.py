@@ -61,12 +61,13 @@ def test_k_plus_boundary_limit_just_above_monotone_regime():
         assert math.isinf(res.argmax.u)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-def test_k_plus_raises_when_boundary_curve_is_not_finite():
-    # at (3, 2000) every curve value on the bracket walk underflows to
-    # -inf, so the search leaves through the boundary without having seen
-    # the curve; returning the u -> inf limit would report K+ ~ 7e-4
-    # against K- ~ 4e121
+def test_k_plus_raises_when_boundary_curve_is_not_finite(monkeypatch):
+    # a curve that reads -inf past u = 1e-3 leaves the search through the
+    # boundary without having seen it; returning the u -> inf limit would
+    # report K+ ~ 7e-4 against K- ~ 4e121 at (3, 2000)
+    curve = B.log_upper_curve
+    monkeypatch.setattr(B, "log_upper_curve",
+                        lambda q, u: -math.inf if u > 1e-3 else curve(q, u))
     with pytest.raises(ArithmeticError):
         B.k_plus(q_of(3, 2000))
 
@@ -117,14 +118,52 @@ def test_large_n_law_within_band_of_table():
     assert 0.9 <= law / 6.63e6 <= 1.1
 
 
+def test_large_n_law_is_approached_like_one_over_n():
+    # d = 1..10, n in {100, 300, 1000, 3000}: n (K+/law - 1) is positive,
+    # decreasing and settled to 1% between n = 1000 and 3000 (0.1254 at
+    # d = 1, 8.015 at d = 10), and K^FF/K+ rises toward (5/3)^(1/2)/7^(1/4)
+    ff_limit = math.sqrt(5.0 / 3.0) / 7.0 ** 0.25
+    for d in range(1, 11):
+        scaled, ff_ratio = [], []
+        for n in (100, 300, 1000, 3000):
+            q = q_of(d, n)
+            kp = B.k_plus(q)
+            assert kp.diagnostics["route"] == "maximize" and kp.diagnostics["converged"]
+            scaled.append(n * (kp.value / B.k_plus_asymp_large(q) - 1.0))
+            ff_ratio.append(B.k_fourier_fixed(q).value / kp.value)
+        assert 0.0 < scaled[3] < scaled[2] < scaled[1] < scaled[0], (d, scaled)
+        assert abs(scaled[3] / scaled[2] - 1.0) < 0.01, (d, scaled)
+        assert ff_ratio[0] < ff_ratio[1] < ff_ratio[2] < ff_ratio[3] < ff_limit, (d, ff_ratio)
+        assert ff_limit - ff_ratio[3] < 0.002, (d, ff_ratio)
+
+
+def test_bounds_past_the_double_range_raise_domain_error():
+    # log10 K grows like 0.0625 n: at (1, 5000) the law itself overflows,
+    # and the check runs before any search; K^FF ~ 0.79 K+ overflows too.
+    # (1, 4940) still fits: K+ ~ 3.08e307
+    q = q_of(1, 5000)
+    for bound in (B.k_plus, B.k_fourier_fixed, B.k_plus_asymp_large):
+        with pytest.raises(DomainError, match="largest double"):
+            bound(q)
+    with pytest.raises(DomainError, match="largest double"):
+        B.k_plus(q_of(2, 10 ** 6))
+    assert 3.0e307 < B.k_plus(q_of(1, 4940)).value < 3.2e307
+
+
+def test_asymp_constants_need_a_positive_dimension():
+    for d in (0, -3):
+        with pytest.raises(DomainError):
+            B.AsympConstants.for_dimension(d)
+
+
 # ----------------------------------------------------------------------
 # elementary envelope
 # ----------------------------------------------------------------------
 
 def test_k_plus_log_gamma_count(monkeypatch):
-    # the Gamma constants of the upper curve and of the kernel's Euler
-    # integral are computed once per query, so a search makes a fixed number
-    # of log_gamma calls whatever its number of evaluations
+    # the Gamma constants of the upper curve are computed once per query and
+    # the kernel's normalised rule needs none, so a search makes a fixed
+    # number of log_gamma calls whatever its number of evaluations
     from sobomul import specfun
     calls = []
     inner = specfun.log_gamma
@@ -134,9 +173,7 @@ def test_k_plus_log_gamma_count(monkeypatch):
         return inner(x)
 
     monkeypatch.setattr(specfun, "log_gamma", counting)
-    # (3, 40) sums the series at every point; (2, 33/10) also takes the
-    # Euler route once
-    for d, n, want in ((3, 40.0, 2), (2, 3.3, 4)):
+    for d, n, want in ((3, 40.0, 2), (2, 3.3, 2)):
         calls.clear()
         res = B.k_plus(BoundQuery(d=d, n=n))
         assert res.diagnostics["route"] == "maximize"

@@ -181,16 +181,61 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
     assert "CAVEAT" in out
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.parametrize("argv", [["sandwich", "-n", "2000", "-d", "3"],
-                                  ["upper", "-n", "1000000", "-d", "2"]])
-def test_uncertified_upper_bound_exits_3(capsys, argv):
-    # the K+ search cannot see the curve there (it underflows), so no
-    # K+ far below K- may be printed
+                                  ["upper", "-n", "20", "-d", "2"]])
+def test_uncertified_upper_bound_exits_3(monkeypatch, capsys, argv):
+    # a curve that the K+ search cannot see past u = 1e-3 (it reads -inf
+    # there): no K+ far below K- may be printed
+    curve = cli.bounds.log_upper_curve
+    monkeypatch.setattr(cli.bounds, "log_upper_curve",
+                        lambda q, u: -math.inf if u > 1e-3 else curve(q, u))
     code, out, err = run(capsys, argv + ["--json"])
     assert code == 3
     assert not out
     assert "numerical failure" in err
+
+
+def test_large_n_sandwich_and_asymp_exit_0(capsys):
+    code, out, _ = run(capsys, ["sandwich", "-n", "2000", "-d", "3", "--json"])
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert 0.0 < rec["k_minus"] < rec["k_plus"]
+    code, out, _ = run(capsys, ["asymp", "--regime", "large", "-d", "3",
+                                "--n-list", "100,300,1000,3000", "--json"])
+    assert code == 0
+    law = [r for r in json.loads(out)["records"]
+           if r["law"] == "k_plus/(T_d (2/sqrt3)^n n^-d/4)"]
+    assert [r["n_value"] for r in law] == [100, 300, 1000, 3000]
+    assert all(0.0 < r["law_ratio"] - 1.0 < 0.02 for r in law)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "-n", "5000", "-d", "1"],
+    ["upper", "-n", "1000000", "-d", "2"],
+    ["lower", "--method", "fourier-ff", "-n", "5000", "-d", "1"],
+    ["asymp", "--regime", "large", "-d", "1", "--n-list", "6000"],
+])
+def test_bound_past_the_double_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert not out
+    assert "exceeds the largest double" in err
+
+
+def test_upper_just_inside_the_double_range(capsys):
+    code, out, _ = run(capsys, ["upper", "-n", "4940", "-d", "1", "--json"])
+    assert code == 0
+    assert 3.0e307 < json.loads(out)["records"][0]["k_plus"] < 3.2e307
+
+
+def test_asymp_nonpositive_dimension_exits_2(capsys):
+    # d = 0 hits a pole of Gamma(d/2) in the asymptotic constants
+    for regime in ("small", "large"):
+        for d in ("0", "-3"):
+            code, out, err = run(capsys, ["asymp", "--regime", regime, "-d", d])
+            assert code == 2, (regime, d)
+            assert not out
+            assert "positive integer" in err
 
 
 def test_wall_time_on_stderr_not_in_payload(capsys):

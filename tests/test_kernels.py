@@ -12,7 +12,6 @@ from oracles.macdonald import bessel_macdonald_moment, macdonald_profile
 from sobomul import kernels as K
 from sobomul import specfun as sf
 from sobomul.bessel import bessel_j, bessel_k
-from sobomul.bounds import default_residual_grid
 from sobomul.kernels import (BoundQuery, DomainError, hyper_kernel,
                              log_hyper_kernel, upper_curve, upper_curve_limit)
 
@@ -32,18 +31,6 @@ def test_query_validation():
         BoundQuery(d=2, n=1.0)
     with pytest.raises(DomainError):
         BoundQuery(d=0, n=1.0)
-
-
-def test_gap_detection():
-    assert BoundQuery(d=2, n=2.5, n_exact=Fraction(5, 2)).gap_order == 1
-    assert BoundQuery(d=1, n=1.0, n_exact=Fraction(1)).gap_order == 0
-    assert BoundQuery(d=2, n=2.0, n_exact=Fraction(2)).gap_order is None
-    # tolerance-based detection without the exact field
-    assert BoundQuery(d=2, n=2.5).is_gap
-    assert not BoundQuery(d=2, n=2.5 + 1e-9).is_gap
-    # exact rationals bypass the tolerance
-    q = BoundQuery(d=2, n=2.5 + 1e-13, n_exact=Fraction(5, 2) + Fraction(1, 10 ** 13))
-    assert not q.is_gap
 
 
 def test_closed_form_flag_and_integer_flag():
@@ -82,10 +69,9 @@ def test_kernel_two_representations_agree():
 
 
 def test_kernel_gap_form_matches_transformed():
-    # (n, d) = (5/2, 2): the kernel takes the terminating form at this
-    # half-integer gap; against the generic 2F1 at u = 1
+    # (n, d) = (5/2, 2): a half-integer gap, where the kernel's 2F1
+    # terminates; against the generic 2F1 at u = 1
     q = BoundQuery(d=2, n=2.5, n_exact=Fraction(5, 2))
-    assert q.is_gap
     a = hyper_kernel(q, 1.0)
     b = sf.hyp2f1(2.0 * 2.5 - 1.0, 2.5, 3.0, -1.0)
     assert rel_err(a, b) < 1e-10
@@ -110,71 +96,70 @@ def test_kernel_positive_everywhere():
 
 
 # ----------------------------------------------------------------------
-# the float path's series, in blocks of terms
+# the kernel's one rule, against mp.hyp2f1
 # ----------------------------------------------------------------------
 
-def test_scalar_series_equals_loop_bitwise(series_loop):
-    # d = 1..10, every residual-scan gap above 1/2, u in [1e-6, 9] (w <= 0.9):
-    # the float path equals the term-by-term loop exactly wherever it sums
-    # the series
-    checked = 0
-    for d in range(1, 11):
-        for gap in default_residual_grid(d):
-            q = BoundQuery(d=d, n=d / 2.0 + gap)
-            if gap <= 0.5 or q.is_gap:
-                continue
-            n = q.n
-            a = 2.0 * n - d / 2.0
-            for u in np.geomspace(1e-6, 9.0, 6):
-                u = float(u)
-                log1pu = math.log1p(u)
-                if (a - d / 2.0) * log1pu > 600.0:
-                    continue  # the Euler-integral route
-                total, _ = series_loop(a, n + 0.5, u / (1.0 + u))
-                want = (d / 2.0 - 2.0 * n) * log1pu + math.log(total)
-                assert log_hyper_kernel(q, u) == want, (d, gap, u)
-                checked += 1
-    assert checked > 10_000
+# 15 gaps n - d/2: small, half-integer (where the kernel's 2F1 terminates:
+# its terms alternate), integer and large.
+_ORACLE_GAPS = (0.01, 0.1, 0.24, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.7, 5.5,
+                8.5, 20.0, 101.0, 297.0)
+_ORACLE_U = (0.0,) + tuple(10.0 ** k for k in range(-6, 13))
 
 
-# c -> series length at a = 2c, w = 1/2.  The first block holds
-# 2 ceil(log(1e-17) / log(1/2)) = 114 terms and each later block twice the
-# one before, so blocks end after 114, 342, 798, ..., 14478 terms and at the
-# cap of 20,001 terms; each length here is a block end or the one after it.
-_BLOCK_EDGE_LENGTHS = {
-    41.6: 114, 42.6: 115, 698.0: 342, 706.5: 343, 4460.0: 798, 4470.0: 799,
-    21990.0: 1710, 22000.0: 1711, 98100.0: 3534, 98200.0: 3535,
-    418700.0: 7182, 418900.0: 7183, 1750000.0: 14478, 1750100.0: 14479,
-    3380600.0: 20001,
-}
+def test_kernel_against_hyp2f1_oracle():
+    # d = 1..10 x 15 gaps x u in {0, 1e-6, ..., 1e12}, plus e^150 and e^200
+    # below gap 1/4 (the (B) nodes' reach): within 1e-13 max(1, |log F|) of
+    # 40-digit mp.hyp2f1; float and array arguments give the same bits, and
+    # F(0) = 1 exactly
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for d in range(1, 11):
+            for gap in _ORACLE_GAPS:
+                q = BoundQuery(d=d, n=d / 2.0 + gap)
+                us = _ORACLE_U + ((math.exp(150.0), math.exp(200.0)) if gap < 0.25 else ())
+                got = log_hyper_kernel(q, np.array(us))
+                n = mp.mpf(q.n)
+                assert got[0] == 0.0
+                for u, value in zip(us, got):
+                    assert log_hyper_kernel(q, u) == value, (d, gap, u)
+                    want = float(mp.log(mp.hyp2f1(2 * n - mp.mpf(d) / 2, n, n + mp.mpf(1) / 2,
+                                                  -mp.mpf(u))))
+                    worst = max(worst, abs(value - want) / max(1.0, abs(want)))
+        # out to the double-range limit of K, where the peaked integrand
+        # takes levels 7 to 9
+        for d, n in ((1, 4950.0), (10, 5130.0)):
+            q = BoundQuery(d=d, n=n)
+            us = (1e-3, 1.0, 23.7, 1e6)
+            n = mp.mpf(n)
+            for u, value in zip(us, log_hyper_kernel(q, np.array(us))):
+                want = float(mp.log(mp.hyp2f1(2 * n - mp.mpf(d) / 2, n, n + mp.mpf(1) / 2,
+                                              -mp.mpf(u), maxterms=10 ** 6)))
+                worst = max(worst, abs(value - want) / max(1.0, abs(want)))
+    assert worst <= 1e-13
+    # an array that spans several (points x nodes) blocks, point by point
+    q = BoundQuery(d=2, n=1.0 + 0.37)
+    us = np.geomspace(1e-6, math.exp(200.0), 600)
+    assert [log_hyper_kernel(q, float(u)) for u in us] == list(log_hyper_kernel(q, us))
 
 
-def test_scalar_series_block_edges_and_cap(series_loop):
-    for a, c, w in ((1.0, 1.0, 0.0), (1.0, 1.0, 1e-20)):
-        assert series_loop(a, c, w) == (1.0 + 0.5 * w, 1)
-        assert K._positive_series_scalar(a, c, w) == 1.0 + 0.5 * w
-    for c, length in _BLOCK_EDGE_LENGTHS.items():
-        total, ell = series_loop(2.0 * c, c, 0.5)
-        assert ell == length
-        assert K._positive_series_scalar(2.0 * c, c, 0.5) == total, length
-    # this series needs 20,002 terms: one past the cap, so both raise
-    c = 3381000.0
-    with pytest.raises(sf.SeriesError):
-        series_loop(2.0 * c, c, 0.5)
-    with pytest.raises(sf.SeriesError):
-        K._positive_series_scalar(2.0 * c, c, 0.5)
-
-
-def test_euler_batch_bitwise():
-    # one batch of the Euler-integral route, bit for bit as recorded with
-    # node tables rebuilt on every call and the Gamma constant recomputed
-    # (numpy 2.4, x86-64: the bits depend on the platform's exp and log)
-    q = BoundQuery(d=3, n=7.3)
-    got = K._euler_integral_log_batch(q, np.array([1.0, 0.5, 0.1, 1e-3, 1e-8]))
-    want = ["0x1.2400000000000p-48", "-0x1.a1ca3aa821a2fp+1",
-            "-0x1.d77c7afbe5829p+2", "-0x1.075af496ef616p+3",
-            "-0x1.079d079c767c6p+3"]
-    assert [float(v).hex() for v in got] == want
+def test_kernel_moves_up_a_level_then_raises(monkeypatch):
+    # (1, 0.55) at u = e^150: the level-6 rule's h and 2h values of R differ
+    # by far more than 1e-13, so the point moves to level 7, where it
+    # matches the two-term large-u form; with level 6 as the last level it
+    # raises
+    from sobomul.bounds import _log_kernel_far
+    q = BoundQuery(d=1, n=0.55)
+    far = float(_log_kernel_far(q, np.array([150.0]))[0])
+    rule = K._kernel_rule(q, 6)
+    _, step = K._rule_sums(rule, np.array([math.exp(150.0)]))
+    assert abs(step[0] / rule.step0 - 1.0) > 1e-9
+    assert rel_err(log_hyper_kernel(q, math.exp(150.0)), far) <= 1e-14
+    monkeypatch.setattr(K, "_TS_MAX_LEVEL", 6)
+    with pytest.raises(ArithmeticError):
+        log_hyper_kernel(BoundQuery(d=1, n=0.55), math.exp(150.0))
+    with pytest.raises(ValueError):
+        log_hyper_kernel(q, np.array([1.0, -1e-3]))
 
 
 # ----------------------------------------------------------------------
