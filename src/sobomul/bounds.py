@@ -49,9 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun as sf
-from .kernels import (BoundQuery, DomainError, log_hyper_kernel,
-                      log_upper_curve, log_upper_curve_limit)
-from .optim import BracketBoundaryError, MaxResult, maximize_1d, maximize_2d
+from .kernels import (BoundQuery, DomainError, KernelRows, log_hyper_kernel,
+                      log_upper_curve, log_upper_curve_limit, log_upper_curve_rows)
+from .optim import (BracketBoundaryError, MaxResult, maximize_1d, maximize_1d_lockstep,
+                    maximize_2d)
 
 __all__ = [
     "BoundResult",
@@ -168,7 +169,9 @@ class AsympConstants:
     drift: float
 
     @classmethod
+    @lru_cache(maxsize=None)
     def for_dimension(cls, d: int) -> "AsympConstants":
+        """The constants of dimension d, built once per d and process."""
         if d < 1 or d != int(d):
             raise DomainError(f"d must be a positive integer, got {d}")
         m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
@@ -221,23 +224,64 @@ _U_TOL_X = 1e-9
 _LIMIT_LOG_TOL = 2e-12
 
 
+def _certified_k_plus(q: BoundQuery, outcome: MaxResult | BracketBoundaryError) -> BoundResult:
+    """K+ from a finished search of log_upper_curve over x = log u.
+
+    A search that ended inside its bracket gives the square root of its
+    best value, or DomainError when that leaves the double range; one whose
+    budget ran out keeps that value with a caveat, since it lies below the
+    supremum.  A search still climbing at its bracket boundary gives the
+    closed-form limit, but only if the curve there is finite and not above
+    the limit; otherwise the supremum is unknown and ArithmeticError is
+    raised.
+    """
+    if isinstance(outcome, BracketBoundaryError):
+        # Still increasing at the bracket boundary: sup effectively at inf,
+        # provided the curve there is finite and not above its limit.
+        log_limit = log_upper_curve_limit(q)
+        if not (math.isfinite(outcome.best_f) and outcome.best_f <= log_limit + _LIMIT_LOG_TOL):
+            raise ArithmeticError(
+                f"upper curve at the search boundary is {outcome.best_f!r} against "
+                f"its limit {log_limit!r} (log scale); the supremum is not certified"
+            ) from outcome
+        value = math.exp(0.5 * log_limit)
+        return BoundResult(value=value, kind="upper_plus",
+                           argmax=TrialParams(u=math.inf),
+                           error_estimate=value * 1e-12,
+                           diagnostics={"route": "boundary_limit"})
+    value = _exp_in_range(0.5 * outcome.max_value, "K+", q)
+    diags = {"route": "maximize", "evaluations": outcome.iterations,
+             "converged": outcome.converged}
+    if not outcome.converged:
+        diags["caveat"] = ("optimizer budget exhausted; the value lies below the "
+                           "supremum of the upper curve, so it is not a certified K+")
+    return BoundResult(value=value, kind="upper_plus",
+                       argmax=TrialParams(u=math.exp(outcome.argmax[0])),
+                       error_estimate=value * _U_TOL_X,
+                       diagnostics=diags)
+
+
+def _closed_form_k_plus(q: BoundQuery) -> BoundResult:
+    """K+ for n <= d/2 + 1/2, where the curve increases toward its limit."""
+    value = math.exp(0.5 * log_upper_curve_limit(q))
+    return BoundResult(value=value, kind="upper_plus",
+                       argmax=TrialParams(u=math.inf),
+                       error_estimate=value * 1e-14,
+                       diagnostics={"route": "closed_form_limit"})
+
+
 def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
 
     For n <= d/2 + 1/2 the curve increases toward its limit, which is then
-    returned in closed form with the argmax reported as the boundary.  The
-    limit is also returned when the search is still climbing at its
-    bracket boundary, but only if the curve there is finite and not above
-    the limit; otherwise the supremum is unknown and ArithmeticError is
-    raised.  Where the large-n law, which lies below K+, or K+ itself
-    exceeds the double range, DomainError is raised.
+    returned in closed form with the argmax reported as the boundary.
+    Otherwise a search from u = max(1/2, warm_start_u) finds the supremum,
+    certified by :func:`_certified_k_plus`.  Where the large-n law, which
+    lies below K+, or K+ itself exceeds the double range, DomainError is
+    raised.
     """
     if q.has_closed_form_upper:
-        value = math.exp(0.5 * log_upper_curve_limit(q))
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=math.inf),
-                           error_estimate=value * 1e-14,
-                           diagnostics={"route": "closed_form_limit"})
+        return _closed_form_k_plus(q)
 
     _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
     u0 = max(0.5, warm_start_u if warm_start_u is not None else 0.5)
@@ -246,32 +290,47 @@ def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
         return log_upper_curve(q, math.exp(x))
 
     try:
-        res = maximize_1d(objective, math.log(_U_LO), math.log(_U_HI),
-                          math.log(u0), tol_x=_U_TOL_X)
-        u_star = math.exp(res.argmax[0])
-        value = _exp_in_range(0.5 * res.max_value, "K+", q)
-        diags = {"route": "maximize", "evaluations": res.iterations,
-                 "converged": res.converged}
-        if not res.converged:
-            diags["caveat"] = "optimizer budget exhausted; value is a valid lower estimate of K+"
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=u_star),
-                           error_estimate=value * _U_TOL_X,
-                           diagnostics=diags)
+        outcome = maximize_1d(objective, math.log(_U_LO), math.log(_U_HI),
+                              math.log(u0), tol_x=_U_TOL_X)
     except BracketBoundaryError as exc:
-        # Still increasing at the bracket boundary: sup effectively at inf,
-        # provided the curve there is finite and not above its limit.
-        log_limit = log_upper_curve_limit(q)
-        if not (math.isfinite(exc.best_f) and exc.best_f <= log_limit + _LIMIT_LOG_TOL):
+        outcome = exc
+    return _certified_k_plus(q, outcome)
+
+
+def _scan_start_u(q: BoundQuery) -> float:
+    """A start for the K+ search that depends on (n, d) alone: the argmax
+    of the upper curve nears 1/2 + (3d/8 + 3/2)/(n - d/2) at large gaps
+    (a fit to the d = 1..10 scans) and grows without bound as the gap
+    falls to 1/2."""
+    return min(0.5 + (0.375 * q.d + 1.5) / (q.n_gap - 0.5), _U_HI)
+
+
+def _k_plus_lockstep(d: int, queries: list[BoundQuery]) -> tuple[list[BoundResult], int]:
+    """K+ of queries of one d, each with n > d/2 + 1/2 and given in
+    ascending n, from one lockstep run of their searches; and the number
+    of its rounds.  Each round evaluates the upper curve at every live
+    search's next point in one kernel call.  Each search starts from
+    :func:`_scan_start_u` and is certified as in k_plus, except that one
+    that does not converge raises ArithmeticError."""
+    for q in queries:
+        _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
+    rows = KernelRows(d, [q.n for q in queries])
+    rounds = 0
+
+    def objective(at: np.ndarray, x: np.ndarray) -> np.ndarray:
+        nonlocal rounds
+        rounds += 1
+        return log_upper_curve_rows(rows, at, np.exp(x))
+
+    outcomes = maximize_1d_lockstep(
+        objective, math.log(_U_LO), math.log(_U_HI),
+        [math.log(_scan_start_u(q)) for q in queries], tol_x=_U_TOL_X)
+    results = [_certified_k_plus(q, outcome) for q, outcome in zip(queries, outcomes)]
+    for q, res in zip(queries, results):
+        if "caveat" in res.diagnostics:
             raise ArithmeticError(
-                f"upper curve at the search boundary is {exc.best_f!r} against "
-                f"its limit {log_limit!r} (log scale); the supremum is not certified"
-            ) from exc
-        value = math.exp(0.5 * log_limit)
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=math.inf),
-                           error_estimate=value * 1e-12,
-                           diagnostics={"route": "boundary_limit"})
+                f"K+ search at (n, d) = ({q.n:g}, {d}): {res.diagnostics['caveat']}")
+    return results, rounds
 
 
 def k_plus_asymp_small(q: BoundQuery) -> float:
@@ -350,22 +409,27 @@ def _round_sig(x: float, figures: int = 3) -> float:
     return round(x, -int(math.floor(math.log10(abs(x)))) + figures - 1)
 
 
+def _residual_k_plus(d: int, gap_grid: tuple[float, ...]
+                     ) -> tuple[list[BoundQuery], list[BoundResult], int]:
+    """The residual scan's queries, their K+ with its diagnostics, and the
+    number of lockstep rounds (each one kernel call).  The gaps up to 1/2
+    take K+'s closed form; the others' searches run in lockstep
+    (:func:`_k_plus_lockstep`), each from a start of its own, so no row's
+    result depends on another's.  Not cached, unlike the scan's result."""
+    queries = [BoundQuery(d=d, n=d / 2.0 + nd) for nd in gap_grid]
+    searched = [q for q in queries if not q.has_closed_form_upper]
+    found, rounds = _k_plus_lockstep(d, searched) if searched else ([], 0)
+    next_found = iter(found).__next__
+    kps = [_closed_form_k_plus(q) if q.has_closed_form_upper else next_found() for q in queries]
+    return queries, kps, rounds
+
+
 @lru_cache(maxsize=32)
 def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
-    ratios = []
-    zs = []
-    warm = 60.0
-    ks = []
-    for nd in gap_grid:
-        q = BoundQuery(d=d, n=d / 2.0 + nd)
-        if q.has_closed_form_upper:
-            kp = k_plus(q)
-        else:
-            kp = k_plus(q, warm_start_u=warm)
-            if kp.argmax.u is not None and math.isfinite(kp.argmax.u):
-                warm = kp.argmax.u
-        ks.append(kp.value)
-        zs.append(envelope_residual(q, kp.value))
+    """Z_d and Theta_d over gap_grid, from :func:`_residual_k_plus`."""
+    queries, kps, _ = _residual_k_plus(d, gap_grid)
+    ks = [kp.value for kp in kps]
+    zs = [envelope_residual(q, kv) for q, kv in zip(queries, ks)]
     zs_arr = np.asarray(zs)
     i_z = int(np.argmax(zs_arr))
     big_z = float(zs_arr[i_z])
@@ -374,10 +438,8 @@ def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
     # the ratio responds to the constant with a factor of ~20, so the digit
     # convention is part of the definition.
     z_for_theta = _round_sig(big_z, 3)
-    for nd, kv in zip(gap_grid, ks):
-        q = BoundQuery(d=d, n=d / 2.0 + nd)
-        ratios.append(k_plus_plus(q, z_for_theta).value / kv)
-    ratios_arr = np.asarray(ratios)
+    ratios_arr = np.asarray([k_plus_plus(q, z_for_theta).value / kv
+                             for q, kv in zip(queries, ks)])
     i_t = int(np.argmax(ratios_arr))
     warn = i_z in (0, len(gap_grid) - 1) or i_t in (0, len(gap_grid) - 1)
     return ElementaryBoundData(

@@ -19,6 +19,9 @@ whole argument range and for large n:
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
   finite.
+* ``log_upper_curve_rows``  the log upper curve of many queries of one d
+  (a :class:`KernelRows`) at one u each, in one call: the same rule, with
+  one query as its one-row case, for searches run in lockstep.
 
 Log-space variants are provided where the bound evaluators need them.
 """
@@ -40,10 +43,12 @@ from .quad import _TS_MAX_LEVEL, _ts_level
 __all__ = [
     "DomainError",
     "BoundQuery",
+    "KernelRows",
     "hyper_kernel",
     "log_hyper_kernel",
     "upper_curve",
     "log_upper_curve",
+    "log_upper_curve_rows",
     "upper_curve_limit",
     "log_upper_curve_limit",
 ]
@@ -125,8 +130,12 @@ class BoundQuery:
 _FIRST_LEVEL = 6
 _KERNEL_TOL = 1e-13
 _ROUNDING = 4.0 * sys.float_info.epsilon
-# Points per (points x nodes) block, so that block stays near 2^16 entries.
+# Points per (points x nodes) block, so that block stays near 2^16 entries
+# for one query's many u, and near 2^13 for a batch of rows (KernelRows):
+# those blocks also hold a base per point and live beside hundreds of
+# searches, so they are kept small for the sake of peak memory.
 _BLOCK_ENTRIES = 1 << 16
+_ROWS_BLOCK_ENTRIES = 1 << 13
 # Nodes whose terms stay this far (in log) below every sum are dropped.
 _DROP_BELOW = 50.0
 
@@ -174,7 +183,9 @@ def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
         log (1 - w s) = log1p(u (1-s)) - log1p(u),
 
     exact at u = 0 and free of cancellation as w -> 1; the caller
-    subtracts expo log1p(u) along with the Pfaff factor's n log1p(u)."""
+    subtracts expo log1p(u) along with the Pfaff factor's n log1p(u).
+    ``base`` and ``expo`` are either one query's, shared by every u, or
+    one row per u (a (points, nodes) base and a (points, 1) expo)."""
     t = np.multiply.outer(u, rule.oms)
     np.log1p(t, out=t)
     t *= rule.expo
@@ -190,23 +201,44 @@ def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return fine, coarse
 
 
-def _kernel_rule(q: BoundQuery, level: int) -> _KernelRule:
-    """Query q's tables on tanh-sinh levels 0..level.
+def _node_bases(level: int, n: float, expo: float) -> tuple[np.ndarray, np.ndarray]:
+    """base = log(weight) + (n-1) log s - (1/2) log(1-s) on the nodes of
+    levels 0..level, and the mask of the nodes that the query keeps.
 
     R is monotone in w, so each term lies below the larger of its values
     at w = 0 and w = 1, and each sum above the smaller of its two end
     values, which lie above their largest terms.  Nodes whose bound sits
     e^-50 below that are dropped: even the last level's 55,000 nodes
     together move no sum by more than about 1e-17 relative."""
-    log_weight, log_s, oms, log_oms, h_count = _rule_nodes(level)
-    base = log_weight + (q.n - 1.0) * log_s - 0.5 * log_oms
-    expo = q.n_gap - 0.5
+    log_weight, log_s, _, log_oms, _ = _rule_nodes(level)
+    base = log_weight + (n - 1.0) * log_s - 0.5 * log_oms
     at_one = base + expo * log_oms
     floor = min(base.max(), at_one.max()) - _DROP_BELOW
-    keep = np.maximum(base, at_one) >= floor
+    return base, np.maximum(base, at_one) >= floor
+
+
+def _kernel_rule(q: BoundQuery, level: int) -> _KernelRule:
+    """Query q's tables on tanh-sinh levels 0..level."""
+    oms, h_count = _rule_nodes(level)[2::2]
+    expo = q.n_gap - 0.5
+    base, keep = _node_bases(level, q.n, expo)
     rule = _KernelRule(oms[keep], base[keep], int(np.count_nonzero(keep[:h_count])), expo)
     log_norm, step0 = _rule_sums(rule, np.zeros(1))
     return rule._replace(log_norm=float(log_norm[0]), step0=float(step0[0]))
+
+
+def _unsettled(step, step0, log_sum, expo, log1pu) -> np.ndarray | None:
+    """Mask of the points whose 2h and h values of R differ by more than
+    _KERNEL_TOL relative plus the rounding floor, or None if there are
+    none; step0, expo may be one query's or one per point."""
+    # the rounding floor only widens the bounds, so points within these
+    # settle in any case
+    if (np.minimum.reduce(step - step0 * (1.0 - _KERNEL_TOL)) >= 0.0
+            and np.maximum.reduce(step - step0 * (1.0 + _KERNEL_TOL)) <= 0.0):
+        return None
+    floor = _ROUNDING * (np.abs(log_sum) + 2.0 * np.abs(expo) * log1pu)
+    off = ~(np.abs(step / step0 - 1.0) <= _KERNEL_TOL + floor)
+    return off if off.any() else None
 
 
 def _log_kernel(q: BoundQuery, u: np.ndarray, level: int) -> np.ndarray:
@@ -228,14 +260,71 @@ def _log_kernel(q: BoundQuery, u: np.ndarray, level: int) -> np.ndarray:
             *(_rule_sums(rule, u[i:i + block]) for i in range(0, u.size, block))))
     log1pu = np.log1p(u)
     log_f = log_sum - (rule.log_norm + (2.0 * q.n - 0.5 * q.d - 0.5) * log1pu)
-    # the rounding floor only widens the bounds, so points within these
-    # settle in any case
-    lo, hi = rule.step0 * (1.0 - _KERNEL_TOL), rule.step0 * (1.0 + _KERNEL_TOL)
-    if not (np.minimum.reduce(step) >= lo and np.maximum.reduce(step) <= hi):
-        floor = _ROUNDING * (np.abs(log_sum) + 2.0 * abs(rule.expo) * log1pu)
-        off = ~(np.abs(step / rule.step0 - 1.0) <= _KERNEL_TOL + floor)
-        if off.any():
-            log_f[off] = _log_kernel(q, u[off], level + 1)
+    off = _unsettled(step, rule.step0, log_sum, rule.expo, log1pu)
+    if off is not None:
+        log_f[off] = _log_kernel(q, u[off], level + 1)
+    return log_f
+
+
+class KernelRows:
+    """Queries of one dimension d, one per row, for kernel calls that take
+    one u per row and many rows at once (:func:`log_upper_curve_rows`).
+
+    Every row shares the query-free level-6 node tables; a row holds only
+    its scalars and the mask of its kept nodes, so a batch over
+    hundreds of rows builds no per-row tables.  A block of points takes
+    the nodes that any of its rows keeps and forms each point's base from
+    its own n, so a row alone in its block sums exactly the terms, in the
+    order, of its query's own rule.  Give the rows in ascending n:
+    neighbouring rows then keep nearly the same nodes.  Needs at least one
+    row.
+    """
+
+    def __init__(self, d: int, n) -> None:
+        queries = [BoundQuery(d=d, n=float(v)) for v in n]
+        self.d = d
+        self.n = np.array([q.n for q in queries])
+        self.expo = np.array([q.n_gap - 0.5 for q in queries])
+        self.log_scale = np.array([q._log_curve_scale for q in queries])
+        self.keep = np.empty((len(queries), _rule_nodes(_FIRST_LEVEL)[0].size), dtype=bool)
+        for row, q in zip(self.keep, queries):
+            row[:] = _node_bases(_FIRST_LEVEL, q.n, q.n_gap - 0.5)[1]
+        # points per block, from the most nodes that one row keeps
+        self._block = max(1, _ROWS_BLOCK_ENTRIES // max(map(np.count_nonzero, self.keep)))
+        self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))
+
+    def _sums(self, at: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_rule_sums of the level-6 rule at the points (row at[i], u[i]),
+        in blocks of about _ROWS_BLOCK_ENTRIES (point, node) pairs."""
+        log_weight, log_s, oms, log_oms, h_count = _rule_nodes(_FIRST_LEVEL)
+        parts = []
+        for i in range(0, at.size, self._block):
+            rows = at[i:i + self._block]
+            nodes = self.keep[rows].any(axis=0)
+            # log_weight + (n-1) log s - (1/2) log(1-s), formed in place
+            base = (self.n[rows, None] - 1.0) * log_s[nodes]
+            base += log_weight[nodes]
+            base -= 0.5 * log_oms[nodes]
+            rule = _KernelRule(oms[nodes], base, int(np.count_nonzero(nodes[:h_count])),
+                               self.expo[rows, None])
+            parts.append(_rule_sums(rule, u[i:i + self._block]))
+        log_sum, step = zip(*parts)
+        return np.concatenate(log_sum), np.concatenate(step)
+
+
+def _log_kernel_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """log F at the points (row at[i], u[i]) in one call: the level-6
+    rule on every point, and each point that it does not settle
+    recomputed through its row's own query a level up."""
+    log_sum, step = rows._sums(at, u)
+    log1pu = np.log1p(u)
+    n = rows.n[at]
+    log_f = log_sum - (rows.log_norm[at] + (2.0 * n - 0.5 * rows.d - 0.5) * log1pu)
+    off = _unsettled(step, rows.step0[at], log_sum, rows.expo[at], log1pu)
+    if off is not None:
+        for i in np.flatnonzero(off):
+            q = BoundQuery(d=rows.d, n=float(rows.n[at[i]]))
+            log_f[i] = _log_kernel(q, u[i:i + 1], _FIRST_LEVEL + 1)[0]
     return log_f
 
 
@@ -274,6 +363,11 @@ def hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
 def log_upper_curve(q: BoundQuery, u) -> float | np.ndarray:
     """log of (Gamma(2n-d/2) / ((4 pi)^(d/2) Gamma(2n))) (1+4u)^n F(...;-u)."""
     return q._log_curve_scale + q.n * np.log1p(4.0 * u) + log_hyper_kernel(q, u)
+
+
+def log_upper_curve_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """log_upper_curve at the points (row at[i], u[i]) in one kernel call."""
+    return rows.log_scale[at] + rows.n[at] * np.log1p(4.0 * u) + _log_kernel_rows(rows, at, u)
 
 
 def upper_curve(q: BoundQuery, u) -> float | np.ndarray:

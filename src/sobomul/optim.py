@@ -3,7 +3,11 @@
 * :func:`maximize_1d` -- derivative-free bracketed scalar search:
   geometric bracket expansion from a starting point, then golden-section
   refinement with parabolic acceleration (Brent's scheme, written for
-  maximization).
+  maximization).  The search is a generator that yields abscissae and is
+  sent the values there, so one code path serves two loops:
+  :func:`maximize_1d` evaluates one function point by point, and
+  :func:`maximize_1d_lockstep` runs many independent searches in rounds,
+  evaluating every live search's next point in one vectorised call.
 * :func:`maximize_2d` -- trust-region, saddle-free Newton ascent over two
   positive variables, run in log coordinates with a small multistart set;
   the objective supplies its gradient and Hessian.
@@ -19,7 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-__all__ = ["MaxResult", "BracketBoundaryError", "maximize_1d", "maximize_2d"]
+import numpy as np
+
+__all__ = ["MaxResult", "BracketBoundaryError", "maximize_1d", "maximize_1d_lockstep",
+           "maximize_2d"]
 
 _GOLDEN = 0.381966011250105097  # 2 - golden ratio
 
@@ -48,31 +55,25 @@ class MaxResult:
     history: list[tuple[float, ...]] = field(default_factory=list, repr=False)
 
 
-def _bracket(f, x0: float, lo: float, hi: float, step0: float):
+def _bracket(x0: float, lo: float, hi: float, step0: float):
     """Expand geometrically from x0 until a local-max triple is enclosed.
 
-    Returns (a, b, c, fb, evals) with a < b < c, f(b) >= f(a), f(b) >= f(c).
+    Yields each abscissa and is sent f there.  Returns (a, b, c) with
+    a < b < c, f(b) >= f(a), f(b) >= f(c).
     """
-    evals = 0
-
-    def ev(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
     x0 = min(max(x0, lo), hi)
-    f0 = ev(x0)
+    f0 = yield x0
     step = step0
     x1 = min(x0 + step, hi)
     if x1 == x0:
         x1 = max(x0 - step, lo)
-    f1 = ev(x1)
+    f1 = yield x1
     if f1 < f0:
         # walk the other way
         x0, x1, f0, f1 = x1, x0, f1, f0
     # Now f1 >= f0; march in the direction x0 -> x1 until a drop.
     direction = math.copysign(1.0, x1 - x0)
-    prev_x, prev_f = x0, f0
+    prev_x = x0
     cur_x, cur_f = x1, f1
     step = abs(x1 - x0)
     while True:
@@ -80,46 +81,30 @@ def _bracket(f, x0: float, lo: float, hi: float, step0: float):
         boundary = lo if direction < 0 else hi
         if (nxt - boundary) * direction >= 0.0:
             nxt = boundary
-        fn = ev(nxt)
+        fn = yield nxt
         if fn < cur_f:
             a, c = sorted((prev_x, nxt))
-            return a, cur_x, c, cur_f, evals
+            return a, cur_x, c
         if nxt == boundary:
             raise BracketBoundaryError("hi" if direction > 0 else "lo", nxt, fn)
-        prev_x, prev_f = cur_x, cur_f
+        prev_x = cur_x
         cur_x, cur_f = nxt, fn
         step *= 2.0
 
 
-def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
-                tol_x: float = 1e-8, max_iter: int = 300) -> MaxResult:
-    """Maximize a continuous unimodal function on [lo, hi] from start x0.
-
-    tol_x is relative in the abscissa; the bracket search starts with a
-    step of 5% of max(|x0|, 1).  Raises :class:`BracketBoundaryError` when
-    the function is still increasing at either boundary (supremum not
-    interior).
-    """
+def _search_1d(lo: float, hi: float, x0: float, tol_x: float, max_iter: int):
+    """The search of :func:`maximize_1d` as a generator: it yields each
+    abscissa, is sent f there, and returns whether it converged (or raises
+    BracketBoundaryError).  The caller evaluates f and keeps the best
+    point."""
     if not (lo <= x0 <= hi) or not lo < hi:
         raise ValueError(f"need lo <= x0 <= hi, got ({lo}, {x0}, {hi})")
     step0 = max(abs(x0), 1.0) * 0.05
-
-    history: list[tuple[float, ...]] = []
-    nev = 0
-
-    def g(x: float) -> float:
-        nonlocal nev
-        nev += 1
-        val = f(x)
-        history.append((x, val))
-        return -val  # minimize below
-
-    # Bracket on f itself; evaluations and history flow through g.
-    a, b, c, _fb, _ = _bracket(lambda x: -g(x), x0, lo, hi, step0)
+    a, b, c = yield from _bracket(x0, lo, hi, step0)
 
     # Brent minimization of -f on [a, c] starting from b.
     x = w = v = b
-    fx = fw = fv = g(x)
+    fx = fw = fv = -(yield x)
     d = e = 0.0
     converged = False
     for _ in range(max_iter):
@@ -150,7 +135,7 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
             e = (c if x < m else a) - x
             d = _GOLDEN * e
         u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = g(u)
+        fu = -(yield u)
         if fu <= fx:
             if u < x:
                 c = x
@@ -168,10 +153,73 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
                 fv, fw = fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    return converged
+
+
+def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
+                tol_x: float = 1e-8, max_iter: int = 300) -> MaxResult:
+    """Maximize a continuous unimodal function on [lo, hi] from start x0.
+
+    tol_x is relative in the abscissa; the bracket search starts with a
+    step of 5% of max(|x0|, 1).  Raises :class:`BracketBoundaryError` when
+    the function is still increasing at either boundary (supremum not
+    interior).
+    """
+    history: list[tuple[float, ...]] = []
+    search = _search_1d(lo, hi, x0, tol_x, max_iter)
+    x = next(search)
+    try:
+        while True:
+            fx = f(x)
+            history.append((x, fx))
+            x = search.send(fx)
+    except StopIteration as stop:
+        converged = stop.value
     best_x, best_f = max(history, key=lambda t: t[1])
     return MaxResult(argmax=(best_x,), max_value=best_f,
-                     iterations=nev, converged=converged,
+                     iterations=len(history), converged=converged,
                      history=history)
+
+
+def maximize_1d_lockstep(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                         lo: float, hi: float, x0: Sequence[float],
+                         tol_x: float = 1e-8, max_iter: int = 300,
+                         ) -> list[MaxResult | BracketBoundaryError]:
+    """Run one :func:`maximize_1d` search on [lo, hi] per start in x0 (a
+    row each), all in lockstep.
+
+    Each round advances every live row by one evaluation through a single
+    call f(rows, x), which gets the live rows' indices and abscissae as
+    arrays and returns their values; a row leaves when its search ends.
+    Returns, per row, what maximize_1d would return for it, without the
+    history, or the BracketBoundaryError that it would raise.  Given the
+    same values, each row takes the same steps as maximize_1d.
+    """
+    searches = [_search_1d(lo, hi, start, tol_x, max_iter) for start in x0]
+    outcomes: list[MaxResult | BracketBoundaryError | None] = [None] * len(searches)
+    # per row: best point (the first of the largest values, as in
+    # maximize_1d) and evaluation count
+    best: list[tuple[float, float] | None] = [None] * len(searches)
+    evals = [0] * len(searches)
+    live = list(range(len(searches)))
+    xs = [next(search) for search in searches]
+    while live:
+        values = f(np.array(live), np.array(xs))
+        still, next_xs = [], []
+        for row, x, value in zip(live, xs, values.tolist()):
+            evals[row] += 1
+            if best[row] is None or value > best[row][1]:
+                best[row] = (x, value)
+            try:
+                next_xs.append(searches[row].send(value))
+                still.append(row)
+            except StopIteration as stop:
+                outcomes[row] = MaxResult(argmax=(best[row][0],), max_value=best[row][1],
+                                          iterations=evals[row], converged=stop.value)
+            except BracketBoundaryError as exc:
+                outcomes[row] = exc
+        live, xs = still, next_xs
+    return outcomes
 
 
 # The 2-D search's trust region: initial and largest radius (in log

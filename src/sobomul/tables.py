@@ -7,7 +7,9 @@ for d = 1..4 over thirteen n per dimension, plus the envelope constants
 Z_d and Theta_d for d = 1..10.
 
 ``table1_rows`` evaluates one dimension's row with a warm-started
-maximizer chain; ``table2_rows`` runs the residual scans.
+maximizer chain; ``table2_rows`` runs the residual scans, whose K+
+searches start independently and run in lockstep, one batched kernel call
+per round (see ``bounds._residual_scan``).
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
 
 
 def table2_rows(d_max: int = 10) -> list[bounds.ElementaryBoundData]:
-    """Z_d and Theta_d for d = 1..d_max via the residual scans."""
+    """Z_d and Theta_d for d = 1..d_max via the residual scans; a scan
+    search that is not certified raises ArithmeticError."""
     if not 1 <= d_max <= 10:
         raise ValueError("d_max must lie in 1..10")
     return [bounds.envelope_residual_sup(d) for d in range(1, d_max + 1)]

@@ -181,30 +181,66 @@ def test_k_plus_log_gamma_count(monkeypatch):
         assert len(calls) == want, (d, n, len(calls))
 
 
-def test_residual_scan_searches_converge(monkeypatch):
-    # every k_plus of the d = 1 and d = 10 scans either converges in its
+def test_residual_scan_searches_converge():
+    # every K+ of the d = 1 and d = 10 scans either converges in its
     # search or takes the closed-form limit (gap <= 1/2); none leaves
-    # through the bracket boundary.  The scans run uncached (__wrapped__),
-    # which leaves the per-process cache to the other tests.
-    results = []
-    inner = B.k_plus
-
-    def recording(q, warm_start_u=None):
-        res = inner(q, warm_start_u)
-        results.append(res)
-        return res
-
-    monkeypatch.setattr(B, "k_plus", recording)
+    # through the bracket boundary
     for d in (1, 10):
-        results.clear()
         grid = B.default_residual_grid(d)
-        B._residual_scan.__wrapped__(d, grid)
-        routes = [r.diagnostics["route"] for r in results]
+        _, kps, _ = B._residual_k_plus(d, grid)
+        routes = [kp.diagnostics["route"] for kp in kps]
         assert len(routes) == len(grid) == 400
         assert routes.count("maximize") == 220, d
         assert routes.count("closed_form_limit") == 180, d
-        assert all(r.diagnostics["converged"] for r in results
-                   if r.diagnostics["route"] == "maximize"), d
+        assert all(kp.diagnostics["converged"] for kp in kps
+                   if kp.diagnostics["route"] == "maximize"), d
+
+
+def test_residual_scan_k_plus_matches_scalar_k_plus():
+    # the lockstep searches, each started on its own, against k_plus on
+    # its own at every 11th searched gap
+    for d in (1, 5, 10):
+        queries, kps, _ = B._residual_k_plus(d, B.default_residual_grid(d))
+        searched = [(q, kp) for q, kp in zip(queries, kps)
+                    if kp.diagnostics["route"] == "maximize"]
+        for q, kp in searched[::11]:
+            assert rel_err(kp.value, B.k_plus(q).value) <= 1e-12, (d, q.n)
+
+
+def test_residual_scan_kernel_call_gate(monkeypatch):
+    # deterministic counts: the d = 10 scan evaluates its 220 searches in
+    # at most 60 batched kernel calls and 6,000 points; one kernel call
+    # per search evaluation (about 4,400) fails here.  Its AsympConstants
+    # are built once.
+    from sobomul import kernels as K
+    calls = []
+    for name in ("log_hyper_kernel", "_log_kernel_rows"):
+        inner = getattr(K, name)
+
+        def counting(*args, _inner=inner):
+            calls.append(np.size(args[-1]))
+            return _inner(*args)
+
+        monkeypatch.setattr(K, name, counting)
+    builds = []
+    gamma = B.sf.gamma
+    monkeypatch.setattr(B.sf, "gamma", lambda x: builds.append(x) or gamma(x))
+    B.AsympConstants.for_dimension.cache_clear()
+    grid = B.default_residual_grid(10)
+    B._residual_scan.__wrapped__(10, grid)
+    assert builds == [5.0]
+    calls.clear()
+    _, kps, rounds = B._residual_k_plus(10, grid)
+    evaluations = sum(kp.diagnostics.get("evaluations", 0) for kp in kps)
+    assert len(calls) == rounds <= 60
+    assert sum(calls) == evaluations <= 6000
+
+
+def test_asymp_constants_cached_bit_identical():
+    for d in range(1, 11):
+        cached = B.AsympConstants.for_dimension(d)
+        assert B.AsympConstants.for_dimension(d) is cached
+        assert cached == B.AsympConstants.for_dimension.__wrapped__(B.AsympConstants, d)
 
 
 def test_envelope_residual_roundtrip():

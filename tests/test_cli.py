@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sobomul import cli
@@ -190,6 +191,25 @@ def test_uncertified_upper_bound_exits_3(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli.bounds, "log_upper_curve",
                         lambda q, u: -math.inf if u > 1e-3 else curve(q, u))
     code, out, err = run(capsys, argv + ["--json"])
+    assert code == 3
+    assert not out
+    assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("fault", ["budget", "boundary"])
+def test_table2_uncertified_scan_exits_3(monkeypatch, capsys, fault):
+    # a residual scan whose K+ search runs out of budget, or leaves through
+    # the bracket boundary above the curve's limit, prints no row
+    from sobomul import bounds
+    monkeypatch.setattr(bounds, "_residual_scan", bounds._residual_scan.__wrapped__)
+    if fault == "budget":
+        lockstep = bounds.maximize_1d_lockstep
+        monkeypatch.setattr(bounds, "maximize_1d_lockstep",
+                            lambda *args, **kw: lockstep(*args, **kw, max_iter=3))
+    else:
+        monkeypatch.setattr(bounds, "log_upper_curve_rows",
+                            lambda rows, at, u: np.full(u.shape, -math.inf))
+    code, out, err = run(capsys, ["table2", "--dmax", "1", "--json"])
     assert code == 3
     assert not out
     assert "numerical failure" in err

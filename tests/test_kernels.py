@@ -162,6 +162,37 @@ def test_kernel_moves_up_a_level_then_raises(monkeypatch):
         log_hyper_kernel(q, np.array([1.0, -1e-3]))
 
 
+def test_one_row_kernel_batch_is_bit_identical_to_the_query():
+    # a KernelRows of one row sums the terms of its query's own rule in the
+    # same order, so the batch kernel and the curve built on it give the
+    # scalar path's bits, also where a point moves up to level 7 (the last
+    # (d, n, u) below)
+    cases = [(d, d / 2.0 + gap, u)
+             for d in (1, 4, 10)
+             for gap in (0.3, 0.5 + 1e-6, 2.7, 61.0, 199.9)
+             for u in (0.0, 1e-6, 0.5, 3.7, 1e4, 1e12)]
+    cases.append((1, 0.55, math.exp(150.0)))
+    for d, n, u in cases:
+        q = BoundQuery(d=d, n=n)
+        rows = K.KernelRows(d, [n])
+        at, u_arr = np.array([0]), np.array([u])
+        assert K._log_kernel_rows(rows, at, u_arr)[0] == log_hyper_kernel(q, u), (d, n, u)
+        assert K.log_upper_curve_rows(rows, at, u_arr)[0] == K.log_upper_curve(q, u), (d, n, u)
+
+
+def test_kernel_rows_batch_matches_queries():
+    # many rows in one call, several to a block, each row at its own u
+    rng = np.random.default_rng(7)
+    for d in (1, 10):
+        n = d / 2.0 + np.geomspace(0.51, 200.0, 120)
+        u = np.exp(rng.uniform(-27.0, 27.0, n.size))
+        rows = K.KernelRows(d, n)
+        got = K.log_upper_curve_rows(rows, np.arange(n.size), u)
+        for i in range(n.size):
+            want = K.log_upper_curve(BoundQuery(d=d, n=float(n[i])), float(u[i]))
+            assert abs(got[i] - want) <= 1e-14 * max(1.0, abs(want)), (d, n[i], u[i])
+
+
 # ----------------------------------------------------------------------
 # the upper-bound curve
 # ----------------------------------------------------------------------

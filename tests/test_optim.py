@@ -83,6 +83,41 @@ def test_history_recorded():
     assert min(xs) >= 0.0 and max(xs) <= 3.0
 
 
+def test_lockstep_matches_maximize_1d_bit_for_bit():
+    # the corpus, the sine pair and a boundary case as the rows of lockstep
+    # runs, one per domain: each row ends exactly as its own maximize_1d
+    # search
+    cases = [(f, lo, hi, x0) for f, (lo, hi), x0, _ in _unimodal_corpus()]
+    cases += [(math.sin, 0.0, 3.0, 0.3), (lambda x: 1e6 * math.sin(x), 0.0, 3.0, 0.3),
+              (lambda x: x, 0.0, 10.0, 1.0), (lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)]
+    boundary_exits = 0
+    for tol_x, max_iter in ((1e-9, 300), (1e-14, 3)):
+        for domain in sorted({(lo, hi) for _, lo, hi, _ in cases}):
+            rows = [(f, x0) for f, lo, hi, x0 in cases if (lo, hi) == domain]
+            calls = []
+
+            def batch(at, x):
+                calls.append(len(at))
+                return np.array([rows[r][0](xi) for r, xi in zip(at, x)])
+
+            got = optim.maximize_1d_lockstep(batch, *domain, [x0 for _, x0 in rows],
+                                             tol_x=tol_x, max_iter=max_iter)
+            for (f, x0), res in zip(rows, got):
+                try:
+                    want = optim.maximize_1d(f, *domain, x0, tol_x=tol_x, max_iter=max_iter)
+                except optim.BracketBoundaryError as exc:
+                    assert isinstance(res, optim.BracketBoundaryError)
+                    assert (res.side, res.best_x, res.best_f) == \
+                        (exc.side, exc.best_x, exc.best_f)
+                    boundary_exits += 1
+                    continue
+                assert (res.argmax, res.max_value, res.iterations, res.converged) == \
+                    (want.argmax, want.max_value, want.iterations, want.converged)
+            # one call per round, with every row until its search ends
+            assert calls[0] == len(rows) and calls == sorted(calls, reverse=True)
+    assert boundary_exits == 2
+
+
 # ----------------------------------------------------------------------
 # the curves the bounds maximize
 # ----------------------------------------------------------------------
