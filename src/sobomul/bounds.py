@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -458,13 +458,66 @@ def envelope_residual_sup(d: int) -> ElementaryBoundData:
 # Bessel-kernel trial norms and lower bounds
 # ----------------------------------------------------------------------
 
+class _BesselConstants:
+    """The lam-free parts of the Bessel-kernel norms at one (n, d):
+
+    log_norm     log of pi^(d/2) Gamma(n+1-d/2) / ((n-d/2) Gamma(n)), the
+                 trial norm's prefactor without lam^-d;
+    log_sq_norm  log of pi^(d/2) Gamma(2n-d/2)^2 / (Gamma(d/2) Gamma(2n)^2),
+                 the squared-kernel norm's prefactor without lam^-d;
+    minorant     (P, Q, q), the three Gamma-ratio weights of the minorant's
+                 bracket and the log of its prefactor without lam^-d; built
+                 on first use, as its Gamma arguments stay positive only
+                 for d/2 < n <= d/2 + 1/2.
+
+    Callers add the lam terms last, in the order the formulas write them,
+    so every sum rounds as the written formula's does.
+    """
+
+    def __init__(self, n: float, d: int) -> None:
+        self.n, self.d = n, d
+        self.lg_gap1 = sf.log_gamma(n + 1.0 - d / 2.0)
+        self.lg_n = sf.log_gamma(n)
+        self.lg_2n_half_d = sf.log_gamma(2.0 * n - d / 2.0)
+        self.lg_2n = sf.log_gamma(2.0 * n)
+        self.log_norm = (0.5 * d * _LOG_PI + self.lg_gap1 - math.log(n - d / 2.0)
+                         - self.lg_n)
+        self.log_sq_norm = (0.5 * d * _LOG_PI + 2.0 * self.lg_2n_half_d
+                            - sf.log_gamma(d / 2.0) - 2.0 * self.lg_2n)
+
+    @cached_property
+    def minorant(self) -> tuple[MinorantCoeffs, tuple[float, float, float], float]:
+        n, d = self.n, self.d
+        lg_half = sf.log_gamma(n + 0.5)
+        p_nd = math.exp(lg_half + self.lg_gap1 - 0.5 * _LOG_PI - self.lg_2n_half_d)
+        edge = 0.5 + d / 2.0 - n
+        if abs(edge) <= 1e-13:
+            q_nd = 0.0
+        else:
+            q_nd = math.exp(lg_half + sf.log_gamma(d / 2.0 + 1.0 - n)
+                            - self.lg_n - sf.log_gamma(edge))
+        q_small = q_nd if p_nd >= q_nd else p_nd - (n - d / 2.0)
+        weights = (p_nd ** 2 * math.exp(self.lg_gap1 - self.lg_n),
+                   p_nd * q_nd * math.exp(sf.log_gamma(2.0 * n + 1.0 - d) - self.lg_2n_half_d),
+                   q_small ** 2
+                   * math.exp(sf.log_gamma(3.0 * n + 1.0 - 1.5 * d) - sf.log_gamma(3.0 * n - d)))
+        log_pref = (0.5 * d * _LOG_PI + 2.0 * self.lg_2n_half_d
+                    - 2.0 * self.lg_2n - 3.0 * math.log(n - d / 2.0))
+        return MinorantCoeffs(p_nd=p_nd, q_nd=q_nd, q_small=q_small), weights, log_pref
+
+
+@lru_cache(maxsize=64)
+def _bessel_constants(n: float, d: int) -> _BesselConstants:
+    """The Bessel-kernel norms' lam-free parts, built once per (n, d)."""
+    return _BesselConstants(n, d)
+
+
 def _log_bessel_norm_sq_hyper(q: BoundQuery, lam: float) -> float:
     n, d = q.n, q.d
     f = sf.hyp2f1(-n, d / 2.0, n, 1.0 - lam * lam)
     if not f > 0.0:
         raise ArithmeticError(f"trial norm hypergeometric factor <= 0 at lam={lam}")
-    return (0.5 * d * _LOG_PI + sf.log_gamma(n + 1.0 - d / 2.0) - math.log(q.n_gap)
-            - sf.log_gamma(n) - d * math.log(lam) + math.log(f))
+    return _bessel_constants(n, d).log_norm - d * math.log(lam) + math.log(f)
 
 
 def _log_bessel_norm_sq_sum(q: BoundQuery, lam: float) -> float:
@@ -508,10 +561,7 @@ def bessel_trial_norm_sq(q: BoundQuery, lam: float,
 
 
 def _log_sq_norm_prefactor(q: BoundQuery, lam: float) -> float:
-    n, d = q.n, q.d
-    return (0.5 * d * _LOG_PI + 2.0 * sf.log_gamma(2.0 * n - d / 2.0)
-            - sf.log_gamma(d / 2.0) - 2.0 * sf.log_gamma(2.0 * n)
-            - d * math.log(lam))
+    return _bessel_constants(q.n, q.d).log_sq_norm - q.d * math.log(lam)
 
 
 # The (B) squared-kernel norm integrates over x = log u with one fixed
@@ -629,17 +679,7 @@ def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> flo
 def minorant_coeffs(q: BoundQuery) -> MinorantCoeffs:
     """The (P, Q, q) coefficient triple of the squared-norm minorant;
     Q vanishes at n = d/2 + 1/2 (1/Gamma(0) = 0)."""
-    n, d = q.n, q.d
-    p_nd = math.exp(sf.log_gamma(n + 0.5) + sf.log_gamma(n + 1.0 - d / 2.0)
-                    - 0.5 * _LOG_PI - sf.log_gamma(2.0 * n - d / 2.0))
-    edge = 0.5 + d / 2.0 - n
-    if abs(edge) <= 1e-13:
-        q_nd = 0.0
-    else:
-        q_nd = math.exp(sf.log_gamma(n + 0.5) + sf.log_gamma(d / 2.0 + 1.0 - n)
-                        - sf.log_gamma(n) - sf.log_gamma(edge))
-    q_small = q_nd if p_nd >= q_nd else p_nd - q.n_gap
-    return MinorantCoeffs(p_nd=p_nd, q_nd=q_nd, q_small=q_small)
+    return _bessel_constants(q.n, q.d).minorant[0]
 
 
 def squared_trial_minorant(q: BoundQuery, lam: float) -> float:
@@ -655,22 +695,15 @@ def squared_trial_minorant(q: BoundQuery, lam: float) -> float:
         raise DomainError("minorant valid only for d/2 < n <= d/2 + 1/2")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    co = minorant_coeffs(q)
+    _co, (w1, w2, w3), log_pref = _bessel_constants(n, d).minorant
     w = 1.0 - 4.0 * lam * lam
     f1 = sf.hyp2f1(-n, d / 2.0, n, w)
     f2 = sf.hyp2f1(-n, d / 2.0, 2.0 * n - d / 2.0, w)
     f3 = sf.hyp2f1(-n, d / 2.0, 3.0 * n - d, w)
-    bracket = (co.p_nd ** 2 * math.exp(sf.log_gamma(n + 1.0 - d / 2.0) - sf.log_gamma(n)) * f1
-               - co.p_nd * co.q_nd
-               * math.exp(sf.log_gamma(2.0 * n + 1.0 - d) - sf.log_gamma(2.0 * n - d / 2.0)) * f2
-               + co.q_small ** 2
-               * math.exp(sf.log_gamma(3.0 * n + 1.0 - 1.5 * d) - sf.log_gamma(3.0 * n - d)) * f3 / 3.0)
-    log_pref = (0.5 * d * _LOG_PI + 2.0 * sf.log_gamma(2.0 * n - d / 2.0)
-                - 2.0 * sf.log_gamma(2.0 * n) - 3.0 * math.log(q.n_gap)
-                - d * math.log(lam))
+    bracket = w1 * f1 - w2 * f2 + w3 * f3 / 3.0
     if not bracket > 0.0:
         raise ArithmeticError("squared-norm minorant bracket <= 0")
-    return math.exp(log_pref + math.log(bracket))
+    return math.exp(log_pref - d * math.log(lam) + math.log(bracket))
 
 
 _LAM_LO = math.log(1e-3)

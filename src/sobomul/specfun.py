@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -243,19 +244,54 @@ def gauss_value(a: float, b: float, c: float) -> float:
     return s1 * s2 * s3 * s4 * math.exp(num1 + num2 - den1 - den2)
 
 
+# The series runs in blocks of _SERIES_BLOCK terms.  A block's term ratios
+# depend on (a, b, c) alone, and a search moves only w, so they are cached.
+_SERIES_BLOCK = 512
+
+
+@lru_cache(maxsize=16)
+def _ratio_block(a: float, b: float, c: float, k: int) -> np.ndarray:
+    """Term ratios (a+l)(b+l)/((c+l)(l+1)) of the 2F1 series for l in
+    block k (read-only: every caller shares them)."""
+    ell = np.arange(k * _SERIES_BLOCK, (k + 1) * _SERIES_BLOCK, dtype=float)
+    r = (a + ell) * (b + ell) / ((c + ell) * (ell + 1.0))
+    r.flags.writeable = False
+    return r
+
+
 def _series(a: float, b: float, c: float, w: float) -> float:
-    """Direct power series with a cancellation guard."""
+    """Direct power series with a cancellation guard.
+
+    Each block multiplies its ratios by w, seeds the first with the carried
+    term and runs np.multiply.accumulate for the terms and np.add.accumulate
+    (seeded with the carried sum) for the partial sums.  Both accumulates
+    are sequential, so every term and sum is the one-term-at-a-time loop's
+    bit for bit.  The loop stops at the first term below 1e-17 of the sum
+    whose ratio to the next has modulus |w r| < 1, and after _MAX_TERMS
+    terms at most.
+    """
     term = 1.0
     total = 1.0
     peak = 1.0
-    for ell in range(_MAX_TERMS):
-        term *= (a + ell) * (b + ell) / ((c + ell) * (ell + 1.0)) * w
-        total += term
-        at = abs(term)
-        if at > peak:
-            peak = at
-        if at <= 1e-17 * abs(total) and abs(w) * abs((a + ell) * (b + ell) / ((c + ell) * (ell + 1.0))) < 1.0:
+    w_abs = abs(w)
+    for start in range(0, _MAX_TERMS, _SERIES_BLOCK):
+        r = _ratio_block(a, b, c, start // _SERIES_BLOCK)[:_MAX_TERMS - start]
+        terms = r * w
+        terms[0] *= term
+        np.multiply.accumulate(terms, out=terms)
+        sums = terms.copy()
+        sums[0] += total
+        np.add.accumulate(sums, out=sums)
+        at = np.abs(terms)
+        done = at <= 1e-17 * np.abs(sums)
+        done &= w_abs * np.abs(r) < 1.0
+        stop = int(done.argmax())
+        if done[stop]:
+            peak = max(peak, float(at[:stop + 1].max()))
+            total = float(sums[stop])
             break
+        peak = max(peak, float(at.max()))
+        term, total = float(terms[-1]), float(sums[-1])
     else:
         raise SeriesError(f"2F1 series did not converge for ({a}, {b}, {c}; {w})")
     if abs(total) < peak / _CANCEL_LIMIT:

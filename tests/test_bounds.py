@@ -486,6 +486,65 @@ def test_k_bessel_minorant_domain():
         B.k_bessel_minorant(BoundQuery(d=2, n=1.8))
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_bessel_searches_pay_gamma_constants_once(monkeypatch):
+    # deterministic counts: four hyp2f1 calls per (BB) evaluation, and a
+    # fixed number of log_gamma calls per query whatever the number of
+    # evaluations (the lam-free constants are built once per (n, d))
+    hyp = _count_calls(monkeypatch, B.sf, "hyp2f1")
+    lg = _count_calls(monkeypatch, B.sf, "log_gamma")
+    B._bessel_constants.cache_clear()
+    res = B.k_bessel_minorant(BoundQuery(d=2, n=1.0 + 1e-4))
+    evaluations = res.diagnostics["evaluations"]
+    assert evaluations >= 30
+    assert len(hyp) == 4 * evaluations
+    # eleven arguments, and log Gamma(1/2 - gap) reflects once to 1/2 + gap
+    assert len(lg) == 12
+    lg.clear()
+    res = B.k_bessel(q_of(2, 3))
+    assert res.diagnostics["evaluations"] >= 10
+    assert len(lg) == 5
+
+
+@pytest.mark.parametrize("d, n", [(1, 0.5 + 1e-12), (2, 1.0 + 1e-4), (3, 1.55),
+                                  (6, 3.0999), (10, 5.0 + 3.7e-7)])
+def test_k_bessel_minorant_is_the_public_quotient(d, n):
+    # the search's quotient is the public minorant over the public trial
+    # norm, to the last bit, at the returned lam*
+    q = BoundQuery(d=d, n=n)
+    res = B.k_bessel_minorant(q)
+    lam = res.argmax.lam
+    minorant = B.squared_trial_minorant(q, lam)
+    norm = B.bessel_trial_norm_sq(q, lam, validate=False)
+    assert res.value == math.exp(0.5 * math.log(minorant) - math.log(norm))
+    assert rel_err(res.value, math.sqrt(minorant) / norm) <= 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (1, Fraction(3, 2)), (4, Fraction(9, 4)),
+                                  (2, Fraction(101, 100)), (7, Fraction(9, 2))])
+def test_k_bessel_is_the_public_quotient(d, n):
+    # K^B at lam* against the public squared-kernel norm over the public
+    # trial norm; the value adds the Gamma prefactor and the integral in
+    # log space, so the two agree to rounding of exp, not bit for bit
+    q = q_of(d, n)
+    res = B.k_bessel(q)
+    lam = res.argmax.lam
+    want = (math.sqrt(B.bessel_trial_sq_norm_sq(q, lam))
+            / B.bessel_trial_norm_sq(q, lam, validate=False))
+    assert rel_err(res.value, want) <= 1e-14
+
+
 # ----------------------------------------------------------------------
 # Gaussian trial norms and Fourier bounds
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.series_loop import series_loop
 from sobomul import specfun as sf
 
 SQRT_PI = math.sqrt(math.pi)
@@ -242,3 +243,111 @@ def test_hyper_eval_regimes():
     assert sf.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
     assert sf.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "integral"
     assert sf.HyperEval(1.0, 0.5, 3.0, 1.0).regime == "gauss_point"
+
+
+# ----------------------------------------------------------------------
+# the block series against the one-term-at-a-time loop
+# ----------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """The value's bits, or the SeriesError's message."""
+    try:
+        return fn(*args).hex()
+    except sf.SeriesError as exc:
+        return str(exc)
+
+
+def _bb_series_arguments(monkeypatch):
+    """The (a, b, c, w) of every series that the (BB) quotient sums on a
+    lam grid, most of them Kummer images."""
+    from sobomul import bounds as B
+    from sobomul.kernels import BoundQuery
+    seen = []
+    inner = sf._series
+
+    def recording(a, b, c, w):
+        seen.append((a, b, c, w))
+        return inner(a, b, c, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sf, "_series", recording)
+        for d, gap in ((1, 1e-12), (2, 1e-4), (5, 0.05), (10, 0.0999)):
+            q = BoundQuery(d=d, n=d / 2.0 + gap)
+            for lam in (0.3, 0.9, 1.42, 3.0, 40.0):
+                B.squared_trial_minorant(q, lam)
+                B.bessel_trial_norm_sq(q, lam, validate=False)
+    return seen
+
+
+def test_series_blocks_match_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(37)
+    draws = [tuple(float(v) for v in (*rng.uniform(-40.0, 40.0, 2),
+                                      rng.uniform(0.1, 40.0), rng.uniform(-0.99, 0.99)))
+             for _ in range(400)]
+    # w near 1: runs of thousands of terms across block boundaries
+    draws += [(float(a), float(b), float(c), float(w)) for a, b, c, w in zip(
+        rng.uniform(0.1, 5.0, 40), rng.uniform(0.1, 5.0, 40),
+        rng.uniform(0.5, 8.0, 40), rng.uniform(0.95, 0.99, 40))]
+    bb = _bb_series_arguments(monkeypatch)
+    # Kummer images: w < -0.7 maps to w / (w - 1) > 0.7 / 1.7
+    assert sum(w > sf._SERIES_CUT / (1.0 + sf._SERIES_CUT) for *_, w in bb) > 20
+    lengths = []
+    for args in draws + bb:
+        assert _outcome(sf._series, *args) == _outcome(lambda *x: series_loop(*x)[0], *args), args
+        try:
+            lengths.append(series_loop(*args)[1])
+        except sf.SeriesError:
+            pass
+    assert max(lengths) > 3 * sf._SERIES_BLOCK
+    assert len(lengths) < len(draws) + len(bb)
+
+
+def test_series_cancellation_guard_matches_loop():
+    # alternating series with large terms: the guard fires on most draws,
+    # and exactly where the loop's does
+    rng = np.random.default_rng(41)
+    raised = 0
+    for _ in range(200):
+        a, b = (float(v) for v in rng.uniform(5.0, 60.0, 2))
+        c = float(rng.uniform(0.5, 4.0))
+        w = float(rng.uniform(-0.7, -0.05))
+        got = _outcome(sf._series, a, b, c, w)
+        assert got == _outcome(lambda *x: series_loop(*x)[0], a, b, c, w), (a, b, c, w)
+        raised += "cancellation" in got
+    assert 50 < raised < 200
+
+
+def test_series_term_cap_is_exact(monkeypatch):
+    # the loop sums 3,438 terms here; a cap of 3,438 lets the block series
+    # converge to the loop's bits, a cap of 3,437 (neither is a multiple of
+    # the block size) makes it raise
+    args = (1.5, 1.5, 2.0, 0.99)
+    want, length = series_loop(*args)
+    assert length == 3438 and length % sf._SERIES_BLOCK and (length - 1) % sf._SERIES_BLOCK
+    monkeypatch.setattr(sf, "_MAX_TERMS", length)
+    assert sf._series(*args) == want
+    monkeypatch.setattr(sf, "_MAX_TERMS", length - 1)
+    with pytest.raises(sf.SeriesError, match="did not converge"):
+        sf._series(*args)
+    with pytest.raises(sf.SeriesError, match="did not converge"):
+        series_loop(*args)
+
+
+def test_hyp2f1_falls_back_to_euler_integral(monkeypatch):
+    # a series that hits the cap, a Kummer image that hits it, and a series
+    # that cancels all end in the Euler integral
+    series_value = sf.hyp2f1(1.5, 0.5, 2.0, 0.6)
+    kummer_value = sf.hyp2f1(1.5, 0.5, 2.0, -3.0)
+    monkeypatch.setattr(sf, "_MAX_TERMS", 37)
+    got = sf.hyp2f1(1.5, 0.5, 2.0, 0.6)
+    assert got == sf._integral_rep(1.5, 0.5, 2.0, 0.6)
+    assert rel_err(got, series_value) < 1e-10
+    got = sf.hyp2f1(1.5, 0.5, 2.0, -3.0)
+    assert got == sf._integral_rep(1.5, 0.5, 2.0, -3.0)
+    assert rel_err(got, kummer_value) < 1e-10
+    monkeypatch.setattr(sf, "_MAX_TERMS", 200_000)
+    with pytest.raises(sf.SeriesError, match="cancellation"):
+        sf._series(40.0, 1.5, 2.5, -0.7)
+    got = sf.hyp2f1(40.0, 1.5, 2.5, -0.7)
+    assert got == sf._integral_rep(40.0, 1.5, 2.5, -0.7)
+    assert rel_err(got, 0.009410315247728599) < 1e-12  # mpmath.hyp2f1
