@@ -16,15 +16,13 @@ D = 2
 
 print(f"Upper bounds for d = {D}")
 print(f"{'n':>10} {'K+':>12} {'maximizer u':>14}  route")
-warm = None
 for gap in (Fraction(1, 10000), Fraction(1, 10), Fraction(1, 2), Fraction(1),
             Fraction(3, 2), Fraction(3), Fraction(15), Fraction(60), Fraction(120)):
     n = Fraction(D, 2) + gap
     q = BoundQuery(d=D, n=float(n), n_exact=n)
-    res = k_plus(q, warm_start_u=warm)
+    res = k_plus(q)
     u = res.argmax.u
     if u is not None and math.isfinite(u):
-        warm = u
         loc = f"{u:14.4g}"
     else:
         loc = f"{'boundary':>14}"

@@ -4,7 +4,10 @@
 Upper bounds
     k_plus          K+  = sqrt( sup_u upper_curve(u) ); for
                     n <= d/2 + 1/2 the curve is increasing and the sup is
-                    its closed-form limit at u = inf.
+                    its closed-form limit at u = inf.  Above that a
+                    batched Newton search in log u, on the curve's exact
+                    slope and curvature, finds the sup; one query is its
+                    one-row case, a residual scan its many-row case.
     k_plus_plus     K++ >= K+, an elementary envelope built from the
                     constants of :class:`AsympConstants` and the residual
                     supremum Z_d.
@@ -50,8 +53,8 @@ import numpy as np
 
 from . import specfun as sf
 from .kernels import (BoundQuery, DomainError, KernelRows, log_hyper_kernel,
-                      log_upper_curve, log_upper_curve_limit, log_upper_curve_rows)
-from .optim import (BracketBoundaryError, MaxResult, maximize_1d, maximize_1d_lockstep,
+                      log_upper_curve_limit, log_upper_curve_rows)
+from .optim import (BracketBoundaryError, MaxResult, maximize_1d, maximize_1d_newton,
                     maximize_2d)
 
 __all__ = [
@@ -218,22 +221,33 @@ def _exp_in_range(log_value: float, what: str, q: BoundQuery) -> float:
 
 _U_LO = 1e-12
 _U_HI = 1e12
-_U_TOL_X = 1e-9
 # The boundary-limit K+ carries a 1e-12 relative error estimate, so the
 # log of the squared curve may exceed the limit's by 2e-12 at most.
 _LIMIT_LOG_TOL = 2e-12
 
 
+def _curve_rounding(q: BoundQuery, u: float) -> float:
+    """A bound on the rounding error of log_upper_curve at u: 4 eps times
+    the sizes of its Gamma constant, n log1p(4u) and (2n - d/2 - 1/2)
+    log1p(u), which the kernel's log sums carry too."""
+    size = (abs(q._log_curve_scale) + q.n * math.log1p(4.0 * u)
+            + (2.0 * q.n - 0.5 * q.d - 0.5) * math.log1p(u))
+    return 4.0 * sys.float_info.epsilon * size
+
+
 def _certified_k_plus(q: BoundQuery, outcome: MaxResult | BracketBoundaryError) -> BoundResult:
     """K+ from a finished search of log_upper_curve over x = log u.
 
-    A search that ended inside its bracket gives the square root of its
-    best value, or DomainError when that leaves the double range; one whose
-    budget ran out keeps that value with a caveat, since it lies below the
-    supremum.  A search still climbing at its bracket boundary gives the
-    closed-form limit, but only if the curve there is finite and not above
-    the limit; otherwise the supremum is unknown and ArithmeticError is
-    raised.
+    A search that ended inside [_U_LO, _U_HI] gives the square root of its
+    best value, or DomainError when that leaves the double range; one
+    whose budget ran out keeps that value with a caveat, since it lies
+    below the supremum.  Its error estimate is half (K+ being a square
+    root) of the final Newton model's remaining gain, the search's
+    rounding floor and the curve's own (:func:`_curve_rounding`).  A
+    search still climbing at the upper bound gives the closed-form limit,
+    but only if the curve there is finite and not above the limit;
+    otherwise, or if the curve is not finite where the search stopped,
+    the supremum is unknown and ArithmeticError is raised.
     """
     if isinstance(outcome, BracketBoundaryError):
         # Still increasing at the bracket boundary: sup effectively at inf,
@@ -249,15 +263,21 @@ def _certified_k_plus(q: BoundQuery, outcome: MaxResult | BracketBoundaryError) 
                            argmax=TrialParams(u=math.inf),
                            error_estimate=value * 1e-12,
                            diagnostics={"route": "boundary_limit"})
+    if not math.isfinite(outcome.max_value):
+        raise ArithmeticError(
+            f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
+            f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
     value = _exp_in_range(0.5 * outcome.max_value, "K+", q)
+    u = math.exp(outcome.argmax[0])
     diags = {"route": "maximize", "evaluations": outcome.iterations,
-             "converged": outcome.converged}
+             "converged": outcome.converged, "slope": outcome.slope,
+             "curvature": outcome.curvature}
     if not outcome.converged:
         diags["caveat"] = ("optimizer budget exhausted; the value lies below the "
                            "supremum of the upper curve, so it is not a certified K+")
     return BoundResult(value=value, kind="upper_plus",
-                       argmax=TrialParams(u=math.exp(outcome.argmax[0])),
-                       error_estimate=value * _U_TOL_X,
+                       argmax=TrialParams(u=u),
+                       error_estimate=value * 0.5 * (outcome.gain + _curve_rounding(q, u)),
                        diagnostics=diags)
 
 
@@ -270,31 +290,18 @@ def _closed_form_k_plus(q: BoundQuery) -> BoundResult:
                        diagnostics={"route": "closed_form_limit"})
 
 
-def k_plus(q: BoundQuery, warm_start_u: float | None = None) -> BoundResult:
+def k_plus(q: BoundQuery) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
 
     For n <= d/2 + 1/2 the curve increases toward its limit, which is then
     returned in closed form with the argmax reported as the boundary.
-    Otherwise a search from u = max(1/2, warm_start_u) finds the supremum,
-    certified by :func:`_certified_k_plus`.  Where the large-n law, which
-    lies below K+, or K+ itself exceeds the double range, DomainError is
-    raised.
+    Otherwise K+ is the one-row case of :func:`_k_plus_search`.  Where the
+    large-n law, which lies below K+, or K+ itself exceeds the double
+    range, DomainError is raised.
     """
     if q.has_closed_form_upper:
         return _closed_form_k_plus(q)
-
-    _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
-    u0 = max(0.5, warm_start_u if warm_start_u is not None else 0.5)
-
-    def objective(x: float) -> float:
-        return log_upper_curve(q, math.exp(x))
-
-    try:
-        outcome = maximize_1d(objective, math.log(_U_LO), math.log(_U_HI),
-                              math.log(u0), tol_x=_U_TOL_X)
-    except BracketBoundaryError as exc:
-        outcome = exc
-    return _certified_k_plus(q, outcome)
+    return _k_plus_search([q])[0][0]
 
 
 def _scan_start_u(q: BoundQuery) -> float:
@@ -305,32 +312,29 @@ def _scan_start_u(q: BoundQuery) -> float:
     return min(0.5 + (0.375 * q.d + 1.5) / (q.n_gap - 0.5), _U_HI)
 
 
-def _k_plus_lockstep(d: int, queries: list[BoundQuery]) -> tuple[list[BoundResult], int]:
+def _k_plus_search(queries: list[BoundQuery]) -> tuple[list[BoundResult], int]:
     """K+ of queries of one d, each with n > d/2 + 1/2 and given in
-    ascending n, from one lockstep run of their searches; and the number
-    of its rounds.  Each round evaluates the upper curve at every live
-    search's next point in one kernel call.  Each search starts from
-    :func:`_scan_start_u` and is certified as in k_plus, except that one
-    that does not converge raises ArithmeticError."""
+    ascending n, and the number of rounds of their search.
+
+    One batched Newton search (:func:`maximize_1d_newton`) over x = log u
+    in [log _U_LO, log _U_HI] runs a row per query, each from
+    :func:`_scan_start_u`, which depends on its own (n, d) alone.  Each
+    round evaluates the upper curve, its slope and its curvature at every
+    live row's next point in one kernel call.  Each result is certified
+    by :func:`_certified_k_plus`."""
     for q in queries:
         _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
-    rows = KernelRows(d, [q.n for q in queries])
+    rows = KernelRows(queries)
     rounds = 0
 
-    def objective(at: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def objective(at: np.ndarray, x: np.ndarray) -> tuple:
         nonlocal rounds
         rounds += 1
         return log_upper_curve_rows(rows, at, np.exp(x))
 
-    outcomes = maximize_1d_lockstep(
-        objective, math.log(_U_LO), math.log(_U_HI),
-        [math.log(_scan_start_u(q)) for q in queries], tol_x=_U_TOL_X)
-    results = [_certified_k_plus(q, outcome) for q, outcome in zip(queries, outcomes)]
-    for q, res in zip(queries, results):
-        if "caveat" in res.diagnostics:
-            raise ArithmeticError(
-                f"K+ search at (n, d) = ({q.n:g}, {d}): {res.diagnostics['caveat']}")
-    return results, rounds
+    outcomes = maximize_1d_newton(objective, math.log(_U_LO), math.log(_U_HI),
+                                  [math.log(_scan_start_u(q)) for q in queries])
+    return [_certified_k_plus(q, outcome) for q, outcome in zip(queries, outcomes)], rounds
 
 
 def k_plus_asymp_small(q: BoundQuery) -> float:
@@ -412,13 +416,18 @@ def _round_sig(x: float, figures: int = 3) -> float:
 def _residual_k_plus(d: int, gap_grid: tuple[float, ...]
                      ) -> tuple[list[BoundQuery], list[BoundResult], int]:
     """The residual scan's queries, their K+ with its diagnostics, and the
-    number of lockstep rounds (each one kernel call).  The gaps up to 1/2
-    take K+'s closed form; the others' searches run in lockstep
-    (:func:`_k_plus_lockstep`), each from a start of its own, so no row's
-    result depends on another's.  Not cached, unlike the scan's result."""
+    number of search rounds (each one kernel call).  The gaps up to 1/2
+    take K+'s closed form; the others share one batched search
+    (:func:`_k_plus_search`), in which each row starts from its own
+    (n, d), and a search that does not converge raises ArithmeticError.
+    Not cached, unlike the scan's result."""
     queries = [BoundQuery(d=d, n=d / 2.0 + nd) for nd in gap_grid]
     searched = [q for q in queries if not q.has_closed_form_upper]
-    found, rounds = _k_plus_lockstep(d, searched) if searched else ([], 0)
+    found, rounds = _k_plus_search(searched) if searched else ([], 0)
+    for q, res in zip(searched, found):
+        if "caveat" in res.diagnostics:
+            raise ArithmeticError(
+                f"K+ search at (n, d) = ({q.n:g}, {d}): {res.diagnostics['caveat']}")
     next_found = iter(found).__next__
     kps = [_closed_form_k_plus(q) if q.has_closed_form_upper else next_found() for q in queries]
     return queries, kps, rounds

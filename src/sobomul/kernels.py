@@ -20,8 +20,10 @@ whole argument range and for large n:
   value, written with Gamma(n+1-d/2)/(n-d/2) so the n -> (d/2)+ limit stays
   finite.
 * ``log_upper_curve_rows``  the log upper curve of many queries of one d
-  (a :class:`KernelRows`) at one u each, in one call: the same rule, with
-  one query as its one-row case, for searches run in lockstep.
+  (a :class:`KernelRows`) at one u each, in one call, with its exact slope
+  and curvature in x = log u: the same rule, with one query as its one-row
+  case, for the batched K+ search.  The derivatives cost two more
+  weighted sums over the terms that the value already exponentiates.
 
 Log-space variants are provided where the bound evaluators need them.
 """
@@ -175,7 +177,8 @@ def _rule_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return (*tables, h_count)
 
 
-def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rule_sums(rule: _KernelRule, u: np.ndarray, moments: bool = False,
+               spare: np.ndarray | None = None) -> tuple:
     """For each u of a block: the log of the h rule's sum S of the terms
     exp(base + expo log1p(u (1-s))), and the 2h rule's sum over S.  With
     w = u/(1+u),
@@ -185,7 +188,14 @@ def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     exact at u = 0 and free of cancellation as w -> 1; the caller
     subtracts expo log1p(u) along with the Pfaff factor's n log1p(u).
     ``base`` and ``expo`` are either one query's, shared by every u, or
-    one row per u (a (points, nodes) base and a (points, 1) expo)."""
+    one row per u (a (points, nodes) base and a (points, 1) expo).
+
+    With moments, also the term-weighted means E[q] and E[q^2] of
+    q = 1/(1 + u(1-s)), from which the derivatives of log S in log u
+    follow (:func:`log_upper_curve_rows`).  q is formed in ``spare``
+    where given: a (points, nodes) array that is free once base has been
+    added, such as a per-point base.
+    """
     t = np.multiply.outer(u, rule.oms)
     np.log1p(t, out=t)
     t *= rule.expo
@@ -196,9 +206,18 @@ def _rule_sums(rule: _KernelRule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     fine = np.add.reduce(t, axis=1)
     coarse = np.add.reduce(t[:, :rule.h_count], axis=1)
     coarse /= fine
+    if moments:
+        q = np.multiply.outer(u, rule.oms, out=spare)
+        q += 1.0
+        np.divide(1.0, q, out=q)
+        mean = np.add.reduce(t * q, axis=1)
+        mean /= fine
+        q *= q
+        square = np.add.reduce(t * q, axis=1)
+        square /= fine
     np.log(fine, out=fine)
     fine += top[:, 0]
-    return fine, coarse
+    return (fine, coarse, mean, square) if moments else (fine, coarse)
 
 
 def _node_bases(level: int, n: float, expo: float) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +260,10 @@ def _unsettled(step, step0, log_sum, expo, log1pu) -> np.ndarray | None:
     return off if off.any() else None
 
 
-def _log_kernel(q: BoundQuery, u: np.ndarray, level: int) -> np.ndarray:
+def _log_kernel(q: BoundQuery, u: np.ndarray, level: int, moments: bool = False):
     """log F on the rule of the given level, with the points that it does
-    not settle recomputed a level up."""
+    not settle recomputed a level up; with moments, also the moments of
+    :func:`_rule_sums` on the rule that settles each point."""
     if level > _TS_MAX_LEVEL:
         raise ArithmeticError(
             f"kernel rule did not settle by tanh-sinh level {_TS_MAX_LEVEL} "
@@ -254,46 +274,51 @@ def _log_kernel(q: BoundQuery, u: np.ndarray, level: int) -> np.ndarray:
     rule = rules[level]
     block = _BLOCK_ENTRIES // rule.base.size
     if u.size <= block:
-        log_sum, step = _rule_sums(rule, u)
+        log_sum, step, *mom = _rule_sums(rule, u, moments)
     else:
-        log_sum, step = (np.concatenate(x) for x in zip(
-            *(_rule_sums(rule, u[i:i + block]) for i in range(0, u.size, block))))
+        log_sum, step, *mom = (np.concatenate(x) for x in zip(
+            *(_rule_sums(rule, u[i:i + block], moments) for i in range(0, u.size, block))))
     log1pu = np.log1p(u)
     log_f = log_sum - (rule.log_norm + (2.0 * q.n - 0.5 * q.d - 0.5) * log1pu)
     off = _unsettled(step, rule.step0, log_sum, rule.expo, log1pu)
     if off is not None:
-        log_f[off] = _log_kernel(q, u[off], level + 1)
-    return log_f
+        up = _log_kernel(q, u[off], level + 1, moments)
+        for out, part in zip([log_f, *mom], up if moments else [up]):
+            out[off] = part
+    return (log_f, *mom) if moments else log_f
 
 
 class KernelRows:
-    """Queries of one dimension d, one per row, for kernel calls that take
+    """Queries of one dimension, one per row, for kernel calls that take
     one u per row and many rows at once (:func:`log_upper_curve_rows`).
 
     Every row shares the query-free level-6 node tables; a row holds only
-    its scalars and the mask of its kept nodes, so a batch over
-    hundreds of rows builds no per-row tables.  A block of points takes
-    the nodes that any of its rows keeps and forms each point's base from
-    its own n, so a row alone in its block sums exactly the terms, in the
-    order, of its query's own rule.  Give the rows in ascending n:
-    neighbouring rows then keep nearly the same nodes.  Needs at least one
-    row.
+    its scalars and the mask of its kept nodes, so a batch over hundreds
+    of rows builds no per-row tables.  A block of points takes the nodes
+    that any of its rows keeps and forms each point's base from its own n,
+    so a row alone in its block sums exactly the terms, in the order, of
+    its query's own rule.  A point that level 6 does not settle moves up
+    through its row's query, whose tables of the higher levels stay with
+    it.  Give the rows in ascending n: neighbouring rows then keep nearly
+    the same nodes.  Needs at least one row.
     """
 
-    def __init__(self, d: int, n) -> None:
-        queries = [BoundQuery(d=d, n=float(v)) for v in n]
-        self.d = d
-        self.n = np.array([q.n for q in queries])
-        self.expo = np.array([q.n_gap - 0.5 for q in queries])
-        self.log_scale = np.array([q._log_curve_scale for q in queries])
-        self.keep = np.empty((len(queries), _rule_nodes(_FIRST_LEVEL)[0].size), dtype=bool)
-        for row, q in zip(self.keep, queries):
+    def __init__(self, queries) -> None:
+        self.queries = list(queries)
+        self.d = self.queries[0].d
+        if any(q.d != self.d for q in self.queries):
+            raise ValueError("KernelRows needs queries of one dimension")
+        self.n = np.array([q.n for q in self.queries])
+        self.expo = np.array([q.n_gap - 0.5 for q in self.queries])
+        self.log_scale = np.array([q._log_curve_scale for q in self.queries])
+        self.keep = np.empty((self.n.size, _rule_nodes(_FIRST_LEVEL)[0].size), dtype=bool)
+        for row, q in zip(self.keep, self.queries):
             row[:] = _node_bases(_FIRST_LEVEL, q.n, q.n_gap - 0.5)[1]
         # points per block, from the most nodes that one row keeps
         self._block = max(1, _ROWS_BLOCK_ENTRIES // max(map(np.count_nonzero, self.keep)))
         self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))
 
-    def _sums(self, at: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _sums(self, at: np.ndarray, u: np.ndarray, moments: bool = False) -> tuple:
         """_rule_sums of the level-6 rule at the points (row at[i], u[i]),
         in blocks of about _ROWS_BLOCK_ENTRIES (point, node) pairs."""
         log_weight, log_s, oms, log_oms, h_count = _rule_nodes(_FIRST_LEVEL)
@@ -307,25 +332,26 @@ class KernelRows:
             base -= 0.5 * log_oms[nodes]
             rule = _KernelRule(oms[nodes], base, int(np.count_nonzero(nodes[:h_count])),
                                self.expo[rows, None])
-            parts.append(_rule_sums(rule, u[i:i + self._block]))
-        log_sum, step = zip(*parts)
-        return np.concatenate(log_sum), np.concatenate(step)
+            parts.append(_rule_sums(rule, u[i:i + self._block], moments, spare=base))
+        return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _log_kernel_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _log_kernel_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray, moments: bool = False):
     """log F at the points (row at[i], u[i]) in one call: the level-6
     rule on every point, and each point that it does not settle
-    recomputed through its row's own query a level up."""
-    log_sum, step = rows._sums(at, u)
+    recomputed through its row's own query a level up; with moments, as
+    in :func:`_log_kernel`."""
+    log_sum, step, *mom = rows._sums(at, u, moments)
     log1pu = np.log1p(u)
     n = rows.n[at]
     log_f = log_sum - (rows.log_norm[at] + (2.0 * n - 0.5 * rows.d - 0.5) * log1pu)
     off = _unsettled(step, rows.step0[at], log_sum, rows.expo[at], log1pu)
     if off is not None:
         for i in np.flatnonzero(off):
-            q = BoundQuery(d=rows.d, n=float(rows.n[at[i]]))
-            log_f[i] = _log_kernel(q, u[i:i + 1], _FIRST_LEVEL + 1)[0]
-    return log_f
+            up = _log_kernel(rows.queries[at[i]], u[i:i + 1], _FIRST_LEVEL + 1, moments)
+            for out, part in zip([log_f, *mom], up if moments else [up]):
+                out[i] = part[0]
+    return (log_f, *mom) if moments else log_f
 
 
 def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
@@ -365,9 +391,32 @@ def log_upper_curve(q: BoundQuery, u) -> float | np.ndarray:
     return q._log_curve_scale + q.n * np.log1p(4.0 * u) + log_hyper_kernel(q, u)
 
 
-def log_upper_curve_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """log_upper_curve at the points (row at[i], u[i]) in one kernel call."""
-    return rows.log_scale[at] + rows.n[at] * np.log1p(4.0 * u) + _log_kernel_rows(rows, at, u)
+def log_upper_curve_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log_upper_curve at the points (row at[i], u[i]) in one kernel call,
+    with its first and second derivatives in x = log u.
+
+    With c = 2n - d/2 - 1/2, e = n - d/2 - 1/2 and the term-weighted
+    moments of q = 1/(1 + u(1-s)) from :func:`_rule_sums`, the slope is
+
+        c/(1+u) - n/(1+4u) - e E[q],
+
+    whose terms vanish like 1/u as u grows, where the argmax may lie near
+    1e11 and a slope of order 1e-10 must keep its sign (as u falls below
+    1 they cancel instead, to a relative error of a few eps/u), and the
+    curvature is
+
+        n 4u/(1+4u)^2 - c u/(1+u)^2 + e E[q (1 - q)] + e^2 Var[q].
+    """
+    n, expo = rows.n[at], rows.expo[at]
+    log_f, mean, square = _log_kernel_rows(rows, at, u, moments=True)
+    value = rows.log_scale[at] + n * np.log1p(4.0 * u) + log_f
+    c = 2.0 * n - 0.5 * rows.d - 0.5
+    a, b = 1.0 / (1.0 + 4.0 * u), 1.0 / (1.0 + u)
+    slope = c * b - n * a - expo * mean
+    curvature = (n * (4.0 * u * a) * a - c * (u * b) * b + expo * (mean - square)
+                 + expo * expo * (square - mean * mean))
+    return value, slope, curvature
 
 
 def upper_curve(q: BoundQuery, u) -> float | np.ndarray:

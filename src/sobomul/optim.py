@@ -3,29 +3,33 @@
 * :func:`maximize_1d` -- derivative-free bracketed scalar search:
   geometric bracket expansion from a starting point, then golden-section
   refinement with parabolic acceleration (Brent's scheme, written for
-  maximization).  The search is a generator that yields abscissae and is
-  sent the values there, so one code path serves two loops:
-  :func:`maximize_1d` evaluates one function point by point, and
-  :func:`maximize_1d_lockstep` runs many independent searches in rounds,
-  evaluating every live search's next point in one vectorised call.
+  maximization).  It serves the (B) and (BB) searches over the trial
+  scale.
+* :func:`maximize_1d_newton` -- safeguarded Newton ascent on a trust
+  region for smooth functions that supply their first and second
+  derivatives, many independent searches at once: each round evaluates
+  every live search's next point in one vectorised call, and a one-row
+  run is the single search.  It serves the K+ search over log u.
 * :func:`maximize_2d` -- trust-region, saddle-free Newton ascent over two
   positive variables, run in log coordinates with a small multistart set;
   the objective supplies its gradient and Hessian.
 
-Both report the best point ever evaluated, so a truncated run still yields
-a usable value for callers whose objective is itself a certified lower
-bound.
+Each 1-D search is a generator that yields abscissae and is sent the
+values there, driven by its public function.  All report the best point
+ever evaluated, so a truncated run still yields a usable value for
+callers whose objective is itself a certified lower bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["MaxResult", "BracketBoundaryError", "maximize_1d", "maximize_1d_lockstep",
+__all__ = ["MaxResult", "BracketBoundaryError", "maximize_1d", "maximize_1d_newton",
            "maximize_2d"]
 
 _GOLDEN = 0.381966011250105097  # 2 - golden ratio
@@ -53,6 +57,11 @@ class MaxResult:
     iterations: int
     converged: bool
     history: list[tuple[float, ...]] = field(default_factory=list, repr=False)
+    # maximize_1d_newton only: the slope and curvature at the argmax, and
+    # how far the value may still lie below the maximum
+    slope: float = math.nan
+    curvature: float = math.nan
+    gain: float = math.nan
 
 
 def _bracket(x0: float, lo: float, hi: float, step0: float):
@@ -181,41 +190,85 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, x0: float,
                      history=history)
 
 
-def maximize_1d_lockstep(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                         lo: float, hi: float, x0: Sequence[float],
-                         tol_x: float = 1e-8, max_iter: int = 300,
-                         ) -> list[MaxResult | BracketBoundaryError]:
-    """Run one :func:`maximize_1d` search on [lo, hi] per start in x0 (a
-    row each), all in lockstep.
+# The 1-D Newton search: initial and largest trust radius (in x), and the
+# rounding floors of its stop test, relative to max(1, |f|): the first
+# while no trial has fallen by rounding noise alone, the second after one.
+_RADIUS0_1D = 1.0
+_RADIUS_MAX_1D = 8.0
+_FLOOR = 2.0 * sys.float_info.epsilon
+_NOISE_FLOOR = 32.0 * sys.float_info.epsilon
 
-    Each round advances every live row by one evaluation through a single
-    call f(rows, x), which gets the live rows' indices and abscissae as
-    arrays and returns their values; a row leaves when its search ends.
-    Returns, per row, what maximize_1d would return for it, without the
-    history, or the BracketBoundaryError that it would raise.  Given the
-    same values, each row takes the same steps as maximize_1d.
+
+def _newton_1d(lo: float, hi: float, x0: float, max_iter: int):
+    """One search of :func:`maximize_1d_newton` as a generator: it yields
+    each abscissa, is sent (f, f', f'') there, and returns the search's
+    MaxResult (or raises BracketBoundaryError)."""
+    if not (lo <= x0 <= hi) or not lo < hi:
+        raise ValueError(f"need lo <= x0 <= hi, got ({lo}, {x0}, {hi})")
+    x = x0
+    f, g, h = yield x
+    evaluations, radius, floor = 1, _RADIUS0_1D, _FLOOR
+    while True:
+        tol = floor * max(1.0, abs(f))
+        if not (math.isfinite(f) and math.isfinite(g) and math.isfinite(h)):
+            return MaxResult((x,), f, evaluations, False, slope=g, curvature=h, gain=math.inf)
+        step = -g / h if h < 0.0 else math.copysign(radius, g)
+        step = min(max(step, -radius, lo - x), radius, hi - x)
+        if step == 0.0 and g != 0.0:
+            raise BracketBoundaryError("hi" if g > 0.0 else "lo", x, f)
+        gain = step * (g + 0.5 * h * step)
+        if gain <= tol or evaluations >= max_iter:
+            return MaxResult((x,), f, evaluations, gain <= tol,
+                             slope=g, curvature=h, gain=max(gain, 0.0) + tol)
+        ft, gt, ht = yield x + step
+        evaluations += 1
+        if ft >= f:
+            x, f, g, h = x + step, ft, gt, ht
+            if abs(step) == radius:
+                radius = min(2.0 * radius, _RADIUS_MAX_1D)
+        else:
+            if f - ft <= _NOISE_FLOOR * max(1.0, abs(f)):
+                floor = _NOISE_FLOOR
+            radius = 0.25 * abs(step)
+
+
+def maximize_1d_newton(f: Callable[[np.ndarray, np.ndarray], tuple],
+                       lo: float, hi: float, x0: Sequence[float], max_iter: int = 100,
+                       ) -> list[MaxResult | BracketBoundaryError]:
+    """Maximize smooth functions on [lo, hi], one per row, each from its
+    own start in x0, by safeguarded Newton steps run in lockstep.
+
+    Each round evaluates every live row's next point through one call
+    f(rows, x), which gets the live rows' indices and abscissae as arrays
+    and returns their values, first and second derivatives as three
+    arrays; a row leaves when its search ends, and given the same values
+    each row takes the steps that it would take alone.  A step is the Newton step where the
+    curvature is negative and a step of the trust radius uphill
+    elsewhere, cut to the radius and to [lo, hi].  The radius starts at 1,
+    doubles up to 8 after an accepted step that reached it and falls to a
+    quarter of a rejected step; a trial is accepted when its value does
+    not fall, so the current point is always the best one.  A search
+    converges when its model's gain f' s + f'' s^2/2 is at rounding level,
+    2 eps max(1, |f|), or 32 eps max(1, |f|) once a trial has fallen by
+    no more than that.  It stops unconverged after max_iter evaluations or
+    at a point where f or a derivative is not finite, and raises (returns,
+    per row) :class:`BracketBoundaryError` at a bound where the slope
+    points outward.  MaxResult carries the final slope, curvature and
+    ``gain``: the model's remaining gain plus the rounding floor.
     """
-    searches = [_search_1d(lo, hi, start, tol_x, max_iter) for start in x0]
+    searches = [_newton_1d(lo, hi, start, max_iter) for start in x0]
     outcomes: list[MaxResult | BracketBoundaryError | None] = [None] * len(searches)
-    # per row: best point (the first of the largest values, as in
-    # maximize_1d) and evaluation count
-    best: list[tuple[float, float] | None] = [None] * len(searches)
-    evals = [0] * len(searches)
     live = list(range(len(searches)))
     xs = [next(search) for search in searches]
     while live:
-        values = f(np.array(live), np.array(xs))
+        values = zip(*(v.tolist() for v in f(np.array(live), np.array(xs))))
         still, next_xs = [], []
-        for row, x, value in zip(live, xs, values.tolist()):
-            evals[row] += 1
-            if best[row] is None or value > best[row][1]:
-                best[row] = (x, value)
+        for row, sent in zip(live, values):
             try:
-                next_xs.append(searches[row].send(value))
+                next_xs.append(searches[row].send(sent))
                 still.append(row)
             except StopIteration as stop:
-                outcomes[row] = MaxResult(argmax=(best[row][0],), max_value=best[row][1],
-                                          iterations=evals[row], converged=stop.value)
+                outcomes[row] = stop.value
             except BracketBoundaryError as exc:
                 outcomes[row] = exc
         live, xs = still, next_xs

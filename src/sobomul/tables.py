@@ -6,10 +6,10 @@ against: upper bound, lower/upper ratio and the selected lower-bound tag
 for d = 1..4 over thirteen n per dimension, plus the envelope constants
 Z_d and Theta_d for d = 1..10.
 
-``table1_rows`` evaluates one dimension's row with a warm-started
-maximizer chain; ``table2_rows`` runs the residual scans, whose K+
-searches start independently and run in lockstep, one batched kernel call
-per round (see ``bounds._residual_scan``).
+``table1_rows`` evaluates one dimension's row, cell by cell;
+``table2_rows`` runs the residual scans, whose K+ searches share one
+batched Newton search per dimension, one kernel call per round (see
+``bounds._residual_scan``).
 """
 
 from __future__ import annotations
@@ -126,13 +126,11 @@ class Table1Cell:
 def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
     """Evaluate one dimension of the bounds table.
 
-    Upper-bound maximizations are warm-started from the previous column's
-    maximizer (it drifts smoothly toward 1/2 as n grows).  Per-cell
-    failures, of K+ or of the lower bound, are recorded in the cell, whose
-    values not computed are NaN, and the row continues.
+    Each cell depends on its own (n, d) alone.  Per-cell failures, of K+
+    or of the lower bound, are recorded in the cell, whose values not
+    computed are NaN, and the row continues.
     """
     cells: list[Table1Cell] = []
-    warm: float | None = None
     for gap in TABLE1_GAPS:
         n_exact = Fraction(d, 2) + gap
         q = BoundQuery(d=d, n=float(n_exact), n_exact=n_exact)
@@ -143,11 +141,9 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
         lower_arg: tuple[float, ...] = ()
         tag = ""
         try:
-            kp = bounds.k_plus(q, warm_start_u=warm)
+            kp = bounds.k_plus(q)
             k_plus = kp.value
             upper_arg = kp.argmax.as_tuple() if kp.argmax else ()
-            if kp.argmax is not None and kp.argmax.u is not None and math.isfinite(kp.argmax.u):
-                warm = kp.argmax.u
             if with_lower:
                 low = bounds.best_lower(q)
                 k_minus = low.value

@@ -38,3 +38,19 @@ def bessel_sq_norm_double_sum(q, lam):
 @pytest.fixture
 def sq_norm_double_sum():
     return bessel_sq_norm_double_sum
+
+
+def _blind_past(curve, u_max):
+    """A log_upper_curve_rows that reads -inf, with no derivatives, past
+    u_max, and curve's values below."""
+    def rows_curve(rows, at, u):
+        value, slope, curvature = curve(rows, at, u)
+        far = u > u_max
+        value[far], slope[far], curvature[far] = -math.inf, math.nan, math.nan
+        return value, slope, curvature
+    return rows_curve
+
+
+@pytest.fixture
+def blind_past():
+    return _blind_past

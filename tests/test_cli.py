@@ -171,7 +171,7 @@ def test_large_half_integer_gap_sandwich(capsys, n, d):
 def test_nonconvergence_exit_3(monkeypatch, capsys):
     from sobomul import bounds
 
-    def fake_k_plus(q, warm_start_u=None):
+    def fake_k_plus(q):
         return bounds.BoundResult(value=1.0, kind="upper_plus",
                                   argmax=bounds.TrialParams(u=1.0),
                                   diagnostics={"caveat": "budget exhausted"})
@@ -184,12 +184,11 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["sandwich", "-n", "2000", "-d", "3"],
                                   ["upper", "-n", "20", "-d", "2"]])
-def test_uncertified_upper_bound_exits_3(monkeypatch, capsys, argv):
+def test_uncertified_upper_bound_exits_3(monkeypatch, capsys, blind_past, argv):
     # a curve that the K+ search cannot see past u = 1e-3 (it reads -inf
     # there): no K+ far below K- may be printed
-    curve = cli.bounds.log_upper_curve
-    monkeypatch.setattr(cli.bounds, "log_upper_curve",
-                        lambda q, u: -math.inf if u > 1e-3 else curve(q, u))
+    monkeypatch.setattr(cli.bounds, "log_upper_curve_rows",
+                        blind_past(cli.bounds.log_upper_curve_rows, 1e-3))
     code, out, err = run(capsys, argv + ["--json"])
     assert code == 3
     assert not out
@@ -198,21 +197,24 @@ def test_uncertified_upper_bound_exits_3(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("fault", ["budget", "boundary"])
 def test_table2_uncertified_scan_exits_3(monkeypatch, capsys, fault):
-    # a residual scan whose K+ search runs out of budget, or leaves through
-    # the bracket boundary above the curve's limit, prints no row
+    # a residual scan whose K+ search runs out of budget (two evaluations,
+    # where the d = 1 scan's slowest search takes eight), or leaves
+    # through the upper bound above the curve's limit (a curve log u that
+    # rises for ever), prints no row
     from sobomul import bounds
     monkeypatch.setattr(bounds, "_residual_scan", bounds._residual_scan.__wrapped__)
     if fault == "budget":
-        lockstep = bounds.maximize_1d_lockstep
-        monkeypatch.setattr(bounds, "maximize_1d_lockstep",
-                            lambda *args, **kw: lockstep(*args, **kw, max_iter=3))
+        search = bounds.maximize_1d_newton
+        monkeypatch.setattr(bounds, "maximize_1d_newton",
+                            lambda *args, **kw: search(*args, **kw, max_iter=2))
     else:
         monkeypatch.setattr(bounds, "log_upper_curve_rows",
-                            lambda rows, at, u: np.full(u.shape, -math.inf))
+                            lambda rows, at, u: (np.log(u), np.ones(u.shape), np.zeros(u.shape)))
     code, out, err = run(capsys, ["table2", "--dmax", "1", "--json"])
     assert code == 3
     assert not out
     assert "numerical failure" in err
+    assert ("budget exhausted" if fault == "budget" else "search boundary") in err
 
 
 def test_large_n_sandwich_and_asymp_exit_0(capsys):
@@ -273,10 +275,10 @@ def test_table1_k_plus_failure_keeps_the_row(monkeypatch, capsys):
     from sobomul import bounds
     inner = bounds.k_plus
 
-    def failing_k_plus(q, warm_start_u=None):
+    def failing_k_plus(q):
         if q.n_exact == Fraction(7, 2):
             raise ArithmeticError("upper curve not certified")
-        return inner(q, warm_start_u)
+        return inner(q)
 
     monkeypatch.setattr(bounds, "k_plus", failing_k_plus)
     for extra in (["--upper-only"], []):

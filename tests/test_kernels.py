@@ -174,10 +174,10 @@ def test_one_row_kernel_batch_is_bit_identical_to_the_query():
     cases.append((1, 0.55, math.exp(150.0)))
     for d, n, u in cases:
         q = BoundQuery(d=d, n=n)
-        rows = K.KernelRows(d, [n])
+        rows = K.KernelRows([q])
         at, u_arr = np.array([0]), np.array([u])
         assert K._log_kernel_rows(rows, at, u_arr)[0] == log_hyper_kernel(q, u), (d, n, u)
-        assert K.log_upper_curve_rows(rows, at, u_arr)[0] == K.log_upper_curve(q, u), (d, n, u)
+        assert K.log_upper_curve_rows(rows, at, u_arr)[0][0] == K.log_upper_curve(q, u), (d, n, u)
 
 
 def test_kernel_rows_batch_matches_queries():
@@ -186,11 +186,61 @@ def test_kernel_rows_batch_matches_queries():
     for d in (1, 10):
         n = d / 2.0 + np.geomspace(0.51, 200.0, 120)
         u = np.exp(rng.uniform(-27.0, 27.0, n.size))
-        rows = K.KernelRows(d, n)
-        got = K.log_upper_curve_rows(rows, np.arange(n.size), u)
+        rows = K.KernelRows([BoundQuery(d=d, n=float(v)) for v in n])
+        got = K.log_upper_curve_rows(rows, np.arange(n.size), u)[0]
         for i in range(n.size):
             want = K.log_upper_curve(BoundQuery(d=d, n=float(n[i])), float(u[i]))
             assert abs(got[i] - want) <= 1e-14 * max(1.0, abs(want)), (d, n[i], u[i])
+
+
+def test_upper_curve_rows_derivatives_against_mp_hyp2f1(monkeypatch):
+    # slope and curvature in x = log u against 30-digit numerical
+    # differentiation of the curve built on mp.hyp2f1, on both sides of
+    # u = 1 (where the slope switches between its two forms), at the
+    # smallest gaps above 1/2, far out in u and at large n; (1, 300, 23.7)
+    # and (1, 1000, 23.7) move up to levels 7 and 8, so their moments come
+    # through the level-up path.  The d = 1 points run once more as the
+    # rows of one batch.
+    mp = pytest.importorskip("mpmath")
+    cases = [(1, 2.0, 0.7), (2, 2.1, 6.84), (2, 2.5, 1.6), (3, 40.0, 0.6),
+             (10, 7.3, 1e-3), (4, 2.6, 1e-6), (5, 100.0, 0.52), (1, 300.0, 2.0),
+             (3, 2000.0, 2.0), (7, 3.6, 50.0), (2, 1.7, 1e4), (1, 1.000001, 1e9),
+             (4, 2.500001 + 0.5, 3e11), (6, 3.5 + 1e-3, 1e5), (8, 4.75, 1.0),
+             (9, 24.0, 0.9), (10, 205.0, 1.1), (1, 0.5 + 199.9, 1e12),
+             (1, 300.0, 23.7), (1, 1000.0, 23.7)]
+    levels = []
+    inner = K._log_kernel
+
+    def spy(q, u, level, moments=False):
+        levels.append((q.n, level, moments))
+        return inner(q, u, level, moments)
+
+    monkeypatch.setattr(K, "_log_kernel", spy)
+    ones = [(d, n, u) for d, n, u in cases if d == 1]
+    rows = K.KernelRows([BoundQuery(d=1, n=n) for _, n, _ in ones])
+    batch = dict(zip(ones, zip(*K.log_upper_curve_rows(rows, np.arange(len(ones)),
+                                                       np.array([u for *_, u in ones])))))
+    worst = 0.0
+    with mp.workdps(30):
+        for d, n, u in cases:
+            got = [[v[0] for v in K.log_upper_curve_rows(
+                K.KernelRows([BoundQuery(d=d, n=n)]), np.array([0]), np.array([u]))]]
+            if d == 1:
+                got.append(batch[d, n, u])
+            nn, half = mp.mpf(n), mp.mpf(d) / 2
+
+            def curve(x):
+                return (mp.loggamma(2 * nn - half) - mp.loggamma(2 * nn)
+                        - half * mp.log(4 * mp.pi) + nn * mp.log1p(4 * mp.exp(x))
+                        + mp.log(mp.hyp2f1(2 * nn - half, nn, nn + mp.mpf(1) / 2,
+                                           -mp.exp(x), maxterms=10 ** 6)))
+
+            for k, want in enumerate(mp.diffs(curve, mp.log(mp.mpf(u)), 2)):
+                for value in got:
+                    if k:
+                        worst = max(worst, abs(float(value[k]) - want) / abs(want))
+    assert (1000.0, 8, True) in levels and (300.0, 7, True) in levels
+    assert worst <= 1e-8, worst
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Maximizer tests: 1-D corpus accuracy, scale robustness, boundary
-detection, the objectives from the bound machinery, and the 2-D Newton
-search."""
+detection, the batched 1-D Newton search, the objectives from the bound
+machinery, and the 2-D Newton search."""
 
 import math
 
@@ -83,39 +83,90 @@ def test_history_recorded():
     assert min(xs) >= 0.0 and max(xs) <= 3.0
 
 
-def test_lockstep_matches_maximize_1d_bit_for_bit():
-    # the corpus, the sine pair and a boundary case as the rows of lockstep
-    # runs, one per domain: each row ends exactly as its own maximize_1d
-    # search
-    cases = [(f, lo, hi, x0) for f, (lo, hi), x0, _ in _unimodal_corpus()]
-    cases += [(math.sin, 0.0, 3.0, 0.3), (lambda x: 1e6 * math.sin(x), 0.0, 3.0, 0.3),
-              (lambda x: x, 0.0, 10.0, 1.0), (lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)]
+def _smooth_corpus():
+    """(f, f', f'') as one function, domain, start and true argmax: the
+    parabolas, gaussians and asymmetric log-concave cases of the corpus
+    and the sine pair, each with exact derivatives."""
+    cases = []
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        a = float(rng.uniform(0.5, 9.5))
+        s = float(np.exp(rng.uniform(-2, 4)))
+        cases.append((lambda x, a=a, s=s: (-s * (x - a) ** 2, -2.0 * s * (x - a), -2.0 * s),
+                      (0.0, 10.0), 5.0, a))
+    for _ in range(10):
+        a = float(rng.uniform(1.0, 9.0))
+        w = float(rng.uniform(0.2, 3.0))
+
+        def gauss(x, a=a, w=w):
+            f = math.exp(-((x - a) / w) ** 2)
+            return f, -2.0 * (x - a) / w ** 2 * f, (4.0 * (x - a) ** 2 / w ** 4 - 2.0 / w ** 2) * f
+        cases.append((gauss, (0.0, 10.0), 2.0, a))
+    for _ in range(5):
+        a = float(rng.uniform(1.0, 5.0))
+        cases.append((lambda x, a=a: (x / a - math.exp(x - a) / a, (1.0 - math.exp(x - a)) / a,
+                                      -math.exp(x - a) / a), (0.0, 12.0), 1.0, a))
+    for scale in (1.0, 1e6):
+        cases.append((lambda x, s=scale: (s * math.sin(x), s * math.cos(x), -s * math.sin(x)),
+                      (0.0, 3.0), 0.3, 0.5 * math.pi))
+    return cases
+
+
+def _newton_rows(cases, max_iter=100):
+    """maximize_1d_newton over the cases that share one domain, as the rows
+    of one batch; returns the outcomes and each round's row count."""
+    calls = []
+
+    def batch(at, x):
+        calls.append(len(at))
+        return tuple(np.array(v) for v in zip(*(cases[r][0](xi) for r, xi in zip(at, x))))
+
+    (lo, hi), = {case[1] for case in cases}
+    got = optim.maximize_1d_newton(batch, lo, hi, [case[2] for case in cases], max_iter=max_iter)
+    return got, calls
+
+
+def test_newton_rows_end_as_their_one_row_runs():
+    # the smooth corpus and a boundary row (f = x, rising up to the upper
+    # bound) as the rows of one batch per domain: each row ends exactly as
+    # its one-row run, and each round evaluates every row still searching
+    cases = _smooth_corpus() + [(lambda x: (x, 1.0, 0.0), (0.0, 10.0), 8.0, 10.0)]
     boundary_exits = 0
-    for tol_x, max_iter in ((1e-9, 300), (1e-14, 3)):
-        for domain in sorted({(lo, hi) for _, lo, hi, _ in cases}):
-            rows = [(f, x0) for f, lo, hi, x0 in cases if (lo, hi) == domain]
-            calls = []
-
-            def batch(at, x):
-                calls.append(len(at))
-                return np.array([rows[r][0](xi) for r, xi in zip(at, x)])
-
-            got = optim.maximize_1d_lockstep(batch, *domain, [x0 for _, x0 in rows],
-                                             tol_x=tol_x, max_iter=max_iter)
-            for (f, x0), res in zip(rows, got):
-                try:
-                    want = optim.maximize_1d(f, *domain, x0, tol_x=tol_x, max_iter=max_iter)
-                except optim.BracketBoundaryError as exc:
+    for max_iter in (100, 3):
+        for domain in sorted({case[1] for case in cases}):
+            rows = [case for case in cases if case[1] == domain]
+            got, calls = _newton_rows(rows, max_iter)
+            for case, res in zip(rows, got):
+                (want,), _ = _newton_rows([case], max_iter)
+                if isinstance(want, optim.BracketBoundaryError):
                     assert isinstance(res, optim.BracketBoundaryError)
                     assert (res.side, res.best_x, res.best_f) == \
-                        (exc.side, exc.best_x, exc.best_f)
+                        (want.side, want.best_x, want.best_f) == ("hi", 10.0, 10.0)
                     boundary_exits += 1
                     continue
-                assert (res.argmax, res.max_value, res.iterations, res.converged) == \
-                    (want.argmax, want.max_value, want.iterations, want.converged)
-            # one call per round, with every row until its search ends
+                fields = ("argmax", "max_value", "iterations", "converged", "slope",
+                          "curvature", "gain")
+                assert [getattr(res, k) for k in fields] == [getattr(want, k) for k in fields]
             assert calls[0] == len(rows) and calls == sorted(calls, reverse=True)
     assert boundary_exits == 2
+
+
+def test_newton_reaches_the_maximum_within_its_gain():
+    # every search converges, in few evaluations, and its value plus its
+    # reported gain is not below the true maximum
+    worst_evals = 0
+    for f, (lo, hi), x0, a in _smooth_corpus():
+        (res,), _ = _newton_rows([(f, (lo, hi), x0, a)])
+        assert res.converged, (x0, a)
+        assert f(a)[0] <= res.max_value + res.gain, (x0, a)
+        assert abs(res.argmax[0] - a) <= 1e-6 * max(1.0, abs(a)), (res.argmax, a)
+        worst_evals = max(worst_evals, res.iterations)
+    assert worst_evals <= 20
+
+
+def test_newton_stops_where_the_function_is_not_finite():
+    (res,), _ = _newton_rows([(lambda x: (-math.inf, math.nan, math.nan), (0.0, 1.0), 0.5, 0.5)])
+    assert not res.converged and res.iterations == 1 and res.max_value == -math.inf
 
 
 # ----------------------------------------------------------------------
