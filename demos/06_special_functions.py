@@ -21,7 +21,7 @@ for e in (HyperEval(2.0, 1.5, 1.5, -3.0),      # degeneration -> (1-w)^-a
           HyperEval(1.0, 1.0, 2.0, -1.0),      # log 2
           HyperEval(0.3, 0.7, 2.2, 0.5),       # plain series
           HyperEval(5.0, 1.0, 5.5, -40.0),     # mapped argument
-          HyperEval(1.2, 0.4, 5.0, 0.95),      # Euler integral
+          HyperEval(1.2, 0.4, 5.0, 0.95),      # Euler transformation
           HyperEval(0.5, 0.25, 3.0, 1.0)):     # boundary value
     print(f"  F({e.a}, {e.b}, {e.c}; {e.w:6.2f}) = {hyp2f1(e):.12g}   [{e.regime}]")
 

@@ -20,7 +20,9 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         kernel is evaluated once per query.
     k_bessel_minorant   K^BB <= K^B, replaces the slowly converging
                         squared-kernel norm by an analytic minorant; the
-                        route of choice for n within 0.1 of d/2.
+                        route of choice for n within 0.1 of d/2.  Both
+                        find lam by a Newton search in log lam on the
+                        quotient's exact slope and curvature.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
                         plane-wave quotient; off the integer-n closed sum
                         its norms take a trapezoid x exp-sinh rule.  A
@@ -54,8 +56,7 @@ import numpy as np
 from . import specfun as sf
 from .kernels import (BoundQuery, DomainError, KernelRows, log_hyper_kernel,
                       log_upper_curve_limit, log_upper_curve_rows)
-from .optim import (BracketBoundaryError, MaxResult, maximize_1d, maximize_1d_newton,
-                    maximize_2d)
+from .optim import BracketBoundaryError, MaxResult, maximize_1d_newton, maximize_2d
 
 __all__ = [
     "BoundResult",
@@ -521,12 +522,37 @@ def _bessel_constants(n: float, d: int) -> _BesselConstants:
     return _BesselConstants(n, d)
 
 
-def _log_bessel_norm_sq_hyper(q: BoundQuery, lam: float) -> float:
-    n, d = q.n, q.d
-    f = sf.hyp2f1(-n, d / 2.0, n, 1.0 - lam * lam)
-    if not f > 0.0:
+def _hyp_in_log_lam(q: BoundQuery, c: float, scale: float, lam: float,
+                    derivatives: bool) -> tuple[float, ...]:
+    """(F,) or (F, F_x, F_xx): F(-n, d/2; c; 1 - t), t = scale lam^2, and
+    its first two derivatives in x = log lam, where w = 1 - t has
+    w_x = -2t and w_xx = -4t."""
+    t = scale * lam * lam
+    if not derivatives:
+        return (sf.hyp2f1(-q.n, q.d / 2.0, c, 1.0 - t),)
+    f, f1, f2 = sf.hyp2f1_derivatives(-q.n, q.d / 2.0, c, 1.0 - t)
+    return f, -2.0 * t * f1, 4.0 * t * (t * f2 - f1)
+
+
+def _log_and_derivatives(log_value: float, d: int, parts: tuple[float, ...]):
+    """log_value, or with parts = (G, G_x, G_xx) of the lam-dependent
+    factor G of a norm that also carries lam^-d, the norm's log in
+    x = log lam, its slope and its curvature; that log is taken of
+    exp(log_value), the norm as its public function returns it."""
+    if len(parts) == 1:
+        return log_value
+    slope = parts[1] / parts[0]
+    return math.log(math.exp(log_value)), slope - d, parts[2] / parts[0] - slope * slope
+
+
+def _log_bessel_norm_sq_hyper(q: BoundQuery, lam: float, derivatives: bool = False):
+    """log of the trial norm by its hypergeometric form, and with
+    derivatives its slope and curvature in x = log lam."""
+    f = _hyp_in_log_lam(q, q.n, 1.0, lam, derivatives)
+    if not f[0] > 0.0:
         raise ArithmeticError(f"trial norm hypergeometric factor <= 0 at lam={lam}")
-    return _bessel_constants(n, d).log_norm - d * math.log(lam) + math.log(f)
+    log_n = _bessel_constants(q.n, q.d).log_norm - q.d * math.log(lam) + math.log(f[0])
+    return _log_and_derivatives(log_n, q.d, f)
 
 
 def _log_bessel_norm_sq_sum(q: BoundQuery, lam: float) -> float:
@@ -636,13 +662,39 @@ def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _log_sq_norm_sum(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
-                     lam: float) -> float:
+                     lam: float, derivatives: bool = False):
     """log of the h rule for int u^(d/2-1) (1 + 4 lam^2 u)^n K(u)^2 du on
-    the given nodes: one logsumexp."""
+    the given nodes: one logsumexp.  With derivatives, also its slope and
+    curvature in x = log lam: with p = logistic(log 4 lam^2 + x_i) the
+    term logs have slope 2n p and curvature 4n p (1 - p), so under the
+    term weights the sum has slope 2n E[p] and curvature
+    4n E[p (1 - p)] + 4n^2 Var[p]."""
     x, base = nodes
-    y = base + q.n * np.logaddexp(0.0, math.log(4.0 * lam * lam) + x)
+    z = math.log(4.0 * lam * lam) + x
+    soft = np.logaddexp(0.0, z)
+    y = base + q.n * soft
     m = float(y.max())
-    return m + math.log(_SQ_STEP * np.exp(y - m).sum())
+    weight = np.exp(y - m)
+    total = weight.sum()
+    log_sum = m + math.log(_SQ_STEP * total)
+    if not derivatives:
+        return log_sum
+    weight /= total
+    p = np.exp(z - soft)
+    mean = weight @ p
+    spread = weight @ (p * np.exp(-soft)) + q.n * (weight @ np.square(p - mean))
+    return log_sum, 2.0 * q.n * mean, 4.0 * q.n * spread
+
+
+def _log_sq_norm_rule(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray]):
+    """lam -> log of the squared-kernel norm on the h rule, with its slope
+    and curvature in x = log lam."""
+
+    def log_sq_norm(lam: float) -> tuple:
+        log_int, int_x, int_xx = _log_sq_norm_sum(q, nodes, lam, derivatives=True)
+        return _log_sq_norm_prefactor(q, lam) + log_int, int_x - q.d, int_xx
+
+    return log_sq_norm
 
 
 def _log_sq_norm_refined(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
@@ -699,24 +751,63 @@ def squared_trial_minorant(q: BoundQuery, lam: float) -> float:
           - P Q (Gamma(2n+1-d)/Gamma(2n-d/2)) F(-n, d/2, 2n-d/2; 1-4 lam^2)
           + q^2 (Gamma(3n+1-3d/2)/(3 Gamma(3n-d))) F(-n, d/2, 3n-d; 1-4 lam^2) ].
     """
+    return math.exp(_log_minorant(q, lam))
+
+
+def _log_minorant(q: BoundQuery, lam: float, derivatives: bool = False):
+    """log of :func:`squared_trial_minorant`, and with derivatives its
+    slope and curvature in x = log lam, from those of each 2F1."""
     n, d = q.n, q.d
     if not (d / 2.0 < n <= d / 2.0 + 0.5 + 1e-12):
         raise DomainError("minorant valid only for d/2 < n <= d/2 + 1/2")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     _co, (w1, w2, w3), log_pref = _bessel_constants(n, d).minorant
-    w = 1.0 - 4.0 * lam * lam
-    f1 = sf.hyp2f1(-n, d / 2.0, n, w)
-    f2 = sf.hyp2f1(-n, d / 2.0, 2.0 * n - d / 2.0, w)
-    f3 = sf.hyp2f1(-n, d / 2.0, 3.0 * n - d, w)
-    bracket = w1 * f1 - w2 * f2 + w3 * f3 / 3.0
-    if not bracket > 0.0:
+    f1, f2, f3 = (_hyp_in_log_lam(q, c, 4.0, lam, derivatives)
+                  for c in (n, 2.0 * n - d / 2.0, 3.0 * n - d))
+    bracket = tuple(w1 * g1 - w2 * g2 + w3 * g3 / 3.0 for g1, g2, g3 in zip(f1, f2, f3))
+    if not bracket[0] > 0.0:
         raise ArithmeticError("squared-norm minorant bracket <= 0")
-    return math.exp(log_pref - d * math.log(lam) + math.log(bracket))
+    return _log_and_derivatives(log_pref - d * math.log(lam) + math.log(bracket[0]), d, bracket)
 
 
 _LAM_LO = math.log(1e-3)
 _LAM_HI = math.log(1e3)
+
+
+def _lam_objective(q: BoundQuery, log_numerator):
+    """lam -> (value, slope, curvature) in x = log lam of the quotient
+    1/2 log S - log N, where log_numerator(lam) gives log S, of the
+    squared-kernel norm or its minorant, with its slope and curvature, and
+    N is the trial norm."""
+
+    def objective(lam: float) -> tuple:
+        log_s, s_x, s_xx = log_numerator(lam)
+        log_n, n_x, n_xx = _log_bessel_norm_sq_hyper(q, lam, derivatives=True)
+        return 0.5 * log_s - log_n, 0.5 * s_x - n_x, 0.5 * s_xx - n_xx
+
+    return objective
+
+
+def _search_log_lam(objective, lam0: float) -> MaxResult:
+    """The lam search of (B) and (BB): a one-row :func:`maximize_1d_newton`
+    over x = log lam in [log 1e-3, log 1e3] from lam0, on objective(lam) =
+    (value, slope, curvature) in x.  A trial point where any of them is
+    not finite reads NaN, which the search rejects.  Raises the search's
+    BracketBoundaryError, or ArithmeticError if the value at lam0 is not
+    finite."""
+
+    def row(_at, x):
+        parts = objective(math.exp(float(x[0])))
+        return np.array(parts if all(map(math.isfinite, parts)) else (math.nan,) * 3)[:, None]
+
+    outcome, = maximize_1d_newton(row, _LAM_LO, _LAM_HI, [math.log(lam0)])
+    if isinstance(outcome, BracketBoundaryError):
+        raise outcome
+    if not math.isfinite(outcome.max_value):
+        raise ArithmeticError(f"lower-bound quotient is not finite at lam = {lam0}")
+    return outcome
+
 
 # Bound on the error of specfun.log_gamma(x) relative to
 # max(1, |log Gamma(x)|); measured at most 2.2e-15 against 40-digit mpmath
@@ -743,12 +834,13 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
 
     The squared-kernel norm's kernel does not depend on lam, so it is
-    evaluated once on the h-rule nodes, and each lam the search tries costs
-    one logsumexp.  K^B is the h/2 rule at the maximizer; its error estimate
-    is half the measured relative difference |I_h/2 - I_h| / I_h/2 (K^B
-    goes with the square root of the integral) plus a rounding bound for the
-    Gamma constants, and the diagnostics record the node count and that
-    difference as "nodes" and "rule_error".
+    evaluated once on the h-rule nodes, and each lam that the Newton search
+    (:func:`_search_log_lam`, from lam = 1.4) tries costs one logsumexp
+    with its moments and three 2F1.  K^B is the h/2 rule at the maximizer;
+    its error estimate is half the measured relative difference
+    |I_h/2 - I_h| / I_h/2 (K^B goes with the square root of the integral)
+    plus a rounding bound for the Gamma constants, and the diagnostics
+    record the node count and that difference as "nodes" and "rule_error".
     Needs n - d/2 >= 0.01, as the squared-kernel norm does; use
     :func:`k_bessel_minorant` below.
     """
@@ -756,19 +848,11 @@ def k_bessel(q: BoundQuery) -> BoundResult:
         raise DomainError(
             f"k_bessel needs n - d/2 >= {_KB_MIN_GAP}; use k_bessel_minorant")
     nodes = _sq_norm_nodes(q, 0.0)
-
-    def log_quotient(lam: float, log_int: float) -> float:
-        return (0.5 * (_log_sq_norm_prefactor(q, lam) + log_int)
-                - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
-
-    def objective(x: float) -> float:
-        lam = math.exp(x)
-        return log_quotient(lam, _log_sq_norm_sum(q, nodes, lam))
-
-    res = maximize_1d(objective, _LAM_LO, _LAM_HI, math.log(1.4), tol_x=1e-7)
+    res = _search_log_lam(_lam_objective(q, _log_sq_norm_rule(q, nodes)), 1.4)
     lam_star = math.exp(res.argmax[0])
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
-    value = math.exp(log_quotient(lam_star, log_int))
+    value = math.exp(0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
+                     - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
     return BoundResult(value=value, kind="lower_bessel",
                        argmax=TrialParams(lam=lam_star),
                        error_estimate=(0.5 * rule_error + _bessel_gamma_error(q)) * value,
@@ -780,14 +864,11 @@ def k_bessel(q: BoundQuery) -> BoundResult:
 
 def k_bessel_minorant(q: BoundQuery) -> BoundResult:
     """K^BB: like K^B but with the analytic minorant in the numerator;
-    valid for d/2 < n <= d/2 + 1/2 and cheap arbitrarily close to d/2."""
-
-    def log_quotient(lam: float) -> float:
-        return (0.5 * math.log(squared_trial_minorant(q, lam))
-                - math.log(bessel_trial_norm_sq(q, lam, validate=False)))
-
-    res = maximize_1d(lambda x: log_quotient(math.exp(x)),
-                      _LAM_LO, _LAM_HI, math.log(1.42), tol_x=1e-9)
+    valid for d/2 < n <= d/2 + 1/2 and cheap arbitrarily close to d/2.
+    Each lam that the Newton search (:func:`_search_log_lam`, from
+    lam = 1.42) tries costs twelve 2F1: four and their contiguous
+    functions."""
+    res = _search_log_lam(_lam_objective(q, lambda lam: _log_minorant(q, lam, True)), 1.42)
     lam_star = math.exp(res.argmax[0])
     value = math.exp(res.max_value)
     return BoundResult(value=value, kind="lower_bessel_bb",

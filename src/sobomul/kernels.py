@@ -220,9 +220,11 @@ def _rule_sums(rule: _KernelRule, u: np.ndarray, moments: bool = False,
     return (fine, coarse, mean, square) if moments else (fine, coarse)
 
 
-def _node_bases(level: int, n: float, expo: float) -> tuple[np.ndarray, np.ndarray]:
+def _node_bases(level: int, n, expo) -> tuple[np.ndarray, np.ndarray]:
     """base = log(weight) + (n-1) log s - (1/2) log(1-s) on the nodes of
-    levels 0..level, and the mask of the nodes that the query keeps.
+    levels 0..level, and the mask of the nodes that the query keeps: one
+    query's for scalar n and expo, one row per query for (rows, 1)
+    columns of them.
 
     R is monotone in w, so each term lies below the larger of its values
     at w = 0 and w = 1, and each sum above the smaller of its two end
@@ -232,7 +234,8 @@ def _node_bases(level: int, n: float, expo: float) -> tuple[np.ndarray, np.ndarr
     log_weight, log_s, _, log_oms, _ = _rule_nodes(level)
     base = log_weight + (n - 1.0) * log_s - 0.5 * log_oms
     at_one = base + expo * log_oms
-    floor = min(base.max(), at_one.max()) - _DROP_BELOW
+    floor = np.minimum(base.max(axis=-1, keepdims=True),
+                       at_one.max(axis=-1, keepdims=True)) - _DROP_BELOW
     return base, np.maximum(base, at_one) >= floor
 
 
@@ -312,8 +315,10 @@ class KernelRows:
         self.expo = np.array([q.n_gap - 0.5 for q in self.queries])
         self.log_scale = np.array([q._log_curve_scale for q in self.queries])
         self.keep = np.empty((self.n.size, _rule_nodes(_FIRST_LEVEL)[0].size), dtype=bool)
-        for row, q in zip(self.keep, self.queries):
-            row[:] = _node_bases(_FIRST_LEVEL, q.n, q.n_gap - 0.5)[1]
+        chunk = max(1, _ROWS_BLOCK_ENTRIES // self.keep.shape[1])
+        for i in range(0, self.n.size, chunk):
+            self.keep[i:i + chunk] = _node_bases(_FIRST_LEVEL, self.n[i:i + chunk, None],
+                                                 self.expo[i:i + chunk, None])[1]
         # points per block, from the most nodes that one row keeps
         self._block = max(1, _ROWS_BLOCK_ENTRIES // max(map(np.count_nonzero, self.keep)))
         self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))

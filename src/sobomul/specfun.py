@@ -3,11 +3,11 @@ hypergeometric function 2F1.
 
 Everything here is self-contained double-precision code.  The Gamma ladder
 uses a Lanczos approximation with reflection below 1/2; the hypergeometric
-evaluator selects among a terminating sum, the defining power series, a
-Kummer transformation and an Euler-integral fallback, depending on where the
-argument lies.  Only real parameters and real arguments w < 1 (or w = 1 in
-the convergent case) are supported; that is all the bound machinery in this
-package ever needs.
+evaluator selects among a terminating sum, the defining power series, the
+Kummer and Euler transformations and an Euler-integral fallback, depending
+on where the argument lies.  Only real parameters and real arguments w < 1
+(or w = 1 in the convergent case) are supported; that is all the bound
+machinery in this package ever needs.
 
 Accuracy targets (checked by the test suite):
     gamma     <= 1e-12 relative on [1e-4, 170]
@@ -36,6 +36,7 @@ __all__ = [
     "log_gamma_signed",
     "digamma",
     "hyp2f1",
+    "hyp2f1_derivatives",
     "gauss_value",
 ]
 
@@ -205,14 +206,7 @@ class HyperEval:
     w: float
 
     def __post_init__(self) -> None:
-        if _is_nonpositive_integer(self.c, tol=1e-13):
-            raise GammaPoleError(f"2F1 parameter c = {self.c} is a pole")
-        if self.w > 1.0:
-            raise UnsupportedRegimeError(
-                f"2F1 argument w = {self.w} > 1 is outside the real domain")
-        if self.w == 1.0 and self.c <= self.a + self.b:
-            raise DivergenceError(
-                f"2F1 at w = 1 needs c > a + b; got c - a - b = {self.c - self.a - self.b}")
+        _check_request(self.a, self.b, self.c, self.w)
 
     @property
     def regime(self) -> str:
@@ -225,7 +219,17 @@ class HyperEval:
             return "series"
         if w < -_SERIES_CUT:
             return "kummer"
-        return "integral"
+        return "euler" if _euler_signs(a, b, c) else "integral"
+
+
+def _check_request(a: float, b: float, c: float, w: float) -> None:
+    """Raise the defined error of a 2F1 request outside the supported domain."""
+    if _is_nonpositive_integer(c, tol=1e-13):
+        raise GammaPoleError(f"2F1 parameter c = {c} is a pole")
+    if w > 1.0:
+        raise UnsupportedRegimeError(f"2F1 argument w = {w} > 1 is outside the real domain")
+    if w == 1.0 and c <= a + b:
+        raise DivergenceError(f"2F1 at w = 1 needs c > a + b; got c - a - b = {c - a - b}")
 
 
 _SERIES_CUT = 0.7
@@ -338,24 +342,25 @@ def hyp2f1(a, b=None, c=None, w=None) -> float:
 
     Accepts either a single :class:`HyperEval` or the four scalars.  The
     evaluation strategy (terminating sum, series, Kummer map w -> w/(w-1),
-    Euler integral) is internal; callers only see the value.
+    Euler transformation, Euler integral) is internal; callers only see
+    the value.
     """
     if isinstance(a, HyperEval):
-        e = a
+        a, b, c, w = a.a, a.b, a.c, a.w
     else:
-        e = HyperEval(float(a), float(b), float(c), float(w))
-    a, b, c, w = e.a, e.b, e.c, e.w
+        a, b, c, w = float(a), float(b), float(c), float(w)
+        _check_request(a, b, c, w)
 
     # Canonical order: a terminating parameter goes second; otherwise sort
     # so that evaluation is exactly symmetric in (a, b).
-    if _is_nonpositive_integer(a, tol=1e-13) and not _is_nonpositive_integer(b, tol=1e-13):
-        a, b = b, a
-    elif not _is_nonpositive_integer(b, tol=1e-13) and a < b:
-        a, b = b, a
+    a_ends = _is_nonpositive_integer(a, tol=1e-13)
+    b_ends = _is_nonpositive_integer(b, tol=1e-13)
+    if not b_ends and (a_ends or a < b):
+        a, b, b_ends = b, a, a_ends
 
     if w == 0.0:
         return 1.0
-    if _is_nonpositive_integer(b, tol=1e-13):
+    if b_ends:
         return _terminating(a, int(round(-b)), c, w)
     if b == c:
         return (1.0 - w) ** (-a)
@@ -373,8 +378,35 @@ def hyp2f1(a, b=None, c=None, w=None) -> float:
     if w < -_SERIES_CUT:
         return _kummer(a, b, c, w)
 
-    # 0.7 < w < 1
+    # 0.7 < w < 1: Euler's transformation (DLMF 15.8.1)
+    #     2F1(a, b, c; w) = (1-w)^(c-a-b) 2F1(c-a, c-b, c; w)
+    # where its series has one sign, else the Euler integral, which loses
+    # every digit as c - b falls toward 0.
+    if _euler_signs(a, b, c):
+        try:
+            value = math.exp((c - a - b) * math.log1p(-w) + math.log(_series(c - a, c - b, c, w)))
+            if math.isfinite(value):
+                return value
+        except (SeriesError, OverflowError):
+            pass
     return _from_integral(a, b, c, w)
+
+
+def hyp2f1_derivatives(a: float, b: float, c: float, w: float) -> tuple[float, float, float]:
+    """2F1(a, b, c; w) and its first two derivatives in w, from the
+    contiguous functions (DLMF 15.5.1-15.5.2):
+
+        F'  = ab / c  F(a+1, b+1, c+1; w),
+        F'' = a(a+1) b(b+1) / (c(c+1))  F(a+2, b+2, c+2; w).
+    """
+    return (hyp2f1(a, b, c, w),
+            a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, w),
+            a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0)) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, w))
+
+
+def _euler_signs(a: float, b: float, c: float) -> bool:
+    """Whether Euler's transformation maps onto a series of positive terms."""
+    return c > 0.0 and c - a > 0.0 and c - b > 0.0
 
 
 def _kummer(a: float, b: float, c: float, w: float) -> float:
@@ -382,17 +414,14 @@ def _kummer(a: float, b: float, c: float, w: float) -> float:
 
         2F1(a, b, c; w) = (1-w)^(-b) 2F1(b, c-a, c; w/(w-1))
 
-    choosing the (a, b) ordering whose image parameters stay non-negative,
-    so the transformed series has one sign and no cancellation.
+    or with a and b exchanged, whichever has fewer negative image
+    parameters (the form above on a tie), so the transformed series has
+    one sign and no cancellation where it can.
     """
     wt = w / (w - 1.0)
-    # variant exponents: (1-w)^(-b) with params (b, c-a) / (1-w)^(-a) with (a, c-b)
-    cands = []
-    for expo, pa, pb in ((b, b, c - a), (a, a, c - b)):
-        penalty = (pa < 0.0) + (pb < 0.0)
-        cands.append((penalty, expo, pa, pb))
-    cands.sort(key=lambda t: t[0])
-    _penalty, expo, pa, pb = cands[0]
+    expo, pa, pb = b, b, c - a
+    if (a < 0.0) + (c - b < 0.0) < (b < 0.0) + (c - a < 0.0):
+        expo, pa, pb = a, a, c - b
     try:
         return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)
     except SeriesError:

@@ -530,21 +530,22 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_bessel_searches_pay_gamma_constants_once(monkeypatch):
-    # deterministic counts: four hyp2f1 calls per (BB) evaluation, and a
-    # fixed number of log_gamma calls per query whatever the number of
-    # evaluations (the lam-free constants are built once per (n, d))
+    # deterministic counts: three Newton evaluations per search here, twelve
+    # hyp2f1 calls per (BB) evaluation (each of its four 2F1 with its two
+    # contiguous functions), and a fixed number of log_gamma calls per
+    # query (the lam-free constants are built once per (n, d))
     hyp = _count_calls(monkeypatch, B.sf, "hyp2f1")
     lg = _count_calls(monkeypatch, B.sf, "log_gamma")
     B._bessel_constants.cache_clear()
     res = B.k_bessel_minorant(BoundQuery(d=2, n=1.0 + 1e-4))
     evaluations = res.diagnostics["evaluations"]
-    assert evaluations >= 30
-    assert len(hyp) == 4 * evaluations
+    assert evaluations == 3
+    assert len(hyp) == 12 * evaluations
     # eleven arguments, and log Gamma(1/2 - gap) reflects once to 1/2 + gap
     assert len(lg) == 12
     lg.clear()
     res = B.k_bessel(q_of(2, 3))
-    assert res.diagnostics["evaluations"] >= 10
+    assert res.diagnostics["evaluations"] == 3
     assert len(lg) == 5
 
 

@@ -193,6 +193,19 @@ def test_kernel_rows_batch_matches_queries():
             assert abs(got[i] - want) <= 1e-14 * max(1.0, abs(want)), (d, n[i], u[i])
 
 
+def test_kernel_rows_masks_match_each_query():
+    # KernelRows forms its kept-node masks for a chunk of rows at once
+    # (more rows here than one chunk holds); each row's mask is its
+    # query's own from _node_bases
+    for d in (1, 4, 10):
+        queries = [BoundQuery(d=d, n=d / 2.0 + gap)
+                   for gap in np.concatenate((np.geomspace(0.51, 200.0, 40), [0.5 + 1e-9]))]
+        rows = K.KernelRows(queries)
+        assert rows.keep.shape[0] > K._ROWS_BLOCK_ENTRIES // rows.keep.shape[1]
+        for i, q in enumerate(queries):
+            assert np.array_equal(rows.keep[i], K._node_bases(6, q.n, q.n_gap - 0.5)[1])
+
+
 def test_upper_curve_rows_derivatives_against_mp_hyp2f1(monkeypatch):
     # slope and curvature in x = log u against 30-digit numerical
     # differentiation of the curve built on mp.hyp2f1, on both sides of

@@ -1,18 +1,20 @@
-"""Maximizer tests: 1-D corpus accuracy, scale robustness, boundary
-detection, the batched 1-D Newton search, the objectives from the bound
-machinery, and the 2-D Newton search."""
+"""Maximizer tests: the Brent reference (tests/oracles/brent.py) on its
+1-D corpus, scale robustness and boundary detection, the batched 1-D
+Newton search, the objectives from the bound machinery, and the 2-D
+Newton search."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import brent
 from sobomul import optim
 from sobomul.kernels import BoundQuery, log_upper_curve
 
 
 def test_parabola():
-    res = optim.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)
+    res = brent.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)
     assert res.converged
     assert abs(res.argmax[0] - 1.0) < 1e-7
     assert abs(res.max_value) < 1e-12
@@ -20,14 +22,14 @@ def test_parabola():
 
 def test_boundary_supremum_detected():
     with pytest.raises(optim.BracketBoundaryError) as err:
-        optim.maximize_1d(lambda x: x, 0.0, 10.0, 1.0)
+        brent.maximize_1d(lambda x: x, 0.0, 10.0, 1.0)
     assert err.value.side == "hi"
     assert err.value.best_x == 10.0
 
 
 def test_scale_robustness():
-    r1 = optim.maximize_1d(lambda x: math.sin(x), 0.0, 3.0, 0.3, tol_x=1e-9)
-    r2 = optim.maximize_1d(lambda x: 1e6 * math.sin(x), 0.0, 3.0, 0.3, tol_x=1e-9)
+    r1 = brent.maximize_1d(lambda x: math.sin(x), 0.0, 3.0, 0.3, tol_x=1e-9)
+    r2 = brent.maximize_1d(lambda x: 1e6 * math.sin(x), 0.0, 3.0, 0.3, tol_x=1e-9)
     assert abs(r1.argmax[0] - r2.argmax[0]) <= 1e-8 * max(1.0, abs(r1.argmax[0]))
 
 
@@ -57,27 +59,27 @@ def _unimodal_corpus():
 def test_unimodal_corpus_argmax_accuracy():
     tol_x = 1e-8
     for f, (lo, hi), x0, a_true in _unimodal_corpus():
-        res = optim.maximize_1d(f, lo, hi, x0, tol_x=tol_x)
+        res = brent.maximize_1d(f, lo, hi, x0, tol_x=tol_x)
         assert abs(res.argmax[0] - a_true) <= tol_x * max(1.0, abs(a_true)) * 50, \
             f"argmax {res.argmax[0]} vs {a_true}"
 
 
 def test_max_value_is_reevaluation():
-    res = optim.maximize_1d(lambda x: -(x - 2.0) ** 4, 0.0, 5.0, 1.0)
+    res = brent.maximize_1d(lambda x: -(x - 2.0) ** 4, 0.0, 5.0, 1.0)
     x = res.argmax[0]
     assert abs(res.max_value - (-(x - 2.0) ** 4)) <= 1e-9 * max(1.0, abs(res.max_value))
 
 
 def test_truncated_run_still_reports_best():
     # any evaluated point is usable; a budget-starved run is flagged
-    res = optim.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.01,
+    res = brent.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.01,
                             tol_x=1e-14, max_iter=3)
     assert not res.converged
     assert res.max_value == max(v for _, v in res.history)
 
 
 def test_history_recorded():
-    res = optim.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)
+    res = brent.maximize_1d(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.2)
     assert len(res.history) == res.iterations
     xs = [x for x, _ in res.history]
     assert min(xs) >= 0.0 and max(xs) <= 3.0
@@ -176,7 +178,7 @@ def test_newton_stops_where_the_function_is_not_finite():
 def test_upper_curve_five_halves_two():
     # the (n, d) = (5/2, 2) curve peaks exactly at u = 16/5
     q = BoundQuery(d=2, n=2.5)
-    res = optim.maximize_1d(lambda x: log_upper_curve(q, math.exp(x)),
+    res = brent.maximize_1d(lambda x: log_upper_curve(q, math.exp(x)),
                             math.log(1e-9), math.log(1e9), math.log(0.5),
                             tol_x=1e-10)
     assert abs(math.exp(res.argmax[0]) - 3.2) < 1e-6
@@ -184,7 +186,7 @@ def test_upper_curve_five_halves_two():
 
 def test_upper_curve_two_two():
     q = BoundQuery(d=2, n=2.0)
-    res = optim.maximize_1d(lambda x: log_upper_curve(q, math.exp(x)),
+    res = brent.maximize_1d(lambda x: log_upper_curve(q, math.exp(x)),
                             math.log(1e-9), math.log(1e9), math.log(0.5),
                             tol_x=1e-10)
     assert abs(math.exp(res.argmax[0]) - 6.84) < 0.01

@@ -233,15 +233,51 @@ def test_hyp2f1_errors():
     with pytest.raises(sf.UnsupportedRegimeError):
         sf.hyp2f1(1.0, 1.0, 2.0, 1.5)
     with pytest.raises(sf.UnsupportedRegimeError):
-        # 0.7 < w < 1 with neither a nor b inside (0, c)
-        sf.hyp2f1(-0.5, -1.3, 0.4, 0.9)
+        # 0.7 < w < 1 with neither a nor b inside (0, c), and c - a < 0
+        sf.hyp2f1(1.0, 1.2, 0.5, 0.9)
+    # neither a nor b inside (0, c) either, but Euler's transformation
+    # has positive terms: 2F1(0.9, 1.7, 0.4; 0.9)
+    assert rel_err(sf.hyp2f1(-0.5, -1.3, 0.4, 0.9), 2.3780347504802) < 1e-12  # mpmath.hyp2f1
+
+
+def test_hyp2f1_derivatives_against_mp():
+    # F, F' and F'' in w from the contiguous functions, against 30-digit
+    # mp.diffs, in the series, Kummer, Euler and terminating regimes
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for a, b, c, w in ((-1.5, 0.5, 1.7, 0.4), (-0.7, 1.5, 2.3, -8.0), (1.2, 0.4, 5.0, 0.95),
+                           (-3.0, 2.5, 4.0, -2.0), (-2.05, 1.0, 3.1, 0.99)):
+            got = sf.hyp2f1_derivatives(a, b, c, w)
+            for value, want in zip(got, mp.diffs(lambda v: mp.hyp2f1(a, b, c, v), w, 2)):
+                assert abs(value - want) <= 1e-12 * abs(want), (a, b, c, w, got)
+
+
+def test_hyp2f1_euler_transformation_near_w_one():
+    # 0.7 < w < 1 with c - b down to 1e-12: the (BB) trial norm's and
+    # minorant's 2F1 and their contiguous functions at w = 0.91 and 0.99
+    # (lam = 0.3 and 0.1 in the trial norm), where the Euler integral's
+    # (1-s)^(c-b-1) loses every digit
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(30):
+        for d, gap in ((1, 1e-12), (2, 1e-6), (5, 0.05), (9, 0.0999)):
+            n, b = d / 2.0 + gap, d / 2.0
+            for c in (n, 2.0 * n - b, 3.0 * n - d):
+                for k in range(3):
+                    for w in (0.91, 0.99):
+                        args = (-n + k, b + k, c + k, w)
+                        assert sf.HyperEval(*args).regime == "euler"
+                        want = mp.hyp2f1(*args)
+                        worst = max(worst, float(abs(sf.hyp2f1(*args) - want) / want))
+    assert worst <= 1e-12, worst
 
 
 def test_hyper_eval_regimes():
     assert sf.HyperEval(1.0, -2.0, 3.0, 0.5).regime == "terminating"
     assert sf.HyperEval(1.0, 0.5, 3.0, 0.5).regime == "series"
     assert sf.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
-    assert sf.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "integral"
+    assert sf.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "euler"
+    assert sf.HyperEval(1.0, 3.5, 3.0, 0.9).regime == "integral"
     assert sf.HyperEval(1.0, 0.5, 3.0, 1.0).regime == "gauss_point"
 
 
