@@ -1,6 +1,8 @@
 """Upper and lower bounds for the multiplication constants of the Sobolev
 algebras H^n(R^d), n > d/2, together with the special functions, the
-tanh-sinh rule and the Newton searches they are built on.
+tanh-sinh rule and the Newton searches they are built on.  Of Gamma it
+keeps only ``log_gamma``; the constants that need Gamma or digamma at d/2
+take ``math.gamma`` and a harmonic sum.
 
 The package holds only what the bounds and the command line call.  The
 tests' reference implementations (adaptive Gauss-Kronrod quadrature, the
@@ -19,7 +21,7 @@ from .bounds import (AsympConstants, BoundResult, ElementaryBoundData,
 from .kernels import (BoundQuery, DomainError, hyper_kernel, upper_curve,
                       upper_curve_limit)
 from .optim import BracketBoundaryError, MaxResult, maximize_2d
-from .specfun import EULER_GAMMA, HyperEval, digamma, gamma, hyp2f1, log_gamma
+from .specfun import HyperEval, hyp2f1, log_gamma
 
 __version__ = "0.1.0"
 

@@ -179,8 +179,12 @@ class AsympConstants:
         if d < 1 or d != int(d):
             raise DomainError(f"d must be a positive integer, got {d}")
         m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
-                     * math.sqrt(sf.gamma(d / 2.0)))
-        n_d = 0.5 * (sf.digamma(d / 2.0) + sf.EULER_GAMMA)
+                     * math.sqrt(math.gamma(d / 2.0)))
+        # psi(d/2) + gamma_E = sum_{j < d/2 - h} 1/(h + j), h = 1 for even d;
+        # h = 1/2 for odd d, less 2 log 2 (DLMF 5.4.14-5.4.15).
+        h = 1.0 - 0.5 * (d % 2)
+        n_d = 0.5 * (sum(1.0 / (h + j) for j in range((d - 1) // 2))
+                     - (d % 2) * math.log(4.0))
         t_d = _amp_large(d)
         v_d = math.log(math.sqrt(3.0) / 2.0) + 0.5 + 3.0 / d - n_d
         return cls(d=d, amp_small=m_d, slope_small=n_d, amp_large=t_d, drift=v_d)
@@ -950,6 +954,16 @@ def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float,
 # add the midpoints in both variables (the h/2 rule) and measure |I_h/2 - I_h|.
 _GAUSS_T_STEP = 0.07
 _GAUSS_CUT = 40.0
+# The optimal sigma grows like 1/gap and the k_1 grid like sqrt(60 sigma)/h,
+# so a rule block refuses (ArithmeticError) to allocate more nodes than this;
+# the workloads' blocks stay below 3e5.
+_GAUSS_MAX_NODES = 2 ** 22
+
+
+def _check_block_size(nodes: int) -> None:
+    if nodes > _GAUSS_MAX_NODES:
+        raise ArithmeticError(f"Gaussian-trial rule block of {nodes} nodes exceeds "
+                              f"{_GAUSS_MAX_NODES}: the gap is too small for the (F) rule")
 
 
 def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
@@ -971,6 +985,7 @@ def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
     while n * math.log1p(hi * hi) > (hi - p) ** 2 / sigma - 60.0:
         hi *= 1.5
     m = math.ceil(hi / h1)
+    _check_block_size(2 * m + 1)
     k1 = (np.arange(-m, m + 1) + k_offset) * h1
     a = 1.0 + k1 * k1
     dk = k1 - p
@@ -993,6 +1008,7 @@ def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
         reach = 1.0 + _GAUSS_CUT / b
         x_rel, log_dx = _exp_sinh_nodes(-reach, math.log(2.0 * reach),
                                         _GAUSS_T_STEP, t_offset)
+        _check_block_size(keep.sum() * x_rel.size)
         x = np.log(s_peak[keep])[:, None] + x_rel
         s = np.exp(x)
         y = y[keep, None] + b * x + n * np.log(a[keep, None] + s) - s / sigma + log_dx
@@ -1033,6 +1049,11 @@ def _log_gaussian_norm_sq_refined(q: BoundQuery, p: float, sigma: float,
     return log_half, rule_error, sum(sizes)
 
 
+def _on_closed_sum(q: BoundQuery) -> bool:
+    """Whether the Gaussian trial norms take the closed sum (integer n <= 50)."""
+    return q.n_is_integer and q.n <= _FF_SWITCH
+
+
 def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
                                tol: float = 1e-10,
                                validate: bool | None = None) -> float:
@@ -1048,7 +1069,7 @@ def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
     """
     if not (p > 0.0 and sigma > 0.0):
         raise ValueError("p and sigma must be positive")
-    use_sum = q.n_is_integer and q.n <= _FF_SWITCH
+    use_sum = _on_closed_sum(q)
     if validate is None:
         validate = use_sum and tol <= 1e-9
     if not use_sum:
@@ -1077,7 +1098,7 @@ def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,
     diagnostics.  Off the closed sum the norms take the h/2 rule, and the
     diagnostics add the nodes of both norms and the larger of their rule
     errors."""
-    if q.n_is_integer and q.n <= _FF_SWITCH:
+    if _on_closed_sum(q):
         return (0.5 * _log_gaussian_norm_sq_sum(q, 2.0 * p, 2.0 * sigma)
                 - _log_gaussian_norm_sq_sum(q, p, sigma)), {"route": "closed_sum"}
     num, err_num, nodes_num = _log_gaussian_norm_sq_refined(q, 2.0 * p, 2.0 * sigma, tol)
@@ -1090,7 +1111,7 @@ def _fourier_search_objective(q: BoundQuery):
     """The (F) search's objective: (p, sigma) -> (value, gradient, Hessian)
     of the log quotient 1/2 L(2p, 2 sigma) - L(p, sigma), L the log norm on
     the closed sum or the h rule, derivatives in (log p, log sigma)."""
-    if q.n_is_integer and q.n <= _FF_SWITCH:
+    if _on_closed_sum(q):
         def log_norm(p, sigma):
             return _log_gaussian_norm_sq_sum(q, p, sigma, moments=True)
     else:

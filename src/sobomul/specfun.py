@@ -1,8 +1,8 @@
-"""Real-argument special functions: Gamma, digamma and the Gauss
+"""Real-argument special functions: log Gamma and the Gauss
 hypergeometric function 2F1.
 
-Everything here is self-contained double-precision code.  The Gamma ladder
-uses a Lanczos approximation with reflection below 1/2; the hypergeometric
+Everything here is self-contained double-precision code.  log Gamma uses a
+Lanczos approximation with reflection below 1/2; the hypergeometric
 evaluator selects among a terminating sum, the defining power series, the
 Kummer and Euler transformations and an Euler-integral fallback, depending
 on where the argument lies.  Only real parameters and real arguments w < 1
@@ -10,8 +10,7 @@ on where the argument lies.  Only real parameters and real arguments w < 1
 machinery in this package ever needs.
 
 Accuracy targets (checked by the test suite):
-    gamma     <= 1e-12 relative on [1e-4, 170]
-    digamma   <= 1e-11 relative away from the poles
+    log_gamma <= 1e-12 relative (or absolute below 1) on [1e-4, 500]
     hyp2f1    <= 1e-10 relative on the supported regimes
 """
 
@@ -24,28 +23,22 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "EULER_GAMMA",
     "HyperEval",
     "GammaPoleError",
     "HypergeometricError",
     "DivergenceError",
     "UnsupportedRegimeError",
     "SeriesError",
-    "gamma",
     "log_gamma",
     "log_gamma_signed",
-    "digamma",
     "hyp2f1",
     "hyp2f1_derivatives",
     "gauss_value",
 ]
 
 
-EULER_GAMMA = 0.5772156649015328606065120900824024
-
-
 class GammaPoleError(ValueError):
-    """Gamma/digamma evaluated at a non-positive integer."""
+    """Gamma needed at a pole 0, -1, -2, ... (log_gamma: at any x <= 0)."""
 
 
 class HypergeometricError(ValueError):
@@ -65,7 +58,7 @@ class SeriesError(HypergeometricError):
 
 
 # ----------------------------------------------------------------------
-# Gamma, log-Gamma, digamma
+# log-Gamma
 # ----------------------------------------------------------------------
 
 # Lanczos coefficients, g = 7, 9 terms.
@@ -84,9 +77,6 @@ _LANCZOS = (
 
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
 
-# Gamma overflows past this abscissa in IEEE double.
-_GAMMA_OVERFLOW_X = 171.62437695630272
-
 
 def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
     if x > 0.5:
@@ -97,37 +87,6 @@ def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
     return abs(x - r) <= tol * max(1.0, abs(x))
 
 
-def _lanczos_sum(x: float) -> float:
-    # x >= 0.5 assumed; series argument is shifted by one internally.
-    z = x - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, 9):
-        s += _LANCZOS[i] / (z + i)
-    return s
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x excluding the poles 0, -1, -2, ...
-
-    Satisfies gamma(x + 1) = x * gamma(x); raises OverflowError above the
-    double-precision range (use :func:`log_gamma` there).
-    """
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"gamma pole at x = {x}")
-    if x > _GAMMA_OVERFLOW_X:
-        raise OverflowError(
-            f"gamma({x}) exceeds double range; use log_gamma instead")
-    if x < 0.5:
-        # Reflection: gamma(x) gamma(1-x) = pi / sin(pi x).
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x > 140.0:
-        # t**(z+1/2) would overflow on its own; assemble in log form.
-        return math.exp(log_gamma(x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(x)
-
-
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if x <= 0.0:
@@ -136,8 +95,11 @@ def log_gamma(x: float) -> float:
         # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
     z = x - 1.0
+    s = _LANCZOS[0]
+    for i in range(1, 9):
+        s += _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_sum(x))
+    return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
 
 
 def log_gamma_signed(x: float) -> tuple[float, float]:
@@ -152,49 +114,14 @@ def log_gamma_signed(x: float) -> tuple[float, float]:
     return val, math.copysign(1.0, s)
 
 
-# Bernoulli quotients B_{2k}/(2k) for the digamma asymptotic tail.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma, psi(x) = Gamma'(x)/Gamma(x).
-
-    Uses the shift formula psi(x + 1) = psi(x) + 1/x below 8 and the
-    Stirling tail above; reflection handles negative non-integer x.
-    """
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"digamma pole at x = {x}")
-    if x < 0.0:
-        # psi(1 - x) = psi(x) + pi cot(pi x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for b in _DIGAMMA_TAIL:
-        tail += b * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 # ----------------------------------------------------------------------
 # Gauss hypergeometric function
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HyperEval:
-    """One 2F1 evaluation request: parameters (a, b, c) and argument w.
+    """One 2F1 request: parameters (a, b, c) and argument w, and the
+    regime in which :func:`hyp2f1` evaluates it.
 
     c must avoid the poles 0, -1, -2, ...; w < 1 always converges here,
     w = 1 only when c > a + b.  Evaluation is symmetric in (a, b).
@@ -337,19 +264,15 @@ def _integral_rep(a: float, b: float, c: float, w: float) -> float:
     return math.exp(lg) * float(value)
 
 
-def hyp2f1(a, b=None, c=None, w=None) -> float:
+def hyp2f1(a: float, b: float, c: float, w: float) -> float:
     """Gauss hypergeometric function 2F1(a, b, c; w), real arguments.
 
-    Accepts either a single :class:`HyperEval` or the four scalars.  The
-    evaluation strategy (terminating sum, series, Kummer map w -> w/(w-1),
-    Euler transformation, Euler integral) is internal; callers only see
-    the value.
+    The evaluation strategy (terminating sum, series, Kummer map
+    w -> w/(w-1), Euler transformation, Euler integral) is internal;
+    callers only see the value, and :attr:`HyperEval.regime` names it.
     """
-    if isinstance(a, HyperEval):
-        a, b, c, w = a.a, a.b, a.c, a.w
-    else:
-        a, b, c, w = float(a), float(b), float(c), float(w)
-        _check_request(a, b, c, w)
+    a, b, c, w = float(a), float(b), float(c), float(w)
+    _check_request(a, b, c, w)
 
     # Canonical order: a terminating parameter goes second; otherwise sort
     # so that evaluation is exactly symmetric in (a, b).

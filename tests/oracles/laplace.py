@@ -31,8 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from sobomul.specfun import gamma
-
 from .gauss_kronrod import integrate_finite
 
 __all__ = [
@@ -80,7 +78,7 @@ def asymp_value(spec: LaplaceSpec, n: float, order: int | None = None) -> float:
         order = len(spec.expansion)
     if order > len(spec.expansion):
         raise ValueError(f"order {order} exceeds the {len(spec.expansion)}-term expansion")
-    return sum(p * gamma(a) / n ** a for p, a in spec.expansion[:order])
+    return sum(p * math.gamma(a) / n ** a for p, a in spec.expansion[:order])
 
 
 def quad_value(spec: LaplaceSpec, n: float, tol: float = 1e-11) -> float:

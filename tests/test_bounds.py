@@ -99,12 +99,15 @@ def test_k_plus_just_above_the_monotone_regime(k):
 # ----------------------------------------------------------------------
 
 def test_asymp_constants_recomputable():
-    from sobomul.specfun import EULER_GAMMA, digamma, gamma
+    # M_d and N_d against 30-digit mpmath Gamma and digamma
+    mp = pytest.importorskip("mpmath")
     for d in range(1, 11):
         c = B.AsympConstants.for_dimension(d)
-        m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
-                     * math.sqrt(gamma(d / 2.0)))
-        n_d = 0.5 * (digamma(d / 2.0) + EULER_GAMMA)
+        with mp.workdps(30):
+            half_d = mp.mpf(d) / 2
+            m_d = float(1 / (2 ** (half_d - mp.mpf(1) / 2) * mp.pi ** (half_d / 2)
+                             * mp.sqrt(mp.gamma(half_d))))
+            n_d = float((mp.digamma(half_d) + mp.euler) / 2)
         t_d = 3.0 ** (d / 4.0 + 0.25) / (2.0 ** d * math.pi ** (d / 4.0))
         v_d = math.log(math.sqrt(3.0) / 2.0) + 0.5 + 3.0 / d - n_d
         assert abs(c.amp_small - m_d) <= 1e-13 * abs(m_d)
@@ -115,6 +118,17 @@ def test_asymp_constants_recomputable():
 
 def test_slope_constant_d1_is_minus_log2():
     assert abs(B.AsympConstants.for_dimension(1).slope_small + math.log(2.0)) < 1e-13
+
+
+def test_slope_constant_harmonic_sum_against_digamma():
+    # N_d = (psi(d/2) + gamma_E) / 2 from its harmonic sum, to a few ulps
+    # of the 30-digit value
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for d in range(1, 11):
+            want = (mp.digamma(mp.mpf(d) / 2) + mp.euler) / 2
+            got = B.AsympConstants.for_dimension(d).slope_small
+            assert abs(mp.mpf(got) - want) <= 4.4e-16, d
 
 
 def test_small_gap_law_matches_k_plus():
@@ -253,13 +267,11 @@ def test_residual_scan_kernel_call_gate(monkeypatch):
             return _inner(*args, **kw)
 
         monkeypatch.setattr(K, name, counting)
-    builds = []
-    gamma = B.sf.gamma
-    monkeypatch.setattr(B.sf, "gamma", lambda x: builds.append(x) or gamma(x))
     B.AsympConstants.for_dimension.cache_clear()
     grid = B.default_residual_grid(10)
     B._residual_scan.__wrapped__(10, grid)
-    assert builds == [5.0]
+    built = B.AsympConstants.for_dimension.cache_info()
+    assert (built.misses, built.currsize) == (1, 1)
     calls.clear()
     _, kps, rounds = B._residual_k_plus(10, grid)
     evaluations = sum(kp.diagnostics.get("evaluations", 0) for kp in kps)
@@ -335,9 +347,8 @@ def test_bessel_norm_against_defining_integral():
         return (rho ** (d - 1.0) * (1.0 + rho * rho) ** n
                 * (1.0 + rho * rho / lam ** 2) ** (-2.0 * n))
 
-    from sobomul.specfun import gamma
     res = integrate_semiinf(f, 0.0, TailSpec(2.0 * n - d), tol=1e-11)
-    want = 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0) / lam ** (2.0 * d) * res.value
+    want = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) / lam ** (2.0 * d) * res.value
     assert rel_err(B.bessel_trial_norm_sq(q, lam), want) < 1e-8
 
 
@@ -367,7 +378,7 @@ def test_bessel_quotient_scale_consistency():
     # closed-form route against defining-integral quadratures at lam in
     # {0.5, 1, 2} for (n, d) = (2, 2)
     from sobomul.kernels import log_hyper_kernel
-    from sobomul.specfun import gamma, log_gamma
+    from sobomul.specfun import log_gamma
     n, d = 2.0, 2
     q = q_of(2, 2)
     for lam in (0.5, 1.0, 2.0):
@@ -375,7 +386,7 @@ def test_bessel_quotient_scale_consistency():
             return (rho ** (d - 1.0) * (1.0 + rho * rho) ** n
                     * (1.0 + rho * rho / lam ** 2) ** (-2.0 * n))
 
-        norm_quad = (2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+        norm_quad = (2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
                      / lam ** (2.0 * d)
                      * integrate_semiinf(f_norm, 0.0, TailSpec(2.0 * n - d),
                                          tol=1e-10).value)
@@ -847,3 +858,19 @@ def test_trial_params_validation():
 def test_tags():
     assert B.TAG_BY_KIND["lower_bessel"] == "(B)"
     assert B.TAG_BY_KIND["lower_fourier_ff"] == "(FF)"
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_best_lower_across_the_ff_switch(d):
+    # each route is continuous up to the switch at n = 50, so best_lower
+    # steps there by the frozen pair's loss against the (F) search at
+    # n = 50, downward (0.94-0.98)
+    below = [B.best_lower(BoundQuery(d=d, n=50.0 - h)) for h in (2e-7, 1e-7)]
+    above = [B.best_lower(BoundQuery(d=d, n=50.0 + h)) for h in (1e-7, 2e-7)]
+    assert [r.tag for r in below + above] == ["(F)"] * 2 + ["(FF)"] * 2
+    for pair in (below, above):
+        assert abs(pair[1].value / pair[0].value - 1.0) <= 1e-5
+    at = BoundQuery(d=d, n=50.0)
+    step = B.k_fourier_fixed(at).value / B.k_fourier(at).value
+    assert step < 1.0
+    assert abs(above[0].value / below[1].value / step - 1.0) <= 1e-5

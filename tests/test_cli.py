@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,19 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
     code, out, _ = run(capsys, ["upper", "-n", "2", "-d", "2"])
     assert code == 3
     assert "CAVEAT" in out
+
+
+@pytest.mark.parametrize("n, d", [("0.500000000001", "1"), ("5.000000000001", "10")])
+def test_fourier_at_a_tiny_gap_exits_3_promptly(capsys, n, d):
+    # the (F) optimum's sigma grows like 1/gap, and so would its rule
+    # blocks; at gap 1e-12 a block passes the node cap within a few search
+    # steps instead of allocating tens of millions of nodes
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["lower", "--method", "fourier", "-n", n, "-d", d])
+    assert code == 3
+    assert not out
+    assert "rule block" in err
+    assert time.perf_counter() - started < 10.0
 
 
 @pytest.mark.parametrize("argv", [["sandwich", "-n", "2000", "-d", "3"],

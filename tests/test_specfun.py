@@ -1,4 +1,4 @@
-"""Gamma / digamma / 2F1 unit tests against identities and slow oracles."""
+"""log Gamma / 2F1 unit tests against identities and slow oracles."""
 
 import math
 
@@ -16,20 +16,21 @@ def rel_err(got, want):
 
 
 # ----------------------------------------------------------------------
-# gamma / log_gamma
+# log_gamma
 # ----------------------------------------------------------------------
 
 def test_gamma_special_values():
-    assert rel_err(sf.gamma(0.5), SQRT_PI) < 1e-14
-    assert rel_err(sf.gamma(1.0), 1.0) < 1e-14
-    assert rel_err(sf.gamma(6.0), 120.0) < 1e-13
+    assert abs(sf.log_gamma(0.5) - math.log(SQRT_PI)) < 1e-14
+    assert abs(sf.log_gamma(1.0)) < 1e-14
+    assert rel_err(sf.log_gamma(6.0), math.log(120.0)) < 1e-14
 
 
 def test_gamma_shift_formula():
+    # log Gamma(x + 1) = log Gamma(x) + log x, across the reflection branch
     rng = np.random.default_rng(11)
     for _ in range(300):
         x = float(np.exp(rng.uniform(np.log(1e-4), np.log(169.0))))
-        assert rel_err(sf.gamma(x + 1.0), x * sf.gamma(x)) < 1e-12
+        assert abs(sf.log_gamma(x + 1.0) - sf.log_gamma(x) - math.log(x)) < 1e-12
 
 
 def test_gamma_duplication_formula():
@@ -46,8 +47,11 @@ def test_gamma_duplication_formula():
 
 
 def test_gamma_negative_arguments_via_reflection():
-    # gamma(-1.5) = 4 sqrt(pi) / 3
-    assert rel_err(sf.gamma(-1.5), 4.0 * SQRT_PI / 3.0) < 1e-13
+    # Gamma(-5/2) = -8 sqrt(pi) / 15 and Gamma(-7/2) = 16 sqrt(pi) / 105
+    val, sign = sf.log_gamma_signed(-2.5)
+    assert sign == -1.0 and rel_err(-math.exp(val), -8.0 * SQRT_PI / 15.0) < 1e-13
+    val, sign = sf.log_gamma_signed(-3.5)
+    assert sign == 1.0 and rel_err(math.exp(val), 16.0 * SQRT_PI / 105.0) < 1e-13
 
 
 def test_gamma_vs_lgamma_oracle():
@@ -58,13 +62,13 @@ def test_gamma_vs_lgamma_oracle():
         assert abs(sf.log_gamma(x) - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
 
 
-def test_gamma_pole_and_overflow():
-    with pytest.raises(sf.GammaPoleError):
-        sf.gamma(0.0)
-    with pytest.raises(sf.GammaPoleError):
-        sf.gamma(-3.0)
-    with pytest.raises(OverflowError):
-        sf.gamma(200.0)
+def test_log_gamma_poles():
+    for x in (0.0, -0.5, -3.0):
+        with pytest.raises(sf.GammaPoleError):
+            sf.log_gamma(x)
+    for x in (0.0, -1.0, -3.0):
+        with pytest.raises(sf.GammaPoleError):
+            sf.log_gamma_signed(x)
     assert sf.log_gamma(500.0) == pytest.approx(math.lgamma(500.0), rel=1e-14)
 
 
@@ -73,30 +77,6 @@ def test_log_gamma_signed():
     assert sign == 1.0 and rel_err(math.exp(val), 4.0 * SQRT_PI / 3.0) < 1e-12
     val, sign = sf.log_gamma_signed(-0.5)
     assert sign == -1.0 and rel_err(-math.exp(val), -2.0 * SQRT_PI) < 1e-12
-
-
-# ----------------------------------------------------------------------
-# digamma
-# ----------------------------------------------------------------------
-
-def test_digamma_special_values():
-    assert abs(sf.digamma(1.0) + sf.EULER_GAMMA) < 1e-13
-    assert abs(sf.digamma(0.5) + sf.EULER_GAMMA + 2.0 * math.log(2.0)) < 1e-13
-    assert abs(sf.digamma(2.0) - (1.0 - sf.EULER_GAMMA)) < 1e-13
-
-
-def test_digamma_shift_formula():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        x = float(np.exp(rng.uniform(np.log(1e-3), np.log(300.0))))
-        got = sf.digamma(x + 1.0)
-        want = sf.digamma(x) + 1.0 / x
-        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
-
-
-def test_digamma_pole():
-    with pytest.raises(sf.GammaPoleError):
-        sf.digamma(-2.0)
 
 
 # ----------------------------------------------------------------------
