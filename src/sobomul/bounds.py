@@ -11,6 +11,13 @@ Upper bounds
     k_plus_plus     K++ >= K+, an elementary envelope built from the
                     constants of :class:`AsympConstants` and the residual
                     supremum Z_d.
+    envelope_residual_sup
+                    Z_d and Theta_d from a scan over 400 gaps: K+ in
+                    closed form up to gap 1/2 and by one batched search
+                    beyond, certified row by row as k_plus certifies its
+                    one row; each gap's residual and K++ then come from
+                    the float formulas of :mod:`sobomul.envelope`, which
+                    envelope_residual and k_plus_plus share.
 
 Lower bounds (Rayleigh quotients of explicit trial functions)
     k_bessel            K^B  = sup_lam ||g_lam^2||_n / ||g_lam||_n^2 with
@@ -34,7 +41,7 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         n > 50 where the 2-D search buys nothing.
     best_lower          the applicable maximum, tagged (B)/(BB)/(F)/(FF).
 
-Asymptotic laws
+Asymptotic laws (their constants in :mod:`sobomul.envelope`)
     k_plus_asymp_small  M_d / sqrt(n - d/2) * (1 - N_d (n - d/2))
     k_plus_asymp_large  T_d (2/sqrt 3)^n / n^(d/4)
 
@@ -54,8 +61,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import specfun as sf
-from .kernels import (BoundQuery, DomainError, KernelRows, log_hyper_kernel,
-                      log_upper_curve_limit, log_upper_curve_rows)
+from .envelope import (AsympConstants, envelope_terms, k_plus_plus_value,
+                       log_k_plus_asymp_large, residual)
+from .kernels import (BoundQuery, DomainError, KernelRows, _closed_form_upper,
+                      _log_curve_limit, log_hyper_kernel, log_upper_curve_limit,
+                      log_upper_curve_rows)
 from .optim import BracketBoundaryError, MaxResult, maximize_1d_newton, maximize_2d
 
 __all__ = [
@@ -90,7 +100,6 @@ __all__ = [
 _LOG_PI = math.log(math.pi)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _HALF_PI = 0.5 * math.pi
-_LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
 
 # Routing thresholds (see best_lower): the minorant route takes over within
 # 0.1 of d/2, the fixed-parameter Fourier bound beyond n = 50.
@@ -157,40 +166,6 @@ class BoundResult:
 
 
 @dataclass(frozen=True)
-class AsympConstants:
-    """The four elementary constants of the asymptotic laws:
-
-    amp_small  M_d = 1 / (2^(d/2-1/2) pi^(d/4) sqrt(Gamma(d/2)))
-    slope_small N_d = (psi(d/2) + gamma_E) / 2
-    amp_large  T_d = 3^(d/4+1/4) / (2^d pi^(d/4))
-    drift      V_d = log(sqrt(3)/2) + 1/2 + 3/d - N_d
-    """
-
-    d: int
-    amp_small: float
-    slope_small: float
-    amp_large: float
-    drift: float
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def for_dimension(cls, d: int) -> "AsympConstants":
-        """The constants of dimension d, built once per d and process."""
-        if d < 1 or d != int(d):
-            raise DomainError(f"d must be a positive integer, got {d}")
-        m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
-                     * math.sqrt(math.gamma(d / 2.0)))
-        # psi(d/2) + gamma_E = sum_{j < d/2 - h} 1/(h + j), h = 1 for even d;
-        # h = 1/2 for odd d, less 2 log 2 (DLMF 5.4.14-5.4.15).
-        h = 1.0 - 0.5 * (d % 2)
-        n_d = 0.5 * (sum(1.0 / (h + j) for j in range((d - 1) // 2))
-                     - (d % 2) * math.log(4.0))
-        t_d = _amp_large(d)
-        v_d = math.log(math.sqrt(3.0) / 2.0) + 0.5 + 3.0 / d - n_d
-        return cls(d=d, amp_small=m_d, slope_small=n_d, amp_large=t_d, drift=v_d)
-
-
-@dataclass(frozen=True)
 class MinorantCoeffs:
     """Coefficients of the squared-kernel-norm minorant."""
 
@@ -240,59 +215,48 @@ def _curve_rounding(q: BoundQuery, u: float) -> float:
     return 4.0 * sys.float_info.epsilon * size
 
 
-def _certified_k_plus(q: BoundQuery, outcome: MaxResult | BracketBoundaryError) -> BoundResult:
-    """K+ from a finished search of log_upper_curve over x = log u.
+_BUDGET_CAVEAT = ("optimizer budget exhausted; the value lies below the "
+                  "supremum of the upper curve, so it is not a certified K+")
+
+
+def _certified_k_plus(queries: list[BoundQuery],
+                      outcomes: list[MaxResult | BracketBoundaryError]) -> list[float]:
+    """K+ of each row of a finished :func:`_k_plus_search`.
 
     A search that ended inside [_U_LO, _U_HI] gives the square root of its
-    best value, or DomainError when that leaves the double range; one
-    whose budget ran out keeps that value with a caveat, since it lies
-    below the supremum.  Its error estimate is half (K+ being a square
-    root) of the final Newton model's remaining gain, the search's
-    rounding floor and the curve's own (:func:`_curve_rounding`).  A
-    search still climbing at the upper bound gives the closed-form limit,
-    but only if the curve there is finite and not above the limit;
-    otherwise, or if the curve is not finite where the search stopped,
-    the supremum is unknown and ArithmeticError is raised.
+    best value, or DomainError when that leaves the double range; that
+    value lies below the supremum if the search ran out of budget, which
+    each caller checks.  A search still climbing at the upper bound gives
+    the closed-form limit, but only if the curve there is finite and not
+    above the limit; otherwise, or if the curve is not finite where the
+    search stopped, the supremum is unknown and ArithmeticError is raised.
     """
-    if isinstance(outcome, BracketBoundaryError):
-        # Still increasing at the bracket boundary: sup effectively at inf,
-        # provided the curve there is finite and not above its limit.
-        log_limit = log_upper_curve_limit(q)
-        if not (math.isfinite(outcome.best_f) and outcome.best_f <= log_limit + _LIMIT_LOG_TOL):
+    values = []
+    for q, outcome in zip(queries, outcomes):
+        if isinstance(outcome, BracketBoundaryError):
+            # Still increasing at the bracket boundary: sup effectively at
+            # inf, provided the curve there is finite and not above its limit.
+            log_limit = log_upper_curve_limit(q)
+            if not (math.isfinite(outcome.best_f)
+                    and outcome.best_f <= log_limit + _LIMIT_LOG_TOL):
+                raise ArithmeticError(
+                    f"upper curve at the search boundary is {outcome.best_f!r} against "
+                    f"its limit {log_limit!r} (log scale); the supremum is not certified"
+                ) from outcome
+            values.append(math.exp(0.5 * log_limit))
+        elif math.isfinite(outcome.max_value):
+            values.append(_exp_in_range(0.5 * outcome.max_value, "K+", q))
+        else:
             raise ArithmeticError(
-                f"upper curve at the search boundary is {outcome.best_f!r} against "
-                f"its limit {log_limit!r} (log scale); the supremum is not certified"
-            ) from outcome
-        value = math.exp(0.5 * log_limit)
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=math.inf),
-                           error_estimate=value * 1e-12,
-                           diagnostics={"route": "boundary_limit"})
-    if not math.isfinite(outcome.max_value):
-        raise ArithmeticError(
-            f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
-            f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
-    value = _exp_in_range(0.5 * outcome.max_value, "K+", q)
-    u = math.exp(outcome.argmax[0])
-    diags = {"route": "maximize", "evaluations": outcome.iterations,
-             "converged": outcome.converged, "slope": outcome.slope,
-             "curvature": outcome.curvature}
-    if not outcome.converged:
-        diags["caveat"] = ("optimizer budget exhausted; the value lies below the "
-                           "supremum of the upper curve, so it is not a certified K+")
-    return BoundResult(value=value, kind="upper_plus",
-                       argmax=TrialParams(u=u),
-                       error_estimate=value * 0.5 * (outcome.gain + _curve_rounding(q, u)),
-                       diagnostics=diags)
+                f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
+                f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
+    return values
 
 
-def _closed_form_k_plus(q: BoundQuery) -> BoundResult:
-    """K+ for n <= d/2 + 1/2, where the curve increases toward its limit."""
-    value = math.exp(0.5 * log_upper_curve_limit(q))
-    return BoundResult(value=value, kind="upper_plus",
-                       argmax=TrialParams(u=math.inf),
-                       error_estimate=value * 1e-14,
-                       diagnostics={"route": "closed_form_limit"})
+def _closed_form_k_plus(n: float, d: int, gap: float) -> float:
+    """K+ for n = d/2 + gap <= d/2 + 1/2, where the curve increases toward
+    its limit."""
+    return math.exp(0.5 * _log_curve_limit(n, d, gap))
 
 
 def k_plus(q: BoundQuery) -> BoundResult:
@@ -300,13 +264,37 @@ def k_plus(q: BoundQuery) -> BoundResult:
 
     For n <= d/2 + 1/2 the curve increases toward its limit, which is then
     returned in closed form with the argmax reported as the boundary.
-    Otherwise K+ is the one-row case of :func:`_k_plus_search`.  Where the
-    large-n law, which lies below K+, or K+ itself exceeds the double
-    range, DomainError is raised.
+    Otherwise K+ is the one-row case of :func:`_k_plus_search` and
+    :func:`_certified_k_plus`.  Its error estimate is half (K+ being a
+    square root) of the final Newton model's remaining gain, the search's
+    rounding floor and the curve's own (:func:`_curve_rounding`); a search
+    whose budget ran out carries a caveat.  Where the large-n law, which
+    lies below K+, or K+ itself exceeds the double range, DomainError is
+    raised.
     """
     if q.has_closed_form_upper:
-        return _closed_form_k_plus(q)
-    return _k_plus_search([q])[0][0]
+        value = _closed_form_k_plus(q.n, q.d, q.n_gap)
+        return BoundResult(value=value, kind="upper_plus",
+                           argmax=TrialParams(u=math.inf),
+                           error_estimate=value * 1e-14,
+                           diagnostics={"route": "closed_form_limit"})
+    (outcome,), _ = _k_plus_search([q])
+    (value,) = _certified_k_plus([q], [outcome])
+    if isinstance(outcome, BracketBoundaryError):
+        return BoundResult(value=value, kind="upper_plus",
+                           argmax=TrialParams(u=math.inf),
+                           error_estimate=value * 1e-12,
+                           diagnostics={"route": "boundary_limit"})
+    u = math.exp(outcome.argmax[0])
+    diags = {"route": "maximize", "evaluations": outcome.iterations,
+             "converged": outcome.converged, "slope": outcome.slope,
+             "curvature": outcome.curvature}
+    if not outcome.converged:
+        diags["caveat"] = _BUDGET_CAVEAT
+    return BoundResult(value=value, kind="upper_plus",
+                       argmax=TrialParams(u=u),
+                       error_estimate=value * 0.5 * (outcome.gain + _curve_rounding(q, u)),
+                       diagnostics=diags)
 
 
 def _scan_start_u(q: BoundQuery) -> float:
@@ -317,18 +305,19 @@ def _scan_start_u(q: BoundQuery) -> float:
     return min(0.5 + (0.375 * q.d + 1.5) / (q.n_gap - 0.5), _U_HI)
 
 
-def _k_plus_search(queries: list[BoundQuery]) -> tuple[list[BoundResult], int]:
-    """K+ of queries of one d, each with n > d/2 + 1/2 and given in
-    ascending n, and the number of rounds of their search.
+def _k_plus_search(queries: list[BoundQuery]
+                   ) -> tuple[list[MaxResult | BracketBoundaryError], int]:
+    """The outcome of each K+ search of queries of one d, each with
+    n > d/2 + 1/2 and given in ascending n, and the number of rounds.
 
     One batched Newton search (:func:`maximize_1d_newton`) over x = log u
     in [log _U_LO, log _U_HI] runs a row per query, each from
     :func:`_scan_start_u`, which depends on its own (n, d) alone.  Each
     round evaluates the upper curve, its slope and its curvature at every
-    live row's next point in one kernel call.  Each result is certified
-    by :func:`_certified_k_plus`."""
+    live row's next point in one kernel call.  :func:`_certified_k_plus`
+    turns the outcomes into K+."""
     for q in queries:
-        _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
+        _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
     rows = KernelRows(queries)
     rounds = 0
 
@@ -339,7 +328,7 @@ def _k_plus_search(queries: list[BoundQuery]) -> tuple[list[BoundResult], int]:
 
     outcomes = maximize_1d_newton(objective, math.log(_U_LO), math.log(_U_HI),
                                   [math.log(_scan_start_u(q)) for q in queries])
-    return [_certified_k_plus(q, outcome) for q, outcome in zip(queries, outcomes)], rounds
+    return outcomes, rounds
 
 
 def k_plus_asymp_small(q: BoundQuery) -> float:
@@ -348,34 +337,14 @@ def k_plus_asymp_small(q: BoundQuery) -> float:
     return c.amp_small / math.sqrt(q.n_gap) * (1.0 - c.slope_small * q.n_gap)
 
 
-def _amp_large(d: int) -> float:
-    """T_d = 3^(d/4+1/4) / (2^d pi^(d/4)), which needs no Gamma function."""
-    return 3.0 ** (d / 4.0 + 0.25) / (2.0 ** d * math.pi ** (d / 4.0))
-
-
-def _log_k_plus_asymp_large(q: BoundQuery) -> float:
-    return math.log(_amp_large(q.d)) + q.n * _LOG_2_OVER_SQRT3 - 0.25 * q.d * math.log(q.n)
-
-
 def k_plus_asymp_large(q: BoundQuery) -> float:
     """Leading large-n law T_d (2/sqrt 3)^n / n^(d/4)."""
-    return _exp_in_range(_log_k_plus_asymp_large(q), "the large-n law of K+", q)
+    return _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
 
 
 # ----------------------------------------------------------------------
 # elementary envelope K++ and its residual
 # ----------------------------------------------------------------------
-
-def _log_envelope_lead(q: BoundQuery) -> float:
-    return q.n * _LOG_2_OVER_SQRT3 - 0.25 * q.d * math.log(q.n)
-
-
-def _envelope_main(q: BoundQuery, c: AsympConstants) -> float:
-    nd = q.n_gap
-    return ((3.0 * q.d / 8.0) ** (q.d / 4.0) * c.amp_small / math.sqrt(nd)
-            * (1.0 - nd / q.n) ** 1.5 * (1.0 + c.drift * nd)
-            + c.amp_large * (nd / q.n) ** 1.5)
-
 
 def envelope_residual(q: BoundQuery, k_plus_value: float | None = None) -> float:
     """The residual z solving
@@ -387,18 +356,15 @@ def envelope_residual(q: BoundQuery, k_plus_value: float | None = None) -> float
     """
     if k_plus_value is None:
         k_plus_value = k_plus(q).value
-    c = AsympConstants.for_dimension(q.d)
-    ratio = math.exp(math.log(k_plus_value) - _log_envelope_lead(q))
-    return (ratio - _envelope_main(q, c)) * q.n ** 2 / q.n_gap
+    terms = envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
+    return residual(q.n, q.n_gap, terms, k_plus_value)
 
 
 def k_plus_plus(q: BoundQuery, big_z: float) -> BoundResult:
     """Elementary upper bound K++ >= K+ given the residual supremum Z_d."""
-    c = AsympConstants.for_dimension(q.d)
-    bracket = _envelope_main(q, c) + big_z * q.n_gap / q.n ** 2
-    value = math.exp(_log_envelope_lead(q) + math.log(bracket))
-    return BoundResult(value=value, kind="upper_plus_plus",
-                       diagnostics={"big_z": big_z})
+    terms = envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
+    return BoundResult(value=k_plus_plus_value(q.n, q.n_gap, terms, big_z),
+                       kind="upper_plus_plus", diagnostics={"big_z": big_z})
 
 
 def default_residual_grid(d: int) -> tuple[float, ...]:
@@ -409,7 +375,7 @@ def default_residual_grid(d: int) -> tuple[float, ...]:
     left = np.geomspace(1e-5, 0.1, 120)
     mid = np.geomspace(0.1, 20.0, 200)[1:]
     right = np.linspace(20.0, 200.0, 82)[1:]
-    return tuple(np.concatenate((left, mid, right)))
+    return tuple(np.concatenate((left, mid, right)).tolist())
 
 
 def _round_sig(x: float, figures: int = 3) -> float:
@@ -418,46 +384,60 @@ def _round_sig(x: float, figures: int = 3) -> float:
     return round(x, -int(math.floor(math.log10(abs(x)))) + figures - 1)
 
 
-def _residual_k_plus(d: int, gap_grid: tuple[float, ...]
-                     ) -> tuple[list[BoundQuery], list[BoundResult], int]:
-    """The residual scan's queries, their K+ with its diagnostics, and the
-    number of search rounds (each one kernel call).  The gaps up to 1/2
-    take K+'s closed form; the others share one batched search
-    (:func:`_k_plus_search`), in which each row starts from its own
-    (n, d), and a search that does not converge raises ArithmeticError.
-    Not cached, unlike the scan's result."""
-    queries = [BoundQuery(d=d, n=d / 2.0 + nd) for nd in gap_grid]
-    searched = [q for q in queries if not q.has_closed_form_upper]
+def _residual_k_plus(d: int, gap_grid: tuple[float, ...]) -> tuple[
+        list[float], list[float], list[MaxResult | BracketBoundaryError | None], int]:
+    """The residual scan's n = d/2 + gap and K+ per gap, the search
+    outcome per gap (None where K+ takes its closed form), and the number
+    of search rounds (each one kernel call).
+
+    The gaps up to 1/2 take K+'s closed form from plain floats; the others
+    share one batched search (:func:`_k_plus_search`), in which each row
+    starts from its own (n, d), and only these rows get a BoundQuery.  A
+    search that does not converge raises ArithmeticError, as does one
+    that :func:`_certified_k_plus` cannot certify.  Not cached, unlike the
+    scan's result."""
+    half = d / 2.0
+    ns = [half + nd for nd in gap_grid]
+    closed = [_closed_form_upper(n, d) for n in ns]
+    searched = [BoundQuery(d=d, n=n) for n, is_closed in zip(ns, closed) if not is_closed]
     found, rounds = _k_plus_search(searched) if searched else ([], 0)
-    for q, res in zip(searched, found):
-        if "caveat" in res.diagnostics:
-            raise ArithmeticError(
-                f"K+ search at (n, d) = ({q.n:g}, {d}): {res.diagnostics['caveat']}")
-    next_found = iter(found).__next__
-    kps = [_closed_form_k_plus(q) if q.has_closed_form_upper else next_found() for q in queries]
-    return queries, kps, rounds
+    values = _certified_k_plus(searched, found)
+    for q, outcome in zip(searched, found):
+        if isinstance(outcome, MaxResult) and not outcome.converged:
+            raise ArithmeticError(f"K+ search at (n, d) = ({q.n:g}, {d}): {_BUDGET_CAVEAT}")
+    next_value, next_outcome = iter(values).__next__, iter(found).__next__
+    kps = [_closed_form_k_plus(n, d, n - half) if is_closed else next_value()
+           for n, is_closed in zip(ns, closed)]
+    outcomes = [None if is_closed else next_outcome() for is_closed in closed]
+    return ns, kps, outcomes, rounds
 
 
 @lru_cache(maxsize=32)
 def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
-    """Z_d and Theta_d over gap_grid, from :func:`_residual_k_plus`."""
-    queries, kps, _ = _residual_k_plus(d, gap_grid)
-    ks = [kp.value for kp in kps]
-    zs = [envelope_residual(q, kv) for q, kv in zip(queries, ks)]
-    zs_arr = np.asarray(zs)
-    i_z = int(np.argmax(zs_arr))
-    big_z = float(zs_arr[i_z])
+    """Z_d and Theta_d over gap_grid, from :func:`_residual_k_plus`.
+
+    Each gap's residual and K++ come from the formulas of
+    :func:`envelope_residual` and :func:`k_plus_plus`, on plain floats and
+    with the gap's envelope terms formed once."""
+    ns, kps, _, _ = _residual_k_plus(d, gap_grid)
+    c = AsympConstants.for_dimension(d)
+    half = d / 2.0
+    rows = [(n, n - half) for n in ns]
+    terms = [envelope_terms(n, gap, c) for n, gap in rows]
+    zs = [residual(n, gap, t, k) for (n, gap), t, k in zip(rows, terms, kps)]
+    i_z = int(np.argmax(zs))
+    big_z = zs[i_z]
     # The ratio supremum is quoted for the envelope built with the residual
     # constant at its published 3-significant-figure precision; for d >= 8
     # the ratio responds to the constant with a factor of ~20, so the digit
     # convention is part of the definition.
     z_for_theta = _round_sig(big_z, 3)
-    ratios_arr = np.asarray([k_plus_plus(q, z_for_theta).value / kv
-                             for q, kv in zip(queries, ks)])
-    i_t = int(np.argmax(ratios_arr))
+    ratios = [k_plus_plus_value(n, gap, t, z_for_theta) / k
+              for (n, gap), t, k in zip(rows, terms, kps)]
+    i_t = int(np.argmax(ratios))
     warn = i_z in (0, len(gap_grid) - 1) or i_t in (0, len(gap_grid) - 1)
     return ElementaryBoundData(
-        d=d, big_z=big_z, theta=float(ratios_arr[i_t]),
+        d=d, big_z=big_z, theta=ratios[i_t],
         argmax_gap_z=float(gap_grid[i_z]), argmax_gap_theta=float(gap_grid[i_t]),
         endpoint_warning=warn)
 

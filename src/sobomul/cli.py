@@ -7,10 +7,12 @@
     sobomul table2   [--dmax 10] [--compare]
     sobomul asymp    --regime small -d 1
 
-Common flags: --json, --csv.  n accepts decimals or exact fractions
-("5/2"); fractions keep the integer-n fast paths exact.
+Common flags: --json, --csv (one header per record kind: bounds, table2
+rows or asymp laws).  n accepts decimals or exact fractions ("5/2");
+fractions keep the integer-n fast paths exact.
 Exit codes: 0 success, 2 domain violation (n <= d/2, d < 1, or a bound
-past the double range) or rejected argument, 3 numerical non-convergence
+past the double range) or rejected argument (an n past the double range
+among them), 3 numerical non-convergence
 or failure.  With exit 3, table1 still prints every cell, a failed one
 with its "error" and null for the values it could not compute; upper,
 lower and sandwich print their record with a caveat when a search ran
@@ -53,11 +55,17 @@ _METHODS = {
 
 
 def parse_n(text: str) -> Fraction:
-    """Exact rational n from '5/2', '2.5' or '3'."""
+    """Exact rational n from '5/2', '2.5' or '3'; an n past the double
+    range, such as '1e400', is rejected like 'inf' and 'nan'."""
     try:
-        return Fraction(text)
+        n = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse n = {text!r}") from exc
+    try:
+        float(n)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"n = {text!r} lies past the double range") from exc
+    return n
 
 
 def _parse_n_list(text: str) -> list[float]:
@@ -285,27 +293,38 @@ _COMMANDS = {
     "asymp": _cmd_asymp,
 }
 
-_CSV_HEADER = ("d", "n", "k_plus", "k_minus", "ratio", "tag", "argmax1", "argmax2")
+# CSV columns per record kind: a bound's argmax fills argmax1 and argmax2,
+# and a table2 record with --compare adds its comparison fields.
+_CSV_COLUMNS = {
+    "bound": ("d", "n", "k_plus", "k_minus", "ratio", "tag", "argmax1", "argmax2"),
+    "table2": ("d", "big_z", "theta", "endpoint_warning"),
+    "asymp": ("d", "n", "law", "law_ratio", "law_target"),
+}
+_CSV_COMPARE = ("golden_big_z", "golden_theta", "big_z_diff", "theta_diff")
 
 
 def _emit_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    kind = records[0]["kind"] if records else "bound"
+    columns = _CSV_COLUMNS[kind]
+    if kind == "table2" and "compare" in records[0]:
+        columns += _CSV_COMPARE
+    writer.writerow(columns)
     for rec in records:
+        cells = {**rec, **rec.get("compare", {})}
         arg = rec.get("argmax") or []
-        writer.writerow([
-            rec.get("d", ""), rec.get("n", ""),
-            _csv_num(rec.get("k_plus")), _csv_num(rec.get("k_minus")),
-            _csv_num(rec.get("ratio")), rec.get("tag") or "",
-            _csv_num(arg[0]) if len(arg) > 0 else "",
-            _csv_num(arg[1]) if len(arg) > 1 else "",
-        ])
+        cells.update(zip(("argmax1", "argmax2"), arg))
+        writer.writerow([_csv_cell(cells.get(col)) for col in columns])
     return buf.getvalue()
 
 
-def _csv_num(v) -> str:
-    return "" if v is None else repr(float(v))
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _emit_human(records: list[dict]) -> str:

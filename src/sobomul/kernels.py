@@ -100,7 +100,7 @@ class BoundQuery:
     @property
     def has_closed_form_upper(self) -> bool:
         """n <= d/2 + 1/2: the upper curve is increasing, sup at infinity."""
-        return self.n <= self.d / 2.0 + 0.5 + _GAP_TOL
+        return _closed_form_upper(self.n, self.d)
 
     @cached_property
     def _log_curve_scale(self) -> float:
@@ -114,6 +114,12 @@ class BoundQuery:
         """The kernel's rule tables by tanh-sinh level, built on first use
         and held for this query's later kernel calls."""
         return {}
+
+
+def _closed_form_upper(n: float, d: int) -> bool:
+    """:attr:`BoundQuery.has_closed_form_upper` of (n, d), for callers
+    that hold n and d as plain floats."""
+    return n <= d / 2.0 + 0.5 + _GAP_TOL
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +326,7 @@ class KernelRows:
             self.keep[i:i + chunk] = _node_bases(_FIRST_LEVEL, self.n[i:i + chunk, None],
                                                  self.expo[i:i + chunk, None])[1]
         # points per block, from the most nodes that one row keeps
-        self._block = max(1, _ROWS_BLOCK_ENTRIES // max(map(np.count_nonzero, self.keep)))
+        self._block = max(1, _ROWS_BLOCK_ENTRIES // int(self.keep.sum(axis=1).max()))
         self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))
 
     def _sums(self, at: np.ndarray, u: np.ndarray, moments: bool = False) -> tuple:
@@ -431,8 +437,12 @@ def upper_curve(q: BoundQuery, u) -> float | np.ndarray:
 
 def log_upper_curve_limit(q: BoundQuery) -> float:
     """log of the u -> inf value Gamma(n+1-d/2)/(2^(d-1) pi^(d/2) (n-d/2) Gamma(n))."""
-    n, d = q.n, q.d
-    return (sf.log_gamma(n + 1.0 - d / 2.0) - math.log(q.n_gap) - sf.log_gamma(n)
+    return _log_curve_limit(q.n, q.d, q.n_gap)
+
+
+def _log_curve_limit(n: float, d: int, gap: float) -> float:
+    """:func:`log_upper_curve_limit` at n = d/2 + gap, from plain floats."""
+    return (sf.log_gamma(n + 1.0 - d / 2.0) - math.log(gap) - sf.log_gamma(n)
             - (d - 1.0) * math.log(2.0) - 0.5 * d * math.log(math.pi))
 
 

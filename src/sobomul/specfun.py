@@ -61,20 +61,6 @@ class SeriesError(HypergeometricError):
 # log-Gamma
 # ----------------------------------------------------------------------
 
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
 
 
@@ -95,10 +81,14 @@ def log_gamma(x: float) -> float:
         # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
     z = x - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, 9):
-        s += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    # the Lanczos sum (g = 7, 9 terms) c_0 + sum_i c_i / (z + i), written
+    # out term by term and added left to right
+    s = (0.99999999999980993 + 676.5203681218851 / (z + 1.0)
+         - 1259.1392167224028 / (z + 2.0) + 771.32342877765313 / (z + 3.0)
+         - 176.61502916214059 / (z + 4.0) + 12.507343278686905 / (z + 5.0)
+         - 0.13857109526572012 / (z + 6.0) + 9.9843695780195716e-6 / (z + 7.0)
+         + 1.5056327351493116e-7 / (z + 8.0))
+    t = z + 7.0 + 0.5
     return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
 
 

@@ -8,8 +8,9 @@ Z_d and Theta_d for d = 1..10.
 
 ``table1_rows`` evaluates one dimension's row, cell by cell;
 ``table2_rows`` runs the residual scans, whose K+ searches share one
-batched Newton search per dimension, one kernel call per round (see
-``bounds._residual_scan``).
+batched Newton search per dimension, one kernel call per round, and
+whose residuals and K++ values are formed gap by gap on plain floats
+(see ``bounds._residual_scan``).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
 from oracles.nelder_mead import maximize_2d_simplex
 from sobomul import bounds as B
 from sobomul.kernels import BoundQuery, DomainError
+from sobomul.optim import MaxResult
 
 
 def rel_err(got, want):
@@ -231,13 +232,12 @@ def test_residual_scan_searches_converge():
     # through the bracket boundary
     for d in (1, 10):
         grid = B.default_residual_grid(d)
-        _, kps, _ = B._residual_k_plus(d, grid)
-        routes = [kp.diagnostics["route"] for kp in kps]
-        assert len(routes) == len(grid) == 400
-        assert routes.count("maximize") == 220, d
-        assert routes.count("closed_form_limit") == 180, d
-        assert all(kp.diagnostics["converged"] for kp in kps
-                   if kp.diagnostics["route"] == "maximize"), d
+        _, _, outcomes, _ = B._residual_k_plus(d, grid)
+        searched = [o for o in outcomes if o is not None]
+        assert len(outcomes) == len(grid) == 400
+        assert len(searched) == 220, d
+        assert outcomes.count(None) == 180, d
+        assert all(isinstance(o, MaxResult) and o.converged for o in searched), d
 
 
 def test_residual_scan_k_plus_matches_scalar_k_plus():
@@ -245,11 +245,35 @@ def test_residual_scan_k_plus_matches_scalar_k_plus():
     # case, at every 11th searched gap: the rows of a block sum over the
     # nodes that any of them keeps, so they may differ in the last bits
     for d in (1, 5, 10):
-        queries, kps, _ = B._residual_k_plus(d, B.default_residual_grid(d))
-        searched = [(q, kp) for q, kp in zip(queries, kps)
-                    if kp.diagnostics["route"] == "maximize"]
-        for q, kp in searched[::11]:
-            assert rel_err(kp.value, B.k_plus(q).value) <= 1e-12, (d, q.n)
+        ns, kps, outcomes, _ = B._residual_k_plus(d, B.default_residual_grid(d))
+        searched = [(n, kp) for n, kp, o in zip(ns, kps, outcomes) if o is not None]
+        for n, kp in searched[::11]:
+            assert rel_err(kp, B.k_plus(BoundQuery(d=d, n=n)).value) <= 1e-12, (d, n)
+
+
+@pytest.mark.parametrize("d", [1, 4, 10])
+def test_residual_scan_matches_per_gap_oracle(d):
+    # the scan against the same scan run one gap at a time through the
+    # scalar k_plus, envelope_residual and k_plus_plus: Z_d, Theta_d, their
+    # gaps and the endpoint warning agree exactly.  (At d = 3 and 6..9 the
+    # batched K+ at the residual's argmax differs from the scalar one in
+    # its last bits, as above, and so does Z_d.)
+    from oracles.residual_scan import residual_scan
+    assert B._residual_scan.__wrapped__(d, B.default_residual_grid(d)) == residual_scan(d)
+
+
+def test_residual_scan_builds_no_result_objects(monkeypatch):
+    # deterministic counts: the d = 10 scan builds no BoundResult and no
+    # TrialParams, and a BoundQuery only for its 220 searched rows
+    built = {}
+    for name in ("BoundResult", "TrialParams", "BoundQuery"):
+        def counting(*args, _cls=getattr(B, name), _name=name, **kw):
+            built[_name] = built.get(_name, 0) + 1
+            return _cls(*args, **kw)
+
+        monkeypatch.setattr(B, name, counting)
+    B._residual_scan.__wrapped__(10, B.default_residual_grid(10))
+    assert built == {"BoundQuery": 220}
 
 
 def test_residual_scan_kernel_call_gate(monkeypatch):
@@ -273,8 +297,8 @@ def test_residual_scan_kernel_call_gate(monkeypatch):
     built = B.AsympConstants.for_dimension.cache_info()
     assert (built.misses, built.currsize) == (1, 1)
     calls.clear()
-    _, kps, rounds = B._residual_k_plus(10, grid)
-    evaluations = sum(kp.diagnostics.get("evaluations", 0) for kp in kps)
+    _, _, outcomes, rounds = B._residual_k_plus(10, grid)
+    evaluations = sum(o.iterations for o in outcomes if o is not None)
     assert len(calls) == rounds <= 12
     assert sum(calls) == evaluations <= 1200
 

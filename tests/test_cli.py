@@ -1,5 +1,8 @@
 """CLI: exit codes, output formats, schema validity and determinism."""
 
+import argparse
+import csv
+import io
 import json
 import math
 import time
@@ -32,6 +35,9 @@ def test_parse_n():
     assert cli.parse_n("3") == Fraction(3)
     with pytest.raises(Exception):
         cli.parse_n("abc")
+    # an n that no double holds is rejected like inf and nan
+    with pytest.raises(argparse.ArgumentTypeError, match="past the double range"):
+        cli.parse_n("1e400")
 
 
 def test_upper_human(capsys):
@@ -81,6 +87,33 @@ def test_csv_header_and_row(capsys):
     assert cells[0] == "2" and cells[1] == "2"
     assert abs(float(cells[2]) - 0.4277) < 1e-3
     assert cells[5] == "(B)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--dmax", "2"],
+    ["table2", "--dmax", "2", "--compare"],
+    ["asymp", "--regime", "small", "-d", "2", "--n-list", "1e-4"],
+])
+def test_csv_carries_the_json_values(capsys, argv):
+    # each record kind has its own CSV columns, and every JSON field among
+    # them reads back unchanged: Z_d and Theta_d, or the asymptotic laws
+    _, out, _ = run(capsys, argv + ["--json"])
+    records = json.loads(out)["records"]
+    code, out, _ = run(capsys, argv + ["--csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        fields = {**rec, **rec.get("compare", {})}
+        keys = set(row) - {"endpoint_warning"}
+        assert keys == ({"d", "n", "law", "law_ratio", "law_target"} if rec["kind"] == "asymp"
+                        else {"d", "big_z", "theta"} | set(rec.get("compare", {})))
+        for key in keys:
+            want = fields[key]
+            assert (float(row[key]) == want if isinstance(want, (int, float))
+                    else row[key] == want), key
+        if rec["kind"] == "table2":
+            assert row["endpoint_warning"] == str(rec["endpoint_warning"]).lower()
 
 
 def test_table1_upper_only_compare(capsys):
@@ -150,6 +183,8 @@ def test_asymp_large_ratio_of_laws(capsys):
     ["table2", "--dmax", "0"],
     ["table2", "--dmax", "11"],
     ["asymp", "--regime", "large", "--n-list", "abc"],
+    ["asymp", "--regime", "large", "-d", "1", "--n-list", "1e400"],
+    ["upper", "-n", "1e400", "-d", "1"],
 ])
 def test_bad_argument_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The modules of the bounds' call graph: what `import sobomul.cli` loads.
 CALL_GRAPH = {"sobomul", "sobomul.cli", "sobomul.tables", "sobomul.bounds",
-              "sobomul.kernels", "sobomul.specfun", "sobomul.optim",
-              "sobomul.quad"}
+              "sobomul.envelope", "sobomul.kernels", "sobomul.specfun",
+              "sobomul.optim", "sobomul.quad"}
 
 
 def _env():
