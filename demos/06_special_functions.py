@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""The numerical building blocks the bounds use: log Gamma, 2F1
-across its evaluation regimes and the tanh-sinh rule on (0, 1).
+"""The special functions the bounds use: log Gamma, and 2F1 across its
+series regimes, with the defined error where no regime serves a request.
 """
 
 import math
 
-import numpy as np
-
 from sobomul import HyperEval, hyp2f1, log_gamma
-from sobomul.quad import tanh_sinh_01
+from sobomul.specfun import HypergeometricError
 
 print("log Gamma (Lanczos, reflection below 1/2):")
 print("  log_gamma(1/2)  =", log_gamma(0.5), " (log sqrt(pi) =", 0.5 * math.log(math.pi), ")")
@@ -26,16 +24,15 @@ for a, b, c, w in ((2.0, 1.5, 1.5, -3.0),      # degeneration -> (1-w)^-a
     print(f"  F({a}, {b}, {c}; {w:6.2f}) = {hyp2f1(a, b, c, w):.12g}   [{regime}]")
 
 print()
-print("tanh-sinh on (0, 1), the rule behind the Euler integrals; the")
-print("integrand receives s and 1-s, so both endpoint singularities keep")
-print("full relative accuracy:")
-val, err, nev = tanh_sinh_01(lambda s, oms: s ** -0.5 * oms ** -0.5)
-print(f"  int_0^1 s^-1/2 (1-s)^-1/2 ds  = {val:.15f}  (pi = {math.pi:.15f}; "
-      f"err est {err:.1e}, {nev} nodes)")
-val, err, nev = tanh_sinh_01(lambda s, oms: s ** -0.25 * oms ** -0.75)
-want = math.exp(log_gamma(0.75) + log_gamma(0.25))
-print(f"  int_0^1 s^-1/4 (1-s)^-3/4 ds  = {val:.15f}  (exact {want:.15f}; {nev} nodes)")
-vals, _err, nev = tanh_sinh_01(
-    lambda s, oms: np.exp(np.outer([1.0, 2.0, 3.0], s)))
-print("  int_0^1 e^(k s) ds, k = 1..3  =", ", ".join(f"{v:.12f}" for v in vals),
-      f"(= (e^k - 1)/k; one batch, {nev} nodes)")
+print("the (B) trial norm's F(-n, d/2; n; 1 - lam^2) at (n, d) = (2.3, 3):")
+for lam in (1.2, 1.4, 3.0):
+    args = (-2.3, 1.5, 2.3, 1.0 - lam * lam)
+    print(f"  lam = {lam:3.1f}: F = {hyp2f1(*args):.12g}   [{HyperEval(*args).regime}]")
+
+print()
+print("no quadrature stands behind the series: 0.7 < w < 1 without positive")
+print("Euler terms raises a defined error")
+try:
+    hyp2f1(1.0, 3.5, 3.0, 0.9)
+except HypergeometricError as exc:
+    print(f"  [{HyperEval(1.0, 3.5, 3.0, 0.9).regime}] {type(exc).__name__}: {exc}")

@@ -1,8 +1,9 @@
 """Upper and lower bounds for the multiplication constants of the Sobolev
 algebras H^n(R^d), n > d/2, together with the special functions, the
-tanh-sinh rule and the Newton searches they are built on.  Of Gamma it
-keeps only ``log_gamma``; the constants that need Gamma or digamma at d/2
-take ``math.gamma`` and a harmonic sum.
+kernel's tanh-sinh rule and the Newton searches they are built on.  Of
+Gamma it keeps only ``log_gamma``; the constants that need Gamma or
+digamma at d/2 take ``math.gamma`` and a harmonic sum.  2F1 is summed as
+a series in every regime.
 
 The package holds only what the bounds and the command line call.  The
 tests' reference implementations (adaptive Gauss-Kronrod quadrature, the

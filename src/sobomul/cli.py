@@ -8,8 +8,8 @@
     sobomul asymp    --regime small -d 1
 
 Common flags: --json, --csv (one header per record kind: bounds, table2
-rows or asymp laws).  n accepts decimals or exact fractions ("5/2");
-fractions keep the integer-n fast paths exact.
+rows or asymp laws; --compare appends its fields).  n accepts decimals or
+exact fractions ("5/2"); fractions keep the integer-n fast paths exact.
 Exit codes: 0 success, 2 domain violation (n <= d/2, d < 1, or a bound
 past the double range) or rejected argument (an n past the double range
 among them), 3 numerical non-convergence
@@ -294,13 +294,12 @@ _COMMANDS = {
 }
 
 # CSV columns per record kind: a bound's argmax fills argmax1 and argmax2,
-# and a table2 record with --compare adds its comparison fields.
+# and records with --compare add their comparison fields.
 _CSV_COLUMNS = {
     "bound": ("d", "n", "k_plus", "k_minus", "ratio", "tag", "argmax1", "argmax2"),
     "table2": ("d", "big_z", "theta", "endpoint_warning"),
     "asymp": ("d", "n", "law", "law_ratio", "law_target"),
 }
-_CSV_COMPARE = ("golden_big_z", "golden_theta", "big_z_diff", "theta_diff")
 
 
 def _emit_csv(records: list[dict]) -> str:
@@ -308,8 +307,8 @@ def _emit_csv(records: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     kind = records[0]["kind"] if records else "bound"
     columns = _CSV_COLUMNS[kind]
-    if kind == "table2" and "compare" in records[0]:
-        columns += _CSV_COMPARE
+    if records and "compare" in records[0]:
+        columns += tuple(records[0]["compare"])
     writer.writerow(columns)
     for rec in records:
         cells = {**rec, **rec.get("compare", {})}

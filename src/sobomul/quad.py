@@ -1,23 +1,21 @@
-"""The tanh-sinh (double exponential) rule on (0, 1).
+"""The node tables of the tanh-sinh (double exponential) rule on (0, 1).
 
 Euler integrals have strong but integrable endpoint singularities, which
-this rule handles.  The node tables of each level are built once per
-process: the kernel code sums its normalised Euler rule on them directly,
-and ``tanh_sinh_01`` refines level by level for the general hypergeometric
-evaluator.  Integrand callbacks receive numpy arrays and must be pure.
+this rule handles.  The tables of each level are built once per process;
+the kernel code sums its normalised Euler rule on them directly and
+refines level by level up to _TS_MAX_LEVEL.  The module has no public
+function.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["tanh_sinh_01"]
+__all__ = []
 
-_TINY = 1e-305
 _TS_XMAX = 6.7
 _TS_MAX_LEVEL = 12
 
@@ -48,40 +46,3 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def tanh_sinh_01(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 tol: float = 1e-12) -> tuple[np.ndarray | float, np.ndarray | float, int]:
-    """Double-exponential quadrature of g over (0, 1).
-
-    g receives both s and 1-s (each computed without cancellation), so
-    integrands singular at either endpoint keep full relative accuracy.
-    g may return a (batch, nodes) array for a batch of integrands that
-    share the nodes: the rule sums over the last axis and refines until
-    every integral has converged.  Returns (value, error_estimate,
-    evaluations); value and error_estimate have g's leading shape.
-    The node tables are built once per process (read-only arrays).
-    """
-
-    def accumulate(level: int) -> np.ndarray:
-        s, oms, w = _ts_level(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            terms = w * g(s, oms)
-        return np.where(np.isfinite(terms), terms, 0.0).sum(axis=-1)
-
-    h = 0.5
-    total = accumulate(0) + accumulate(1)
-    nev = 1 + len(_ts_level(1)[0])
-    value = h * total
-    err = abs(value)
-
-    for level in range(2, _TS_MAX_LEVEL + 1):
-        h *= 0.5
-        total = total + accumulate(level)
-        nev += len(_ts_level(level)[0])
-        new_value = h * total
-        err = abs(new_value - value)
-        value = new_value
-        if np.all(err <= np.maximum(tol * abs(value), _TINY)):
-            break
-    return value, err, nev

@@ -2,12 +2,14 @@
 hypergeometric function 2F1.
 
 Everything here is self-contained double-precision code.  log Gamma uses a
-Lanczos approximation with reflection below 1/2; the hypergeometric
-evaluator selects among a terminating sum, the defining power series, the
-Kummer and Euler transformations and an Euler-integral fallback, depending
-on where the argument lies.  Only real parameters and real arguments w < 1
-(or w = 1 in the convergent case) are supported; that is all the bound
-machinery in this package ever needs.
+Lanczos approximation with reflection below 1/2.  2F1 sums a terminating
+polynomial or one power series: directly for |w| <= 0.7, after Kummer's
+map w -> w/(w-1) for w < -0.7, and after Euler's transformation for
+0.7 < w < 1 where that series has positive terms.  Any other request, and
+a series that reaches its term cap or cancels, raises a
+HypergeometricError, which is an ArithmeticError.  The bounds need 2F1
+only in the (B) and (BB) trial norms, where their lam searches keep w in
+[-9.96, -0.35] on the tables and query streams measured.
 
 Accuracy targets (checked by the test suite):
     log_gamma <= 1e-12 relative (or absolute below 1) on [1e-4, 500]
@@ -41,8 +43,9 @@ class GammaPoleError(ValueError):
     """Gamma needed at a pole 0, -1, -2, ... (log_gamma: at any x <= 0)."""
 
 
-class HypergeometricError(ValueError):
-    """Base class for 2F1 evaluation failures."""
+class HypergeometricError(ValueError, ArithmeticError):
+    """Base class for 2F1 evaluation failures: a request outside the
+    supported domain, or a numerical failure."""
 
 
 class DivergenceError(HypergeometricError):
@@ -113,8 +116,10 @@ class HyperEval:
     """One 2F1 request: parameters (a, b, c) and argument w, and the
     regime in which :func:`hyp2f1` evaluates it.
 
-    c must avoid the poles 0, -1, -2, ...; w < 1 always converges here,
-    w = 1 only when c > a + b.  Evaluation is symmetric in (a, b).
+    c must avoid the poles 0, -1, -2, ...; w = 1 needs c > a + b.  A
+    request that no regime serves reads "unsupported" (where no closed
+    form serves it either, hyp2f1 raises).  Evaluation is symmetric in
+    (a, b).
     """
 
     a: float
@@ -136,7 +141,7 @@ class HyperEval:
             return "series"
         if w < -_SERIES_CUT:
             return "kummer"
-        return "euler" if _euler_signs(a, b, c) else "integral"
+        return "euler" if _euler_signs(a, b, c) else "unsupported"
 
 
 def _check_request(a: float, b: float, c: float, w: float) -> None:
@@ -231,35 +236,15 @@ def _terminating(a: float, m: int, c: float, w: float) -> float:
     return total
 
 
-def _integral_rep(a: float, b: float, c: float, w: float) -> float:
-    """Euler integral for c > b > 0, w < 1:
-
-        2F1 = Gamma(c)/(Gamma(b) Gamma(c-b)) *
-              int_0^1 s^(b-1) (1-s)^(c-b-1) (1-w s)^(-a) ds
-
-    evaluated with a tanh-sinh rule, which absorbs both endpoint
-    singularities.
-    """
-    from .quad import tanh_sinh_01  # local import to avoid cycles at import time
-
-    bm1 = b - 1.0
-    cbm1 = c - b - 1.0
-
-    def integrand(s: np.ndarray, one_minus_s: np.ndarray) -> np.ndarray:
-        return np.exp(bm1 * np.log(s) + cbm1 * np.log(one_minus_s)
-                      - a * np.log1p(-w * s))
-
-    value, _err, _n = tanh_sinh_01(integrand, tol=1e-13)
-    lg = log_gamma(c) - log_gamma(b) - log_gamma(c - b)
-    return math.exp(lg) * float(value)
-
-
 def hyp2f1(a: float, b: float, c: float, w: float) -> float:
     """Gauss hypergeometric function 2F1(a, b, c; w), real arguments.
 
     The evaluation strategy (terminating sum, series, Kummer map
-    w -> w/(w-1), Euler transformation, Euler integral) is internal;
-    callers only see the value, and :attr:`HyperEval.regime` names it.
+    w -> w/(w-1), Euler transformation) is internal; callers only see the
+    value, and :attr:`HyperEval.regime` names it.  A series that reaches
+    _MAX_TERMS terms or loses its digits to cancellation raises
+    SeriesError, and 0.7 < w < 1 without positive Euler terms raises
+    UnsupportedRegimeError.
     """
     a, b, c, w = float(a), float(b), float(c), float(w)
     _check_request(a, b, c, w)
@@ -283,26 +268,17 @@ def hyp2f1(a: float, b: float, c: float, w: float) -> float:
         return gauss_value(a, b, c)
 
     if abs(w) <= _SERIES_CUT:
-        try:
-            return _series(a, b, c, w)
-        except SeriesError:
-            return _from_integral(a, b, c, w)
-
+        return _series(a, b, c, w)
     if w < -_SERIES_CUT:
         return _kummer(a, b, c, w)
 
     # 0.7 < w < 1: Euler's transformation (DLMF 15.8.1)
     #     2F1(a, b, c; w) = (1-w)^(c-a-b) 2F1(c-a, c-b, c; w)
-    # where its series has one sign, else the Euler integral, which loses
-    # every digit as c - b falls toward 0.
-    if _euler_signs(a, b, c):
-        try:
-            value = math.exp((c - a - b) * math.log1p(-w) + math.log(_series(c - a, c - b, c, w)))
-            if math.isfinite(value):
-                return value
-        except (SeriesError, OverflowError):
-            pass
-    return _from_integral(a, b, c, w)
+    # where its series has one sign.
+    if not _euler_signs(a, b, c):
+        raise UnsupportedRegimeError(
+            f"2F1({a}, {b}, {c}; {w}) falls outside the supported evaluation regimes")
+    return math.exp((c - a - b) * math.log1p(-w) + math.log(_series(c - a, c - b, c, w)))
 
 
 def hyp2f1_derivatives(a: float, b: float, c: float, w: float) -> tuple[float, float, float]:
@@ -335,17 +311,4 @@ def _kummer(a: float, b: float, c: float, w: float) -> float:
     expo, pa, pb = b, b, c - a
     if (a < 0.0) + (c - b < 0.0) < (b < 0.0) + (c - a < 0.0):
         expo, pa, pb = a, a, c - b
-    try:
-        return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)
-    except SeriesError:
-        return _from_integral(a, b, c, w)
-
-
-def _from_integral(a: float, b: float, c: float, w: float) -> float:
-    """Euler-integral fallback; needs one of (a, b) inside (0, c)."""
-    if c > b > 0.0:
-        return _integral_rep(a, b, c, w)
-    if c > a > 0.0:
-        return _integral_rep(b, a, c, w)
-    raise UnsupportedRegimeError(
-        f"2F1({a}, {b}, {c}; {w}) falls outside the supported evaluation regimes")
+    return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)

@@ -116,6 +116,35 @@ def test_csv_carries_the_json_values(capsys, argv):
             assert row["endpoint_warning"] == str(rec["endpoint_warning"]).lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "-d", "1", "--upper-only", "--compare"],
+    ["table1", "-d", "2", "--compare"],
+])
+def test_bound_csv_carries_the_compare_fields(capsys, argv):
+    # a bound record's --compare fields follow the bound columns in its CSV
+    # row: the golden K+ and relative diff, and with the lower bounds on the
+    # golden ratio, ratio diff, golden tag and tag match
+    _, out, _ = run(capsys, argv + ["--json"])
+    records = json.loads(out)["records"]
+    code, out, _ = run(capsys, argv + ["--csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    compare = ["golden_k_plus", "k_plus_rel_diff"]
+    if "--upper-only" not in argv:
+        compare += ["golden_ratio", "ratio_diff", "golden_tag", "tag_match"]
+    assert out.splitlines()[0] == "d,n,k_plus,k_minus,ratio,tag,argmax1,argmax2," + ",".join(compare)
+    assert len(rows) == len(records) == 13
+    for row, rec in zip(rows, records):
+        assert sorted(rec["compare"]) == sorted(compare)
+        for key, want in rec["compare"].items():
+            if isinstance(want, bool):
+                assert row[key] == str(want).lower(), key
+            elif isinstance(want, str):
+                assert row[key] == want, key
+            else:
+                assert float(row[key]) == want, key
+
+
 def test_table1_upper_only_compare(capsys):
     code, out, _ = run(capsys, ["table1", "-d", "3", "--upper-only",
                                 "--compare", "--json"])
@@ -216,6 +245,17 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
     code, out, _ = run(capsys, ["upper", "-n", "2", "-d", "2"])
     assert code == 3
     assert "CAVEAT" in out
+
+
+def test_series_failure_exits_3(monkeypatch, capsys):
+    # a 2F1 series that reaches its term cap raises SeriesError, an
+    # ArithmeticError, which the CLI reports as a numerical failure
+    from sobomul import specfun
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 37)
+    code, out, err = run(capsys, ["lower", "--method", "bessel-bb", "-n", "1001/1000", "-d", "2"])
+    assert code == 3
+    assert err.startswith("error: numerical failure: 2F1 series did not converge")
+    assert "Traceback" not in err and not out
 
 
 @pytest.mark.parametrize("n, d", [("0.500000000001", "1"), ("5.000000000001", "10")])

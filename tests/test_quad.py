@@ -1,4 +1,4 @@
-"""Quadrature: the tanh-sinh rule of ``sobomul.quad``, and the adaptive
+"""Quadrature: the tanh-sinh node tables of ``sobomul.quad``, and the adaptive
 Gauss-Kronrod drivers of the test oracles (closed-form corpus,
 error-estimate honesty, endpoint singularities and tail handling)."""
 
@@ -9,6 +9,7 @@ import pytest
 
 from oracles import gauss_kronrod as gk
 from sobomul import quad
+from sobomul.kernels import BoundQuery, log_hyper_kernel
 from sobomul.specfun import hyp2f1, log_gamma
 
 
@@ -187,40 +188,14 @@ def test_corpus_tolerance_monotonicity():
 # tanh-sinh
 # ----------------------------------------------------------------------
 
-def test_tanh_sinh_beta():
-    val, err, _ = quad.tanh_sinh_01(lambda s, oms: s ** -0.5 * oms ** -0.5)
-    assert rel_err(val, math.pi) < 1e-12
-    val, err, _ = quad.tanh_sinh_01(lambda s, oms: np.exp(s))
-    assert rel_err(val, math.e - 1.0) < 1e-12
-    val, err, _ = quad.tanh_sinh_01(lambda s, oms: s ** -0.25 * oms ** -0.75)
-    want = math.exp(log_gamma(0.75) + log_gamma(0.25) - log_gamma(1.0))
-    assert rel_err(val, want) < 1e-11
-
-
-def test_tanh_sinh_beta_bitwise():
-    # (value, error estimate, evaluations) of the three integrals above, bit
-    # for bit as recorded with node tables rebuilt on every call (numpy 2.4,
-    # x86-64: the bits depend on the platform's exp, sinh and cosh)
-    cases = (
-        (lambda s, oms: s ** -0.5 * oms ** -0.5,
-         ("0x1.921fb54442d18p+1", "0x1.8000000000000p-50", 107)),
-        (lambda s, oms: np.exp(s),
-         ("0x1.b7e151628aed2p+0", "0x1.0000000000000p-52", 215)),
-        (lambda s, oms: s ** -0.25 * oms ** -0.75,
-         ("0x1.1c5831add62e4p+2", "0x0.0p+0", 107)),
-    )
-    for g, want in cases:
-        val, err, nev = quad.tanh_sinh_01(g)
-        assert (float(val).hex(), float(err).hex(), nev) == want
-
-
 def test_tanh_sinh_nodes_built_once():
     # each level's (s, 1-s, w) tables are built at most once per process and
-    # are read-only, so no integrand can alter the shared nodes
-    quad.tanh_sinh_01(lambda s, oms: np.exp(s))
-    for tol in (1e-6, 1e-12, 1e-14):
-        quad.tanh_sinh_01(lambda s, oms: s ** -0.5 * oms ** -0.5, tol=tol)
-        quad.tanh_sinh_01(lambda s, oms: np.cos(40.0 * s), tol=tol)
+    # are read-only, so no kernel evaluation can alter the shared nodes;
+    # (n, d) = (5000, 1) at u = 23.7 climbs to level 9
+    queries = [BoundQuery(d=d, n=n) for n, d in ((5000.0, 1), (1.0 + 1e-9, 2), (7.0, 3))]
+    for q in queries:
+        log_hyper_kernel(q, np.array([0.0, 1.0, 23.7, 1e3, 1e8]))
+    assert max(queries[0]._kernel_rules) >= 9
     info = quad._ts_level.cache_info()
     assert info.currsize == info.misses <= quad._TS_MAX_LEVEL + 1
     assert info.hits > info.misses

@@ -157,15 +157,29 @@ def test_hyp2f1_gauss_point():
     assert rel_err(got, want) < 1e-12
 
 
+def _value_or_error(*args):
+    try:
+        return sf.hyp2f1(*args)
+    except sf.HypergeometricError as exc:
+        return type(exc)
+
+
 def test_hyp2f1_symmetry_in_ab():
+    # each swapped pair gives equal values, or raises the same error where
+    # 0.7 < w < 1 has no positive Euler terms
     rng = np.random.default_rng(23)
+    raised = 0
     for _ in range(100):
         a, b = rng.uniform(0.1, 5.0, 2)
-        # keep c above min(a, b) so every w < 1 stays inside the supported
-        # evaluation regimes
         c = float(rng.uniform(min(a, b) + 0.1, 7.0))
         w = float(rng.uniform(-5.0, 0.99))
-        assert rel_err(sf.hyp2f1(a, b, c, w), sf.hyp2f1(b, a, c, w)) <= 1e-13
+        got, swapped = _value_or_error(a, b, c, w), _value_or_error(b, a, c, w)
+        if isinstance(got, type):
+            assert got is swapped is sf.UnsupportedRegimeError, (a, b, c, w)
+            raised += 1
+        else:
+            assert rel_err(got, swapped) <= 1e-13
+    assert 0 < raised < 100
 
 
 def test_hyp2f1_kummer_consistency():
@@ -257,7 +271,9 @@ def test_hyper_eval_regimes():
     assert sf.HyperEval(1.0, 0.5, 3.0, 0.5).regime == "series"
     assert sf.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
     assert sf.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "euler"
-    assert sf.HyperEval(1.0, 3.5, 3.0, 0.9).regime == "integral"
+    assert sf.HyperEval(1.0, 3.5, 3.0, 0.9).regime == "unsupported"
+    with pytest.raises(sf.UnsupportedRegimeError):
+        sf.hyp2f1(1.0, 3.5, 3.0, 0.9)
     assert sf.HyperEval(1.0, 0.5, 3.0, 1.0).regime == "gauss_point"
 
 
@@ -275,10 +291,12 @@ def _outcome(fn, *args):
 
 def _bb_series_arguments(monkeypatch):
     """The (a, b, c, w) of every series that the (BB) quotient sums on a
-    lam grid, most of them Kummer images."""
+    lam grid, most of them Kummer images, and the series that raised in
+    the minorant, keyed by (d, lam)."""
     from sobomul import bounds as B
     from sobomul.kernels import BoundQuery
     seen = []
+    raised = {}
     inner = sf._series
 
     def recording(a, b, c, w):
@@ -290,9 +308,12 @@ def _bb_series_arguments(monkeypatch):
         for d, gap in ((1, 1e-12), (2, 1e-4), (5, 0.05), (10, 0.0999)):
             q = BoundQuery(d=d, n=d / 2.0 + gap)
             for lam in (0.3, 0.9, 1.42, 3.0, 40.0):
-                B.squared_trial_minorant(q, lam)
+                try:
+                    B.squared_trial_minorant(q, lam)
+                except sf.SeriesError:
+                    raised[d, lam] = seen[-1]
                 B.bessel_trial_norm_sq(q, lam, validate=False)
-    return seen
+    return seen, raised
 
 
 def test_series_blocks_match_loop_bit_for_bit(monkeypatch):
@@ -304,9 +325,17 @@ def test_series_blocks_match_loop_bit_for_bit(monkeypatch):
     draws += [(float(a), float(b), float(c), float(w)) for a, b, c, w in zip(
         rng.uniform(0.1, 5.0, 40), rng.uniform(0.1, 5.0, 40),
         rng.uniform(0.5, 8.0, 40), rng.uniform(0.95, 0.99, 40))]
-    bb = _bb_series_arguments(monkeypatch)
+    bb, raised = _bb_series_arguments(monkeypatch)
     # Kummer images: w < -0.7 maps to w / (w - 1) > 0.7 / 1.7
-    assert sum(w > sf._SERIES_CUT / (1.0 + sf._SERIES_CUT) for *_, w in bb) > 20
+    image = sf._SERIES_CUT / (1.0 + sf._SERIES_CUT)
+    assert sum(w > image for *_, w in bb) > 20
+    # the minorant raises only at lam = 40 for d >= 2, where its Kummer
+    # image runs past _MAX_TERMS terms, as the loop's does
+    assert sorted(raised) == [(2, 40.0), (5, 40.0), (10, 40.0)]
+    for args in raised.values():
+        assert args[3] > image
+        with pytest.raises(sf.SeriesError, match="did not converge"):
+            series_loop(*args)
     lengths = []
     for args in draws + bb:
         assert _outcome(sf._series, *args) == _outcome(lambda *x: series_loop(*x)[0], *args), args
@@ -349,21 +378,47 @@ def test_series_term_cap_is_exact(monkeypatch):
         series_loop(*args)
 
 
-def test_hyp2f1_falls_back_to_euler_integral(monkeypatch):
-    # a series that hits the cap, a Kummer image that hits it, and a series
-    # that cancels all end in the Euler integral
-    series_value = sf.hyp2f1(1.5, 0.5, 2.0, 0.6)
-    kummer_value = sf.hyp2f1(1.5, 0.5, 2.0, -3.0)
+def test_hyp2f1_raises_series_error(monkeypatch):
+    # a series that hits the term cap, a Kummer image that hits it, and a
+    # series that cancels raise SeriesError, an ArithmeticError: no
+    # quadrature stands behind the series
+    assert rel_err(sf.hyp2f1(1.5, 0.5, 2.0, 0.6), 1.3817613899647939) < 1e-12  # mpmath.hyp2f1
+    assert rel_err(sf.hyp2f1(1.5, 0.5, 2.0, -3.0), 0.5703494499205766) < 1e-12  # mpmath.hyp2f1
     monkeypatch.setattr(sf, "_MAX_TERMS", 37)
-    got = sf.hyp2f1(1.5, 0.5, 2.0, 0.6)
-    assert got == sf._integral_rep(1.5, 0.5, 2.0, 0.6)
-    assert rel_err(got, series_value) < 1e-10
-    got = sf.hyp2f1(1.5, 0.5, 2.0, -3.0)
-    assert got == sf._integral_rep(1.5, 0.5, 2.0, -3.0)
-    assert rel_err(got, kummer_value) < 1e-10
+    for args, regime in (((1.5, 0.5, 2.0, 0.6), "series"), ((1.5, 0.5, 2.0, -3.0), "kummer")):
+        assert sf.HyperEval(*args).regime == regime
+        with pytest.raises(sf.SeriesError, match="did not converge"):
+            sf.hyp2f1(*args)
     monkeypatch.setattr(sf, "_MAX_TERMS", 200_000)
-    with pytest.raises(sf.SeriesError, match="cancellation"):
-        sf._series(40.0, 1.5, 2.5, -0.7)
-    got = sf.hyp2f1(40.0, 1.5, 2.5, -0.7)
-    assert got == sf._integral_rep(40.0, 1.5, 2.5, -0.7)
-    assert rel_err(got, 0.009410315247728599) < 1e-12  # mpmath.hyp2f1
+    assert sf.HyperEval(40.0, 1.5, 2.5, -0.7).regime == "series"
+    with pytest.raises(ArithmeticError, match="cancellation"):
+        sf.hyp2f1(40.0, 1.5, 2.5, -0.7)
+
+
+def test_bounds_reach_only_series_regimes(monkeypatch):
+    # the premise of a 2F1 without quadrature: best_lower over the table1
+    # rows, and (B) and (BB) across their gap ranges, evaluate 2F1 only in
+    # the terminating, series and Kummer regimes, with w in [-10, -0.3]
+    from sobomul import bounds as B
+    from sobomul.kernels import BoundQuery
+    from sobomul.tables import table1_queries
+    seen = []
+    inner = sf.hyp2f1
+
+    def recording(a, b, c, w):
+        seen.append((sf.HyperEval(a, b, c, w).regime, w))
+        return inner(a, b, c, w)
+
+    monkeypatch.setattr(sf, "hyp2f1", recording)
+    for d in range(1, 5):
+        for q in table1_queries(d):
+            B.best_lower(q)
+    for d in (1, 5, 10):
+        # 0.0101: d/2 + 0.01 rounds to a gap just below (B)'s floor of 0.01
+        for gap in (0.0101, 1.0, 49.0):
+            B.k_bessel(BoundQuery(d=d, n=d / 2.0 + gap))
+        for gap in (1e-12, 0.05, 0.1):
+            B.k_bessel_minorant(BoundQuery(d=d, n=d / 2.0 + gap))
+    regimes = {regime for regime, _ in seen}
+    assert regimes <= {"terminating", "series", "kummer"} and "kummer" in regimes
+    assert -10.0 <= min(w for _, w in seen) and max(w for _, w in seen) <= -0.3
