@@ -32,10 +32,14 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         quotient's exact slope and curvature.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
                         plane-wave quotient; off the integer-n closed sum
-                        its norms take a trapezoid x exp-sinh rule.  A
-                        trust-region Newton search finds the sup, on the
+                        its norms take a trapezoid x exp-sinh rule (both
+                        in :mod:`sobomul._gaussian_norm`, for many pairs
+                        per call).  A trust-region Newton search finds
+                        the sup, its three starts in lockstep, on the
                         gradient and Hessian that both norm routes form
-                        exactly from their log-sum-exp weights.
+                        exactly from their log-sum-exp weights: one
+                        closed-sum or rule call per round serves both
+                        norms at every live start.
     k_fourier_fixed     K^FF, the same quotient frozen at
                         (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for
                         n > 50 where the 2-D search buys nothing.
@@ -61,6 +65,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import specfun as sf
+from ._gaussian_norm import (_exp_sinh_nodes, _gaussian_rule_block,
+                             _log_gaussian_norm_sq_refined, _log_gaussian_norm_sq_sum)
 from .envelope import (AsympConstants, envelope_terms, k_plus_plus_value,
                        log_k_plus_asymp_large, residual)
 from .kernels import (BoundQuery, DomainError, KernelRows, _closed_form_upper,
@@ -99,7 +105,6 @@ __all__ = [
 
 _LOG_PI = math.log(math.pi)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
-_HALF_PI = 0.5 * math.pi
 
 # Routing thresholds (see best_lower): the minorant route takes over within
 # 0.1 of d/2, the fixed-parameter Fourier bound beyond n = 50.
@@ -616,18 +621,6 @@ def _log_kernel_far(q: BoundQuery, x: np.ndarray) -> np.ndarray:
     return -n * x + log_a + np.log1p(b_over_a * np.exp(-gap * x))
 
 
-def _exp_sinh_nodes(lo: float, hi: float, step: float,
-                    offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x = (pi/2) sinh(t), t = (k + offset) step, of the exp-sinh
-    trapezoid rule (Takahasi & Mori 1974) over the integers k that cover
-    x in [lo, hi], and log(dx/dt) there.  offset = 1/2 gives the midpoints
-    that turn the step-h rule into the h/2 rule."""
-    k = np.arange(math.floor(math.asinh(lo / _HALF_PI) / step),
-                  math.ceil(math.asinh(hi / _HALF_PI) / step) + 1)
-    t = (k + offset) * step
-    return _HALF_PI * np.sinh(t), np.log(_HALF_PI * np.cosh(t))
-
-
 def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x = (pi/2) sinh((k + offset) h) of the squared-norm rule and
     the lam-free log terms of its integrand there,
@@ -777,15 +770,23 @@ def _search_log_lam(objective, lam0: float) -> MaxResult:
     """The lam search of (B) and (BB): a one-row :func:`maximize_1d_newton`
     over x = log lam in [log 1e-3, log 1e3] from lam0, on objective(lam) =
     (value, slope, curvature) in x.  A trial point where any of them is
-    not finite reads NaN, which the search rejects.  Raises the search's
-    BracketBoundaryError, or ArithmeticError if the value at lam0 is not
+    not finite, or where a 2F1 series fails (from lam of about 31 the
+    series behind the quotient pass their term cap), reads NaN, which the
+    search rejects.  Raises the search's BracketBoundaryError, or
+    ArithmeticError (the series' own at lam0) if the value at lam0 is not
     finite."""
+    x0 = math.log(lam0)
 
     def row(_at, x):
-        parts = objective(math.exp(float(x[0])))
+        try:
+            parts = objective(math.exp(float(x[0])))
+        except sf.HypergeometricError:
+            if x[0] == x0:
+                raise
+            parts = (math.nan,) * 3
         return np.array(parts if all(map(math.isfinite, parts)) else (math.nan,) * 3)[:, None]
 
-    outcome, = maximize_1d_newton(row, _LAM_LO, _LAM_HI, [math.log(lam0)])
+    outcome, = maximize_1d_newton(row, _LAM_LO, _LAM_HI, [x0])
     if isinstance(outcome, BracketBoundaryError):
         raise outcome
     if not math.isfinite(outcome.max_value):
@@ -866,169 +867,6 @@ def k_bessel_minorant(q: BoundQuery) -> BoundResult:
 # Gaussian-regularized plane-wave trial norms and lower bounds
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _gaussian_sum_tables(n: int, d: int):
-    """(log-coefficient, p-exponent, sigma-exponent) arrays of the integer-n
-    closed form sum_{a+b<=n} C_ab p^(2a) sigma^(b-d/2).  Each C_ab sums, by
-    one logsumexp, the terms (l, j, g), g <= j <= l <= n, of monomial
-    (a, b) = (j-g, l+g-j); d = 1 keeps only the surviving l = j terms."""
-    lf = np.array([sf.log_gamma(k + 1.0) for k in range(2 * n + 1)])  # log k!
-    ell, j, g = np.indices((n + 1,) * 3).reshape(3, -1)
-    keep = (j <= ell) & (g <= j)
-    if d == 1:
-        keep &= ell == j  # (0)_(l-j) kills every l != j term
-    ell, j, g = ell[keep], j[keep], g[keep]
-    lgc = (lf[n] - lf[ell] - lf[n - ell] + lf[ell] - lf[j] - lf[ell - j]
-           + lf[2 * j] - lf[2 * g] - lf[2 * (j - g)])
-    # (2g-1)!! / 2^g = (2g)! / (4^g g!)
-    lgc += lf[2 * g] - lf[g] - g * math.log(4.0)
-    if d >= 2:
-        lh = np.array([sf.log_gamma(d / 2.0 - 0.5 + k) for k in range(n + 1)])
-        up = ell > j
-        lgc[up] += lh[(ell - j)[up]] - lh[0]
-    group = (j - g) * (n + 1) + (ell + g - j)
-    top = np.full((n + 1) ** 2, -np.inf)
-    np.maximum.at(top, group, lgc)
-    acc = np.bincount(group, weights=np.exp(lgc - top[group]), minlength=(n + 1) ** 2)
-    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    mono = a + b <= n
-    return top[mono] + np.log(acc[mono]), 2.0 * a[mono], b[mono] - d / 2.0
-
-
-def _weighted_mean_cov(w: np.ndarray, du: np.ndarray, dv: np.ndarray):
-    """Means (E_w du, E_w dv) and covariance matrix of the pair (du, dv)
-    under the normalized weights w."""
-    mean = np.array([w @ du, w @ dv])
-    cu, cv = du - mean[0], dv - mean[1]
-    cuv = w @ (cu * cv)
-    return mean, np.array([[w @ (cu * cu), cuv], [cuv, w @ (cv * cv)]])
-
-
-def _log_gaussian_norm_sq_sum(q: BoundQuery, p: float, sigma: float,
-                              moments: bool = False):
-    """log of the closed sum; with moments, also its gradient and Hessian in
-    (log p, log sigma).  The terms' logs are linear there, so the gradient
-    is their weighted mean exponent (p-exponent, sigma-exponent) and the
-    Hessian its weighted covariance."""
-    n = int(round(q.n))
-    lgc, pe, se = _gaussian_sum_tables(n, q.d)
-    logs = lgc + pe * math.log(p) + se * math.log(sigma)
-    m = float(logs.max())
-    w = np.exp(logs - m)
-    total = w.sum()
-    log_val = 0.5 * q.d * _LOG_PI + m + math.log(total)
-    if not moments:
-        return log_val
-    return (log_val, *_weighted_mean_cov(w / total, pe, se))
-
-
-# Off the closed sum the Gaussian trial norm is, with s = |k_perp|^2,
-#     sigma^-d pi^((d-1)/2) / Gamma((d-1)/2) int dk_1 exp(-(k_1 - p)^2 / sigma)
-#         int_0^inf s^((d-3)/2) (1 + k_1^2 + s)^n exp(-s / sigma) ds
-# (d = 1 keeps the k_1 integral).  The uniform trapezoid rule in k_1 errs
-# like exp(-2 pi / h) for the branch points at distance 1 and like
-# exp(-pi^2 / (h^2 (1/sigma + n/8))) for the integrand's growth off the real
-# line (Trefethen & Weideman, SIAM Rev. 56, 2014), hence its step.  s takes
-# the exp-sinh rule in x = log s, centred on each k_1 row's peak.  Both are
-# cut 40 nats below the peak.  Searches run on the h rule; reported values
-# add the midpoints in both variables (the h/2 rule) and measure |I_h/2 - I_h|.
-_GAUSS_T_STEP = 0.07
-_GAUSS_CUT = 40.0
-# The optimal sigma grows like 1/gap and the k_1 grid like sqrt(60 sigma)/h,
-# so a rule block refuses (ArithmeticError) to allocate more nodes than this;
-# the workloads' blocks stay below 3e5.
-_GAUSS_MAX_NODES = 2 ** 22
-
-
-def _check_block_size(nodes: int) -> None:
-    if nodes > _GAUSS_MAX_NODES:
-        raise ArithmeticError(f"Gaussian-trial rule block of {nodes} nodes exceeds "
-                              f"{_GAUSS_MAX_NODES}: the gap is too small for the (F) rule")
-
-
-def _gaussian_rule_block(q: BoundQuery, p: float, sigma: float, k_offset: float,
-                         t_offset: float) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """(log of the h rule, its gradient, its Hessian, node count) of the
-    Gaussian trial norm on the nodes shifted by k_offset steps in k_1 and
-    t_offset in the exp-sinh variable; offsets of 1/2 give the midpoints.
-
-    The derivatives, in (log p, log sigma), are the rule's with its nodes
-    held fixed.  With r = k_1 - p the log integrand has first derivatives
-    2 p r / sigma and (r^2 + s) / sigma - d, and second derivatives
-    2 p (r - p) / sigma, -2 p r / sigma and -(r^2 + s) / sigma, which are
-    linear in the first ones.  For d >= 2 each k_1 row first reduces to its
-    weight and the weighted mean and variance of s."""
-    n, d = q.n, q.d
-    h1 = min(0.5 / math.sqrt(1.0 / sigma + n / 8.0), 0.25)
-    # Beyond |k| = hi the integrand lies 60 nats below its value at p e_1.
-    hi = p + math.sqrt(sigma * 60.0)
-    while n * math.log1p(hi * hi) > (hi - p) ** 2 / sigma - 60.0:
-        hi *= 1.5
-    m = math.ceil(hi / h1)
-    _check_block_size(2 * m + 1)
-    k1 = (np.arange(-m, m + 1) + k_offset) * h1
-    a = 1.0 + k1 * k1
-    dk = k1 - p
-    y = -dk ** 2 / sigma
-    log_scale = math.log(h1) - d * math.log(sigma)
-    if d == 1:
-        y = y + n * np.log(a)
-    else:
-        # A row's log integrand y + b x + n log(a + e^x) - e^x / sigma,
-        # b = (d-1)/2, peaks at x* = log s*, s* the positive root of
-        # s^2 + c s - sigma b a (in the form free of cancellation for
-        # either sign of c).  It falls by at least b (delta - 1) at
-        # x* - delta and b (e^delta - 1 - delta) at x* + delta.
-        b = 0.5 * (d - 1)
-        c = a - sigma * (b + n)
-        r = np.sqrt(c * c + 4.0 * sigma * b * a)
-        s_peak = np.where(c > 0.0, 2.0 * sigma * b * a / (r + np.abs(c)), 0.5 * (r - c))
-        row_peak = y + b * np.log(s_peak) + n * np.log(a + s_peak) - s_peak / sigma
-        keep = row_peak > row_peak.max() - _GAUSS_CUT
-        reach = 1.0 + _GAUSS_CUT / b
-        x_rel, log_dx = _exp_sinh_nodes(-reach, math.log(2.0 * reach),
-                                        _GAUSS_T_STEP, t_offset)
-        _check_block_size(keep.sum() * x_rel.size)
-        x = np.log(s_peak[keep])[:, None] + x_rel
-        s = np.exp(x)
-        y = y[keep, None] + b * x + n * np.log(a[keep, None] + s) - s / sigma + log_dx
-        log_scale += b * _LOG_PI - math.lgamma(b) + math.log(_GAUSS_T_STEP)
-        dk = dk[keep]
-    top = float(y.max())
-    e = np.exp(y - top)
-    total = e.sum()
-    if d == 1:
-        w, s_mean, s_var = e / total, 0.0, 0.0
-    else:
-        row = e.sum(axis=1)
-        w = row / total
-        s_mean = np.einsum("ij,ij->i", e, s) / row
-        # the mean over rows of the within-row variance of s
-        s_var = w @ (np.einsum("ij,ij,ij->i", e, s, s) / row - s_mean * s_mean)
-    grad, cov = _weighted_mean_cov(w, 2.0 * p * dk / sigma, (dk * dk + s_mean) / sigma - d)
-    hess = cov + np.array([[grad[0] - 2.0 * p * p / sigma, -grad[0]],
-                           [-grad[0], -grad[1] - d + s_var / sigma ** 2]])
-    return log_scale + top + math.log(total), grad, hess, y.size
-
-
-def _log_gaussian_norm_sq_refined(q: BoundQuery, p: float, sigma: float,
-                                  tol: float) -> tuple[float, float, int]:
-    """(log I_h/2, |I_h/2 - I_h| / I_h/2, node count) of the Gaussian trial
-    norm's rule: the h rule plus its midpoint blocks.  Raises ArithmeticError
-    when the relative difference exceeds tol."""
-    offsets = ((0.0, 0.0), (0.5, 0.0)) if q.d == 1 else (
-        (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5))
-    logs, _grads, _hessians, sizes = zip(*(_gaussian_rule_block(q, p, sigma, *off)
-                                           for off in offsets))
-    log_half = float(np.logaddexp.reduce(logs)) - math.log(len(offsets))
-    rule_error = abs(math.expm1(logs[0] - log_half))
-    if not rule_error <= tol:
-        raise ArithmeticError(
-            f"Gaussian-trial norm rule error {rule_error:.2e} exceeds {tol:.0e} "
-            f"(n={q.n}, d={q.d}, p={p}, sigma={sigma})")
-    return log_half, rule_error, sum(sizes)
-
-
 def _on_closed_sum(q: BoundQuery) -> bool:
     """Whether the Gaussian trial norms take the closed sum (integer n <= 50)."""
     return q.n_is_integer and q.n <= _FF_SWITCH
@@ -1053,8 +891,8 @@ def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
     if validate is None:
         validate = use_sum and tol <= 1e-9
     if not use_sum:
-        return _log_gaussian_norm_sq_refined(q, p, sigma, tol)[0]
-    log_val = _log_gaussian_norm_sq_sum(q, p, sigma)
+        return float(_log_gaussian_norm_sq_refined(q, p, sigma, tol)[0])
+    log_val = float(_log_gaussian_norm_sq_sum(q, p, sigma))
     if validate:
         log_rule = _log_gaussian_norm_sq_refined(q, p, sigma, min(tol, 1e-10))[0]
         if abs(log_rule - log_val) > 1e-11:
@@ -1075,33 +913,33 @@ def gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
 def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,
                           tol: float) -> tuple[float, dict]:
     """log of the plane-wave quotient at (p, sigma), with the norm route as
-    diagnostics.  Off the closed sum the norms take the h/2 rule, and the
-    diagnostics add the nodes of both norms and the larger of their rule
-    errors."""
+    diagnostics.  Off the closed sum the norms take the h/2 rule, both in
+    one refined call, and the diagnostics add the nodes of both norms and
+    the larger of their rule errors."""
+    pairs = np.array([2.0 * p, p]), np.array([2.0 * sigma, sigma])
     if _on_closed_sum(q):
-        return (0.5 * _log_gaussian_norm_sq_sum(q, 2.0 * p, 2.0 * sigma)
-                - _log_gaussian_norm_sq_sum(q, p, sigma)), {"route": "closed_sum"}
-    num, err_num, nodes_num = _log_gaussian_norm_sq_refined(q, 2.0 * p, 2.0 * sigma, tol)
-    den, err_den, nodes_den = _log_gaussian_norm_sq_refined(q, p, sigma, tol)
-    return 0.5 * num - den, {"route": "rule", "nodes": nodes_num + nodes_den,
-                             "rule_error": max(err_num, err_den)}
+        num, den = _log_gaussian_norm_sq_sum(q, *pairs)
+        return float(0.5 * num - den), {"route": "closed_sum"}
+    (num, den), errors, nodes = _log_gaussian_norm_sq_refined(q, *pairs, tol)
+    return float(0.5 * num - den), {"route": "rule", "nodes": int(nodes.sum()),
+                                    "rule_error": float(errors.max())}
 
 
 def _fourier_search_objective(q: BoundQuery):
-    """The (F) search's objective: (p, sigma) -> (value, gradient, Hessian)
-    of the log quotient 1/2 L(2p, 2 sigma) - L(p, sigma), L the log norm on
-    the closed sum or the h rule, derivatives in (log p, log sigma)."""
-    if _on_closed_sum(q):
-        def log_norm(p, sigma):
-            return _log_gaussian_norm_sq_sum(q, p, sigma, moments=True)
-    else:
-        def log_norm(p, sigma):
-            return _gaussian_rule_block(q, p, sigma, 0.0, 0.0)[:3]
+    """The (F) search's objective: arrays (p, sigma) -> (values, gradients,
+    Hessians) of the log quotient 1/2 L(2p, 2 sigma) - L(p, sigma), L the
+    log norm on the closed sum or the h rule, derivatives in (log p,
+    log sigma).  Both norms of every pair take one call."""
+    closed = _on_closed_sum(q)
 
-    def objective(p: float, sigma: float):
-        num, g_num, h_num = log_norm(2.0 * p, 2.0 * sigma)
-        den, g_den, h_den = log_norm(p, sigma)
-        return 0.5 * num - den, 0.5 * g_num - g_den, 0.5 * h_num - h_den
+    def objective(p: np.ndarray, sigma: np.ndarray):
+        both = np.concatenate([2.0 * p, p]), np.concatenate([2.0 * sigma, sigma])
+        if closed:
+            value, grad, hess = _log_gaussian_norm_sq_sum(q, *both, moments=True)
+        else:
+            value, grad, hess, _nodes = _gaussian_rule_block(q, *both, 0.0, 0.0)
+        k = p.size
+        return 0.5 * value[:k] - value[k:], 0.5 * grad[:k] - grad[k:], 0.5 * hess[:k] - hess[k:]
 
     return objective
 
@@ -1113,9 +951,10 @@ def _fourier_starts(n: float) -> list[tuple[float, float]]:
 
 def k_fourier(q: BoundQuery) -> BoundResult:
     """K^F: trust-region Newton search over (p, sigma) in log coordinates
-    from three starts, on the closed sum or the h rule with their exact
-    gradient and Hessian; K^F is the closed sum or the h/2 rule at the
-    maximizer."""
+    from three starts in lockstep, on the closed sum or the h rule with
+    their exact gradient and Hessian; each round evaluates both norms at
+    every live start in one call.  K^F is the closed sum or the h/2 rule at
+    the maximizer, one rule call per exp-sinh offset."""
     res = maximize_2d(_fourier_search_objective(q), _fourier_starts(q.n))
     p_star, sigma_star = res.argmax
     log_value, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)

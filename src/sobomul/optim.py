@@ -7,10 +7,12 @@
   run is the single search.  It serves the K+ search over log u and the
   (B) and (BB) searches over the trial scale log lam.
 * :func:`maximize_2d` -- trust-region, saddle-free Newton ascent over two
-  positive variables, run in log coordinates with a small multistart set;
-  the objective supplies its gradient and Hessian.
+  positive variables, run in log coordinates from a small multistart set
+  whose starts advance in lockstep: each round evaluates every live
+  start's next point in one vectorised call, which supplies the values,
+  gradients and Hessians.  It serves the (F) search over (p, sigma).
 
-Each 1-D search is a generator that yields abscissae and is sent the
+Each search is a generator that yields its next point and is sent the
 value and derivatives there.  Both searches move only to points that do
 not lower the value, so a truncated run still yields a usable value for callers whose
 objective is itself a certified lower bound.
@@ -148,15 +150,50 @@ _RADIUS_MAX = 1.0
 _EIG_FLOOR = 1e-8
 
 
-def maximize_2d(f: Callable[[float, float], tuple],
+def _newton_2d(start: tuple[float, float], tol: float, max_iter: int):
+    """One start of :func:`maximize_2d` as a generator: it yields each
+    point (x, y), is sent (value, gradient, Hessian) there, and returns
+    (argmax, max value, evaluations, converged)."""
+    z = (math.log(start[0]), math.log(start[1]))
+    value, g, h = yield start
+    nev = 1
+    radius = _RADIUS0
+    converged = False
+    while nev < max_iter:
+        sx, sy = _saddle_free_step(g, h)
+        length = math.hypot(sx, sy)
+        if not math.isfinite(length):
+            break
+        if length > radius:
+            sx, sy, length = sx * radius / length, sy * radius / length, radius
+        if length < tol:
+            converged = True
+            break
+        trial = (z[0] + sx, z[1] + sy)
+        t_value, t_g, t_h = yield math.exp(trial[0]), math.exp(trial[1])
+        nev += 1
+        if t_value > value:
+            z, value, g, h = trial, t_value, t_g, t_h
+            if length == radius:
+                radius = min(2.0 * radius, _RADIUS_MAX)
+        else:
+            radius = 0.25 * length
+    return (math.exp(z[0]), math.exp(z[1])), value, nev, converged
+
+
+def maximize_2d(f: Callable[[np.ndarray, np.ndarray], tuple],
                 starts: Sequence[tuple[float, float]],
                 tol: float = 1e-10, max_iter: int = 200) -> MaxResult:
     """Maximize f over the positive quadrant by a trust-region Newton
-    ascent from each start.
+    ascent from each start, all starts in lockstep.
 
-    f(x, y) returns (value, gradient, Hessian), the derivatives taken in
-    (log x, log y).  The search moves in those coordinates, which keeps
-    both variables positive without constraint handling.  Each step is the
+    Each round evaluates every live start's next point through one call
+    f(x, y), which gets their coordinates as two arrays and returns their
+    values (k,), gradients (k, 2) and Hessians (k, 2, 2), the derivatives
+    taken in (log x, log y); a start leaves when its search ends, and
+    given the same values each start takes the steps that it would take
+    alone.  The search moves in log coordinates, which keeps both
+    variables positive without constraint handling.  Each step is the
     saddle-free Newton step sum_i (v_i . g) / max(|lambda_i|, 1e-8) v_i
     over the Hessian's eigenpairs, which goes uphill along both
     eigendirections, cut to a trust radius: 0.5 at first, doubled up to 1
@@ -164,28 +201,31 @@ def maximize_2d(f: Callable[[float, float], tuple],
     rejected one.  A start converges when its next step is shorter than
     tol and gives up after max_iter evaluations; every accepted point is
     the best one of its start so far.  The result is the best point over
-    all starts; ties between starts break toward the lexicographically
-    smallest argmax.
+    all starts, ties broken toward the lexicographically smallest argmax,
+    and its iterations count the points of all starts.
     """
     if not starts:
         raise ValueError("need at least one start")
-
-    best: tuple[float, tuple[float, float]] | None = None
-    total_ev = 0
-    any_converged = False
-
-    for sx, sy in starts:
-        if sx <= 0.0 or sy <= 0.0:
-            raise ValueError("log-space search needs positive starts")
-        argmax, value, nev, converged = _newton_ascent(f, (sx, sy), tol, max_iter)
-        total_ev += nev
-        any_converged = any_converged or converged
-        key = (value, tuple(-c for c in argmax))
-        if best is None or key > (best[0], tuple(-c for c in best[1])):
-            best = (value, argmax)
-    assert best is not None
-    return MaxResult(argmax=best[1], max_value=best[0],
-                     iterations=total_ev, converged=any_converged)
+    if any(sx <= 0.0 or sy <= 0.0 for sx, sy in starts):
+        raise ValueError("log-space search needs positive starts")
+    searches = [_newton_2d(start, tol, max_iter) for start in starts]
+    outcomes = [None] * len(searches)
+    live = list(range(len(searches)))
+    points = [next(search) for search in searches]
+    while live:
+        values, grads, hessians = f(*np.array(points).T)
+        still, next_points = [], []
+        for row, sent in zip(live, zip(values.tolist(), grads.tolist(), hessians.tolist())):
+            try:
+                next_points.append(searches[row].send(sent))
+                still.append(row)
+            except StopIteration as stop:
+                outcomes[row] = stop.value
+        live, points = still, next_points
+    argmax, value, _, _ = max(outcomes, key=lambda o: (o[1], -o[0][0], -o[0][1]))
+    return MaxResult(argmax=argmax, max_value=value,
+                     iterations=sum(o[2] for o in outcomes),
+                     converged=any(o[3] for o in outcomes))
 
 
 def _saddle_free_step(g, h) -> tuple[float, float]:
@@ -201,32 +241,3 @@ def _saddle_free_step(g, h) -> tuple[float, float]:
         sx += coef * vx
         sy += coef * vy
     return sx, sy
-
-
-def _newton_ascent(f, start, tol, max_iter):
-    """(argmax, max value, evaluations, converged) of one start."""
-    z = (math.log(start[0]), math.log(start[1]))
-    value, g, h = f(*start)
-    nev = 1
-    radius = _RADIUS0
-    converged = False
-    while nev < max_iter:
-        sx, sy = _saddle_free_step(g, h)
-        length = math.hypot(sx, sy)
-        if not math.isfinite(length):
-            break
-        if length > radius:
-            sx, sy, length = sx * radius / length, sy * radius / length, radius
-        if length < tol:
-            converged = True
-            break
-        trial = (z[0] + sx, z[1] + sy)
-        t_value, t_g, t_h = f(math.exp(trial[0]), math.exp(trial[1]))
-        nev += 1
-        if t_value > value:
-            z, value, g, h = trial, t_value, t_g, t_h
-            if length == radius:
-                radius = min(2.0 * radius, _RADIUS_MAX)
-        else:
-            radius = 0.25 * length
-    return (math.exp(z[0]), math.exp(z[1])), float(value), nev, converged

@@ -116,10 +116,12 @@ class HyperEval:
     """One 2F1 request: parameters (a, b, c) and argument w, and the
     regime in which :func:`hyp2f1` evaluates it.
 
-    c must avoid the poles 0, -1, -2, ...; w = 1 needs c > a + b.  A
-    request that no regime serves reads "unsupported" (where no closed
-    form serves it either, hyp2f1 raises).  Evaluation is symmetric in
-    (a, b).
+    c must avoid the poles 0, -1, -2, ...; w = 1 needs c > a + b.  The
+    regime is checked in hyp2f1's order: w = 0, then a terminating
+    parameter, then b = c or a = c, which read "closed_form" where hyp2f1
+    returns 1 or (1 - w)^(-a) without a sum.  A request that no regime
+    serves reads "unsupported" (hyp2f1 raises).  Evaluation is symmetric
+    in (a, b).
     """
 
     a: float
@@ -133,8 +135,12 @@ class HyperEval:
     @property
     def regime(self) -> str:
         a, b, c, w = self.a, self.b, self.c, self.w
+        if w == 0.0:
+            return "closed_form"
         if _is_nonpositive_integer(b, tol=1e-13) or _is_nonpositive_integer(a, tol=1e-13):
             return "terminating"
+        if b == c or a == c:
+            return "closed_form"
         if w == 1.0:
             return "gauss_point"
         if abs(w) <= _SERIES_CUT:

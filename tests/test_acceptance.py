@@ -16,6 +16,7 @@ import pytest
 from oracles import laplace as L
 from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
 from oracles.macdonald import bessel_macdonald_moment
+from sobomul import _gaussian_norm as G
 from sobomul import bounds as B
 from sobomul import specfun as sf
 from sobomul import tables
@@ -125,7 +126,7 @@ def test_gaussian_norm_oracle_matches_closed_sum():
                            (10, 50, 0.35, 0.015)):
         q = BoundQuery(d=d, n=float(n), n_exact=Fraction(n))
         oracle = mp_log_gaussian_norm_sq(mp, d, Fraction(n), p, sigma)
-        closed = B._log_gaussian_norm_sq_sum(q, p, sigma)
+        closed = G._log_gaussian_norm_sq_sum(q, p, sigma)
         worst = max(worst, abs(math.expm1(closed - float(oracle))))
     assert worst <= 1e-12, worst
 
@@ -427,8 +428,8 @@ def test_criterion_7_two_path_oracles(sq_norm_double_sum):
         p = float(rng.uniform(0.2, 1.2))
         sigma = float(rng.uniform(0.1, 2.0))
         q = BoundQuery(d=d, n=float(n), n_exact=Fraction(n))
-        a = B._log_gaussian_norm_sq_sum(q, p, sigma)
-        b = B._log_gaussian_norm_sq_refined(q, p, sigma, 1e-10)[0]
+        a = G._log_gaussian_norm_sq_sum(q, p, sigma)
+        b = G._log_gaussian_norm_sq_refined(q, p, sigma, 1e-10)[0]
         errs.append(abs(math.expm1(a - b)))
     worst["gaussian_norm"] = max(errs)
 

@@ -8,6 +8,7 @@ import pytest
 
 from oracles.brent import maximize_1d
 from sobomul import bounds as B
+from sobomul import specfun
 from sobomul.kernels import BoundQuery
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -145,3 +146,29 @@ def test_best_lower_across_the_bb_switch(d):
     loss = B.k_bessel(BoundQuery(d=d, n=d / 2.0 + 0.1)).value / below[1].value
     assert loss > 1.0
     assert abs(above[0].value / below[1].value / loss - 1.0) <= 1e-5
+
+
+def test_lam_search_rejects_trial_points_where_the_series_fails():
+    # The 2F1 series behind the quotient pass their term cap from lam of
+    # about 31.  A trial point there is rejected like a non-finite one: the
+    # first step, a full trust radius uphill from positive curvature,
+    # lands past the cap and the search still reaches the interior
+    # maximum.  A failing series at lam0 itself is raised.
+    x0 = math.log(1.42)
+    x_star, x_cap = x0 + 0.9, x0 + 0.95
+    tried = []
+
+    def objective(lam):
+        x = math.log(lam)
+        tried.append(x)
+        if x > x_cap:
+            raise specfun.SeriesError("2F1 series did not converge")
+        e = math.exp(-(x - x_star) ** 2)
+        return e, -2.0 * (x - x_star) * e, (4.0 * (x - x_star) ** 2 - 2.0) * e
+
+    res = B._search_log_lam(objective, 1.42)
+    assert tried[1] > x_cap
+    assert res.converged
+    assert abs(res.argmax[0] - x_star) < 1e-6
+    with pytest.raises(specfun.SeriesError):
+        B._search_log_lam(objective, math.exp(x_cap + 0.1))

@@ -202,6 +202,15 @@ def _log_coords(value, du, dv, duu, duv, dvv):
     return value, np.array([du, dv]), np.array([[duu, duv], [duv, dvv]])
 
 
+def _rows(f):
+    """The rows objective of maximize_2d from a pointwise one: f(x, y) ->
+    (value, gradient, Hessian) at each point of the arrays x and y."""
+    def rows(xs, ys):
+        values, grads, hessians = zip(*map(f, xs.tolist(), ys.tolist()))
+        return np.array(values), np.array(grads), np.array(hessians)
+    return rows
+
+
 def _quadratic_in_p_s(p, s):
     # -(p - 1)^2 - (s - 2)^2 with derivatives in (log p, log s):
     # d/dlog p = p d/dp, d^2/dlog p^2 = p d/dp + p^2 d^2/dp^2
@@ -211,8 +220,15 @@ def _quadratic_in_p_s(p, s):
                        -2.0 * s * (s - 2.0) - 2.0 * s * s)
 
 
+def _cosines(p, s):
+    # cos(u) + cos(v), u = log p, v = log s: maxima 2 at u, v in 2 pi Z
+    u, v = math.log(p), math.log(s)
+    return _log_coords(math.cos(u) + math.cos(v), -math.sin(u), -math.sin(v),
+                       -math.cos(u), 0.0, -math.cos(v))
+
+
 def test_simplex_trivial_quadratic():
-    res = optim.maximize_2d(_quadratic_in_p_s, [(0.5, 0.5), (3.0, 3.0)])
+    res = optim.maximize_2d(_rows(_quadratic_in_p_s), [(0.5, 0.5), (3.0, 3.0)])
     assert res.converged
     assert abs(res.argmax[0] - 1.0) < 1e-9
     assert abs(res.argmax[1] - 2.0) < 1e-9
@@ -225,7 +241,7 @@ def test_simplex_log_space_positivity():
         u, v = math.log(p) + 6.0, math.log(s) + 9.0
         return _log_coords(-u * u - v * v, -2.0 * u, -2.0 * v, -2.0, 0.0, -2.0)
 
-    res = optim.maximize_2d(f, [(1.0, 1.0)])
+    res = optim.maximize_2d(_rows(f), [(1.0, 1.0)])
     assert res.converged
     assert res.argmax[0] > 0.0 and res.argmax[1] > 0.0
     assert abs(math.log(res.argmax[0]) + 6.0) < 1e-9
@@ -234,8 +250,8 @@ def test_simplex_log_space_positivity():
 
 def test_simplex_multistart_deterministic():
     starts = [(0.5, 0.5), (2.0, 0.2), (0.2, 2.0)]
-    r1 = optim.maximize_2d(_quadratic_in_p_s, starts)
-    r2 = optim.maximize_2d(_quadratic_in_p_s, starts)
+    r1 = optim.maximize_2d(_rows(_quadratic_in_p_s), starts)
+    r2 = optim.maximize_2d(_rows(_quadratic_in_p_s), starts)
     assert r1.argmax == r2.argmax and r1.max_value == r2.max_value
     assert r1.iterations == r2.iterations
 
@@ -245,22 +261,17 @@ def test_simplex_needs_positive_starts():
         return _log_coords(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     with pytest.raises(ValueError):
-        optim.maximize_2d(flat, [(0.0, 1.0)])
+        optim.maximize_2d(_rows(flat), [(0.0, 1.0)])
     with pytest.raises(ValueError):
-        optim.maximize_2d(flat, [])
+        optim.maximize_2d(_rows(flat), [])
 
 
 def test_newton_climbs_away_from_a_minimum():
     # cos(u) + cos(v) in log coordinates, started beside its minimum at
     # (pi, pi): the saddle-free step goes uphill along both eigendirections,
     # where plain Newton would fall into the minimum
-    def f(p, s):
-        u, v = math.log(p), math.log(s)
-        return _log_coords(math.cos(u) + math.cos(v), -math.sin(u), -math.sin(v),
-                           -math.cos(u), 0.0, -math.cos(v))
-
     start = (math.exp(math.pi + 0.1), math.exp(math.pi - 0.1))
-    res = optim.maximize_2d(f, [start])
+    res = optim.maximize_2d(_rows(_cosines), [start])
     assert res.converged
     assert abs(res.max_value - 2.0) < 1e-14
     assert res.iterations < 40
@@ -274,7 +285,44 @@ def test_newton_budget_exhausted_reports_best():
         evaluated.append(_quadratic_in_p_s(p, s)[0])
         return _quadratic_in_p_s(p, s)
 
-    res = optim.maximize_2d(f, [(0.01, 0.01)], max_iter=3)
+    res = optim.maximize_2d(_rows(f), [(0.01, 0.01)], max_iter=3)
     assert not res.converged
     assert res.iterations == len(evaluated) == 3
     assert res.max_value == max(evaluated)
+
+
+def test_2d_rows_take_their_one_start_steps():
+    # Each round evaluates every live start in one call; given the same
+    # values, each start visits exactly the points of its one-start run,
+    # iterations count the points of all starts, and the result is the
+    # best start, ties broken toward the smallest argmax.  Every start
+    # climbs to a maximum of exactly 2, at u = 2 pi or near u = 0.
+    starts = [(math.exp(2.0 * math.pi + 0.3), math.exp(-0.2)), (1.3, 0.9),
+              (math.exp(math.pi + 0.1), math.exp(math.pi - 0.1)), (0.05, 20.0)]
+    rounds = []
+
+    def recording(xs, ys):
+        rounds.append(list(zip(xs.tolist(), ys.tolist())))
+        return _rows(_cosines)(xs, ys)
+
+    res = optim.maximize_2d(recording, starts)
+    alone = []
+    for start in starts:
+        points = []
+
+        def one(xs, ys):
+            points.extend(zip(xs.tolist(), ys.tolist()))
+            return _rows(_cosines)(xs, ys)
+
+        alone.append((optim.maximize_2d(one, [start]), points))
+    for i, (_one, points) in enumerate(alone):
+        # round r holds, in start order, the starts with more than r points
+        seen = [rnd[[len(p) > r for _o, p in alone][:i].count(True)]
+                for r, rnd in enumerate(rounds) if r < len(points)]
+        assert seen == points, i
+    assert len(rounds) == max(len(points) for _one, points in alone)
+    assert res.iterations == sum(one.iterations for one, _p in alone)
+    assert res.converged == any(one.converged for one, _p in alone)
+    tied = sorted(one.argmax for one, _p in alone if one.max_value == 2.0)
+    assert len(tied) == 4 and tied[0] != alone[0][0].argmax
+    assert res.max_value == 2.0 and res.argmax == tied[0]

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The modules of the bounds' call graph: what `import sobomul.cli` loads.
 CALL_GRAPH = {"sobomul", "sobomul.cli", "sobomul.tables", "sobomul.bounds",
-              "sobomul.envelope", "sobomul.kernels", "sobomul.specfun",
-              "sobomul.optim", "sobomul.quad"}
+              "sobomul._gaussian_norm", "sobomul.envelope", "sobomul.kernels",
+              "sobomul.specfun", "sobomul.optim", "sobomul.quad"}
 
 
 def _env():
@@ -57,3 +57,6 @@ def test_demo_runs(demo):
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if demo == "06_special_functions.py":
+        # the degenerate F(2, 1.5, 1.5; -3) = (1 - w)^-2 names its closed form
+        assert "F(2.0, 1.5, 1.5;  -3.00) = 0.0625   [closed_form]" in proc.stdout

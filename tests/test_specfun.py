@@ -267,6 +267,14 @@ def test_hyp2f1_euler_transformation_near_w_one():
 
 
 def test_hyper_eval_regimes():
+    # the closed forms that hyp2f1 takes before any sum name their regime,
+    # in hyp2f1's order: w = 0 first, then a terminating parameter, then
+    # b = c or a = c, at every w that they serve
+    for a, b, c, w in ((1.0, 0.5, 3.0, 0.0), (1.0, -2.0, 3.0, 0.0), (2.0, 1.5, 1.5, -3.0),
+                       (1.5, 2.0, 1.5, 0.5), (2.0, 1.5, 1.5, 0.9), (2.0, 1.5, 1.5, -40.0)):
+        assert sf.HyperEval(a, b, c, w).regime == "closed_form", (a, b, c, w)
+        assert sf.hyp2f1(a, b, c, w) == (1.0 if w == 0.0 else (1.0 - w) ** -2.0)
+    assert sf.HyperEval(-2.0, 1.5, 1.5, 0.5).regime == "terminating"
     assert sf.HyperEval(1.0, -2.0, 3.0, 0.5).regime == "terminating"
     assert sf.HyperEval(1.0, 0.5, 3.0, 0.5).regime == "series"
     assert sf.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
