@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import brent
-from sobomul import optim
+from sobomul import bounds, optim
 from sobomul.kernels import BoundQuery, log_upper_curve
 
 
@@ -164,6 +164,12 @@ def test_newton_reaches_the_maximum_within_its_gain():
         assert abs(res.argmax[0] - a) <= 1e-6 * max(1.0, abs(a)), (res.argmax, a)
         worst_evals = max(worst_evals, res.iterations)
     assert worst_evals <= 20
+    # and so does the 2-D search on its quadratic and cosine objectives
+    for f, start, peak in ((_quadratic_in_p_s, (0.5, 0.5), (1.0, 2.0)),
+                           (_cosines, (1.3, 0.9), (1.0, 1.0))):
+        res = optim.maximize_2d(_rows(f), [start])
+        assert res.converged, start
+        assert f(*peak)[0] <= res.max_value + res.gain, start
 
 
 def test_newton_stops_where_the_function_is_not_finite():
@@ -193,8 +199,7 @@ def test_upper_curve_two_two():
 
 
 # ----------------------------------------------------------------------
-# 2-D trust-region Newton search (the test_simplex_* names date from the
-# Nelder-Mead simplex that this search replaced)
+# 2-D trust-region Newton search
 # ----------------------------------------------------------------------
 
 def _log_coords(value, du, dv, duu, duv, dvv):
@@ -227,7 +232,7 @@ def _cosines(p, s):
                        -math.cos(u), 0.0, -math.cos(v))
 
 
-def test_simplex_trivial_quadratic():
+def test_newton_2d_trivial_quadratic():
     res = optim.maximize_2d(_rows(_quadratic_in_p_s), [(0.5, 0.5), (3.0, 3.0)])
     assert res.converged
     assert abs(res.argmax[0] - 1.0) < 1e-9
@@ -235,7 +240,7 @@ def test_simplex_trivial_quadratic():
     assert res.iterations < 40
 
 
-def test_simplex_log_space_positivity():
+def test_newton_2d_log_space_positivity():
     # objective peaked at tiny coordinates; log coordinates keep positivity
     def f(p, s):
         u, v = math.log(p) + 6.0, math.log(s) + 9.0
@@ -248,7 +253,7 @@ def test_simplex_log_space_positivity():
     assert abs(math.log(res.argmax[1]) + 9.0) < 1e-9
 
 
-def test_simplex_multistart_deterministic():
+def test_newton_2d_multistart_deterministic():
     starts = [(0.5, 0.5), (2.0, 0.2), (0.2, 2.0)]
     r1 = optim.maximize_2d(_rows(_quadratic_in_p_s), starts)
     r2 = optim.maximize_2d(_rows(_quadratic_in_p_s), starts)
@@ -256,7 +261,7 @@ def test_simplex_multistart_deterministic():
     assert r1.iterations == r2.iterations
 
 
-def test_simplex_needs_positive_starts():
+def test_newton_2d_needs_positive_starts():
     def flat(p, s):
         return _log_coords(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -326,3 +331,34 @@ def test_2d_rows_take_their_one_start_steps():
     tied = sorted(one.argmax for one, _p in alone if one.max_value == 2.0)
     assert len(tied) == 4 and tied[0] != alone[0][0].argmax
     assert res.max_value == 2.0 and res.argmax == tied[0]
+
+
+def test_newton_2d_stops_where_the_value_is_not_finite():
+    # a start whose value is NaN stops there unconverged, and the best of
+    # the starts ranks it below every finite one
+    def nan_value(p, s):
+        return (math.nan,) + _quadratic_in_p_s(p, s)[1:]
+
+    def nan_beyond_five(p, s):
+        return (nan_value if p > 5.0 else _quadratic_in_p_s)(p, s)
+
+    res = optim.maximize_2d(_rows(nan_value), [(1.0, 1.0)])
+    assert math.isnan(res.max_value) and not res.converged and res.iterations == 1
+    res = optim.maximize_2d(_rows(nan_beyond_five), [(10.0, 1.0), (0.5, 0.5)])
+    assert res.converged and abs(res.max_value) < 1e-15
+    assert abs(res.argmax[0] - 1.0) < 1e-9 and abs(res.argmax[1] - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("d, n", [(2, 1.11), (5, 2.61), (2, 5.5), (1, 0.75), (1, 1.5), (1, 3.5),
+                                  (1, 6.5), (1, 15.5), (1, 30.5), (2, 1.25), (2, 1.5), (2, 2.5)])
+def test_2d_lockstep_counts_match_one_start_runs_on_fourier_objectives(d, n):
+    # On the (F) rule route the starts of one call share padded rule rows,
+    # which round the objective differently than a start's call alone; a
+    # start still ends where its value does, so the lockstep count is the
+    # sum of the one-start counts (d = 1, 2 cells are the non-integer
+    # cells of table1).
+    q = BoundQuery(d=d, n=n)
+    assert not bounds._on_closed_sum(q)
+    objective, starts = bounds._fourier_search_objective(q), bounds._fourier_starts(q.n)
+    alone = [optim.maximize_2d(objective, [start]).iterations for start in starts]
+    assert optim.maximize_2d(objective, starts).iterations == sum(alone)
