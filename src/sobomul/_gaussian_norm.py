@@ -42,7 +42,7 @@ def _exp_sinh_nodes(lo: float, hi: float, step: float,
     return _HALF_PI * np.sinh(t), np.log(_HALF_PI * np.cosh(t))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4)
 def _gaussian_sum_tables(n: int, d: int):
     """(log-coefficient, p-exponent, sigma-exponent) arrays of the integer-n
     closed form sum_{a+b<=n} C_ab p^(2a) sigma^(b-d/2).  Each C_ab sums, by
@@ -73,8 +73,7 @@ def _gaussian_sum_tables(n: int, d: int):
 
 def _weighted_mean_cov(w: np.ndarray, feats: np.ndarray):
     """Means (k, 2) and covariance matrices (k, 2, 2) of the feature pairs
-    feats (k, 2, N), or (1, 2, N) for features that all k rows share,
-    under the normalized weights w (k, N)."""
+    feats (k, 2, N) under the normalized weights w (k, N)."""
     mean = np.einsum("kn,kfn->kf", w, feats)
     dev = feats - mean[..., None]
     return mean, np.einsum("kfn,kgn->kfg", dev * w[:, None], dev)
@@ -85,17 +84,21 @@ def _log_gaussian_norm_sq_sum(q: BoundQuery, p, sigma, moments: bool = False):
     (k,); with moments (arrays only), also its gradient (k, 2) and Hessian
     (k, 2, 2) in (log p, log sigma).  The terms' logs are linear there, so
     the gradient is their weighted mean exponent (p-exponent,
-    sigma-exponent) and the Hessian its weighted covariance."""
+    sigma-exponent) and the Hessian its weighted covariance, both from one
+    product of the weights with the exponents and their products, which
+    every pair shares."""
     n = int(round(q.n))
     lgc, pe, se = _gaussian_sum_tables(n, q.d)
     logs = lgc + pe * np.log(p)[..., None] + se * np.log(sigma)[..., None]
     m = logs.max(axis=-1)
-    w = np.exp(logs - m[..., None])
+    w = np.exp(logs - m[..., None], out=logs)
     total = w.sum(axis=-1)
     log_val = 0.5 * q.d * _LOG_PI + m + np.log(total)
     if not moments:
         return log_val
-    return (log_val, *_weighted_mean_cov(w / total[..., None], np.array([[pe, se]])))
+    mom = (w @ np.array([pe, se, pe * pe, pe * se, se * se]).T) / total[:, None]
+    mean = mom[:, :2]
+    return log_val, mean, mom[:, [2, 3, 3, 4]].reshape(-1, 2, 2) - mean[:, :, None] * mean[:, None]
 
 
 # Off the closed sum the Gaussian trial norm is, with s = |k_perp|^2,

@@ -144,17 +144,12 @@ class TrialParams:
             raise ValueError("exactly one of u, lam, (p, sigma) must be set")
         if (self.p is None) != (self.sigma is None):
             raise ValueError("p and sigma come as a pair")
-        for label, v in (("u", self.u), ("lam", self.lam),
-                         ("p", self.p), ("sigma", self.sigma)):
+        for label, v in vars(self).items():
             if v is not None and not v >= 0.0:
                 raise ValueError(f"{label} must be non-negative, got {v}")
 
     def as_tuple(self) -> tuple[float, ...]:
-        if self.u is not None:
-            return (self.u,)
-        if self.lam is not None:
-            return (self.lam,)
-        return (self.p, self.sigma)
+        return tuple(v for v in vars(self).values() if v is not None)
 
 
 @dataclass(frozen=True)
@@ -258,12 +253,6 @@ def _certified_k_plus(queries: list[BoundQuery],
     return values
 
 
-def _closed_form_k_plus(n: float, d: int, gap: float) -> float:
-    """K+ for n = d/2 + gap <= d/2 + 1/2, where the curve increases toward
-    its limit."""
-    return math.exp(0.5 * _log_curve_limit(n, d, gap))
-
-
 def k_plus(q: BoundQuery) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
 
@@ -278,7 +267,7 @@ def k_plus(q: BoundQuery) -> BoundResult:
     raised.
     """
     if q.has_closed_form_upper:
-        value = _closed_form_k_plus(q.n, q.d, q.n_gap)
+        value = math.exp(0.5 * log_upper_curve_limit(q))
         return BoundResult(value=value, kind="upper_plus",
                            argmax=TrialParams(u=math.inf),
                            error_estimate=value * 1e-14,
@@ -383,38 +372,38 @@ def default_residual_grid(d: int) -> tuple[float, ...]:
     return tuple(np.concatenate((left, mid, right)).tolist())
 
 
-def _round_sig(x: float, figures: int = 3) -> float:
+def _round_sig(x: float) -> float:
     if x == 0.0:
         return 0.0
-    return round(x, -int(math.floor(math.log10(abs(x)))) + figures - 1)
+    return round(x, 2 - int(math.floor(math.log10(abs(x)))))
+
+
+def _searched_k_plus(queries: list[BoundQuery]) -> tuple[list[float], list, int]:
+    """K+, outcomes and rounds of one :func:`_k_plus_search`, raising
+    ArithmeticError for a search that does not converge."""
+    found, rounds = _k_plus_search(queries)
+    for q, outcome in zip(queries, found):
+        if isinstance(outcome, MaxResult) and not outcome.converged:
+            raise ArithmeticError(f"K+ search at (n, d) = ({q.n:g}, {q.d}): {_BUDGET_CAVEAT}")
+    return _certified_k_plus(queries, found), found, rounds
 
 
 def _residual_k_plus(d: int, gap_grid: tuple[float, ...]) -> tuple[
-        list[float], list[float], list[MaxResult | BracketBoundaryError | None], int]:
-    """The residual scan's n = d/2 + gap and K+ per gap, the search
-    outcome per gap (None where K+ takes its closed form), and the number
-    of search rounds (each one kernel call).
+        list[BoundQuery | None], list[float], list[MaxResult | None], int]:
+    """The residual scan's query, K+ and search outcome per gap of the
+    ascending gap_grid (None where K+ takes its closed form), and the
+    number of search rounds (each one kernel call).
 
-    The gaps up to 1/2 take K+'s closed form from plain floats; the others
-    share one batched search (:func:`_k_plus_search`), in which each row
-    starts from its own (n, d), and only these rows get a BoundQuery.  A
-    search that does not converge raises ArithmeticError, as does one
-    that :func:`_certified_k_plus` cannot certify.  Not cached, unlike the
-    scan's result."""
-    half = d / 2.0
-    ns = [half + nd for nd in gap_grid]
-    closed = [_closed_form_upper(n, d) for n in ns]
-    searched = [BoundQuery(d=d, n=n) for n, is_closed in zip(ns, closed) if not is_closed]
-    found, rounds = _k_plus_search(searched) if searched else ([], 0)
-    values = _certified_k_plus(searched, found)
-    for q, outcome in zip(searched, found):
-        if isinstance(outcome, MaxResult) and not outcome.converged:
-            raise ArithmeticError(f"K+ search at (n, d) = ({q.n:g}, {d}): {_BUDGET_CAVEAT}")
-    next_value, next_outcome = iter(values).__next__, iter(found).__next__
-    kps = [_closed_form_k_plus(n, d, n - half) if is_closed else next_value()
-           for n, is_closed in zip(ns, closed)]
-    outcomes = [None if is_closed else next_outcome() for is_closed in closed]
-    return ns, kps, outcomes, rounds
+    The gaps up to 1/2, the grid's first, take K+'s closed form from plain
+    floats; the others share one batched search (:func:`_searched_k_plus`),
+    in which each row starts from its own (n, d), and only these rows get a
+    BoundQuery.  Not cached, unlike the scan's result."""
+    ns = [d / 2.0 + nd for nd in gap_grid]
+    k = sum(_closed_form_upper(n, d) for n in ns)
+    queries = [None] * k + [BoundQuery(d=d, n=n) for n in ns[k:]]
+    values, found, rounds = _searched_k_plus(queries[k:]) if ns[k:] else ([], [], 0)
+    kps = [math.exp(0.5 * _log_curve_limit(n, d, n - d / 2.0)) for n in ns[:k]] + values
+    return queries, kps, [None] * k + found, rounds
 
 
 @lru_cache(maxsize=32)
@@ -423,26 +412,33 @@ def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
 
     Each gap's residual and K++ come from the formulas of
     :func:`envelope_residual` and :func:`k_plus_plus`, on plain floats and
-    with the gap's envelope terms formed once."""
-    ns, kps, _, _ = _residual_k_plus(d, gap_grid)
+    with the gap's envelope terms formed once.  At the two argmax gaps K+
+    is then the one-row K+ that k_plus gives, as a batch row may differ
+    from it in the last bits."""
+    queries, kps, _, _ = _residual_k_plus(d, gap_grid)
     c = AsympConstants.for_dimension(d)
-    half = d / 2.0
-    rows = [(n, n - half) for n in ns]
+    rows = [(n, n - d / 2.0) for n in (d / 2.0 + nd for nd in gap_grid)]
     terms = [envelope_terms(n, gap, c) for n, gap in rows]
+
+    def one_row(i: int) -> int:
+        if queries[i] is not None:
+            kps[i] = _searched_k_plus([queries[i]])[0][0]
+        return i
+
     zs = [residual(n, gap, t, k) for (n, gap), t, k in zip(rows, terms, kps)]
-    i_z = int(np.argmax(zs))
-    big_z = zs[i_z]
+    i_z = one_row(int(np.argmax(zs)))
+    big_z = residual(*rows[i_z], terms[i_z], kps[i_z])
     # The ratio supremum is quoted for the envelope built with the residual
     # constant at its published 3-significant-figure precision; for d >= 8
     # the ratio responds to the constant with a factor of ~20, so the digit
     # convention is part of the definition.
-    z_for_theta = _round_sig(big_z, 3)
+    z_for_theta = _round_sig(big_z)
     ratios = [k_plus_plus_value(n, gap, t, z_for_theta) / k
               for (n, gap), t, k in zip(rows, terms, kps)]
-    i_t = int(np.argmax(ratios))
+    i_t = one_row(int(np.argmax(ratios)))
     warn = i_z in (0, len(gap_grid) - 1) or i_t in (0, len(gap_grid) - 1)
     return ElementaryBoundData(
-        d=d, big_z=big_z, theta=ratios[i_t],
+        d=d, big_z=big_z, theta=k_plus_plus_value(*rows[i_t], terms[i_t], z_for_theta) / kps[i_t],
         argmax_gap_z=float(gap_grid[i_z]), argmax_gap_theta=float(gap_grid[i_t]),
         endpoint_warning=warn)
 
@@ -548,12 +544,9 @@ def _log_bessel_norm_sq_sum(q: BoundQuery, lam: float) -> float:
     """Integer-n route: logsumexp of the binomial expansion."""
     n, d = int(round(q.n)), q.d
     loglam2 = 2.0 * math.log(lam)
-    terms = []
-    for ell in range(n + 1):
-        terms.append(sf.log_gamma(n + 1.0) - sf.log_gamma(ell + 1.0)
-                     - sf.log_gamma(n - ell + 1.0)
-                     + sf.log_gamma(ell + d / 2.0)
-                     + sf.log_gamma(2.0 * n - d / 2.0 - ell) + ell * loglam2)
+    terms = [sf.log_gamma(n + 1.0) - sf.log_gamma(ell + 1.0) - sf.log_gamma(n - ell + 1.0)
+             + sf.log_gamma(ell + d / 2.0) + sf.log_gamma(2.0 * n - d / 2.0 - ell) + ell * loglam2
+             for ell in range(n + 1)]
     m = max(terms)
     s = sum(math.exp(t - m) for t in terms)
     return (0.5 * d * _LOG_PI - sf.log_gamma(d / 2.0) - sf.log_gamma(2.0 * n)
@@ -573,9 +566,7 @@ def bessel_trial_norm_sq(q: BoundQuery, lam: float,
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     log_hyper = _log_bessel_norm_sq_hyper(q, lam)
-    if validate is None:
-        validate = q.n_is_integer
-    if validate and q.n_is_integer:
+    if validate is not False and q.n_is_integer:
         log_sum = _log_bessel_norm_sq_sum(q, lam)
         if abs(log_sum - log_hyper) > 1e-10:
             raise TwoPathMismatch(
@@ -592,11 +583,16 @@ def _log_sq_norm_prefactor(q: BoundQuery, lam: float) -> float:
 # exp-sinh rule, nodes x = (pi/2) sinh(k h) on [-92/d, 46/gap + 10]: the
 # integrand falls like e^(d x / 2) below the bulk and like e^(-gap x) above
 # it, so both cuts sit e^-46 down.  The searches run on the h rule; reported
-# values add the midpoints (the h/2 rule) and measure |I_h/2 - I_h|.
+# values add the midpoints (the h/2 rule) and measure |I_h/2 - I_h|.  The
+# integrand's bulk narrows like 1/sqrt(n), and so does h past n = 50.
 _SQ_STEP = 0.05
 # Beyond log u = 200 (only gaps below 0.24 reach it) the kernel takes its
 # two-term large-u form, whose next terms are e^-200 smaller.
 _SQ_X_FAR = 200.0
+
+
+def _sq_step(q: BoundQuery) -> float:
+    return _SQ_STEP * min(1.0, math.sqrt(50.0 / q.n))
 
 
 def _log_kernel_far(q: BoundQuery, x: np.ndarray) -> np.ndarray:
@@ -629,7 +625,7 @@ def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray
 
     from one vector kernel call.  offset = 1/2 gives the midpoints that
     turn the h rule into the h/2 rule."""
-    x, log_dx = _exp_sinh_nodes(-92.0 / q.d, 46.0 / q.n_gap + 10.0, _SQ_STEP, offset)
+    x, log_dx = _exp_sinh_nodes(-92.0 / q.d, 46.0 / q.n_gap + 10.0, _sq_step(q), offset)
     far = x > _SQ_X_FAR
     log_k = np.empty_like(x)
     log_k[~far] = log_hyper_kernel(q, np.exp(x[~far]))
@@ -653,7 +649,7 @@ def _log_sq_norm_sum(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
     m = float(y.max())
     weight = np.exp(y - m)
     total = weight.sum()
-    log_sum = m + math.log(_SQ_STEP * total)
+    log_sum = m + math.log(_sq_step(q) * total)
     if not derivatives:
         return log_sum
     weight /= total
@@ -699,10 +695,11 @@ def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> flo
 
     on [0, inf), whose tail decays like u^(-1-(n-d/2)).  The integral runs
     in x = log u on a fixed exp-sinh rule, nodes x = (pi/2) sinh(k h / 2),
-    h = 0.05, over [-92/d, 46/gap + 10]; beyond x = 200 the kernel is its
-    two-term large-u form (DLMF 15.8.4).  tol bounds the relative
-    difference between the h/2 and h rules (ArithmeticError above it).
-    Gaps below 0.01 raise DomainError (use the minorant route instead).
+    h = 0.05 min(1, sqrt(50/n)), over [-92/d, 46/gap + 10]; beyond x = 200
+    the kernel is its two-term large-u form (DLMF 15.8.4).  tol bounds the
+    relative difference between the h/2 and h rules (ArithmeticError above
+    it).  Gaps below 0.01 raise DomainError (use the minorant route
+    instead).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -836,8 +833,8 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     res = _search_log_lam(_lam_objective(q, _log_sq_norm_rule(q, nodes)), 1.4)
     lam_star = math.exp(res.argmax[0])
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
-    value = math.exp(0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
-                     - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
+    value = _exp_in_range(0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
+                          - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)), "K^B", q)
     return BoundResult(value=value, kind="lower_bessel",
                        argmax=TrialParams(lam=lam_star),
                        error_estimate=(0.5 * rule_error + _bessel_gamma_error(q)) * value,
@@ -887,13 +884,10 @@ def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
     """
     if not (p > 0.0 and sigma > 0.0):
         raise ValueError("p and sigma must be positive")
-    use_sum = _on_closed_sum(q)
-    if validate is None:
-        validate = use_sum and tol <= 1e-9
-    if not use_sum:
+    if not _on_closed_sum(q):
         return float(_log_gaussian_norm_sq_refined(q, p, sigma, tol)[0])
     log_val = float(_log_gaussian_norm_sq_sum(q, p, sigma))
-    if validate:
+    if validate or (validate is None and tol <= 1e-9):
         log_rule = _log_gaussian_norm_sq_refined(q, p, sigma, min(tol, 1e-10))[0]
         if abs(log_rule - log_val) > 1e-11:
             raise TwoPathMismatch(

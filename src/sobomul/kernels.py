@@ -126,16 +126,18 @@ def _closed_form_upper(n: float, d: int) -> bool:
 # the hypergeometric kernel
 # ----------------------------------------------------------------------
 
-# The kernel's rule starts at tanh-sinh level 6 (step 2^-6, about 850
-# nodes); a point whose h and 2h values of R differ by more than
-# _KERNEL_TOL relative, plus the floor that rounding sets on that
-# difference, moves up a level, and past _TS_MAX_LEVEL the kernel raises.
+# The kernel's rule starts at tanh-sinh level 5 (step 2^-5: 395 nodes, of
+# which a query keeps about 180 to 250).  A point whose h and 2h values of
+# R differ by more than _KERNEL_TOL relative, plus the floor that rounding
+# sets on that difference, moves up a level, and past _TS_MAX_LEVEL the
+# kernel raises.  Level 5 settles every point of the residual scans; the
+# (B) squared-norm nodes and the largest n climb (to level 9 at n = 5000).
 # The log terms err by a few ulps of their size, which the log of the sum,
 # |log S|, and 2 |n - d/2 - 1/2| log1p(u) bound near the peak; 4 eps times
 # that is the floor.  It matters at large n: at (n, d) = (5000, 1),
 # u = 23.7, the difference stays near 2e-13 from level 9 on, against a
 # floor of 3.7e-11.
-_FIRST_LEVEL = 6
+_FIRST_LEVEL = 5
 _KERNEL_TOL = 1e-13
 _ROUNDING = 4.0 * sys.float_info.epsilon
 # Points per (points x nodes) block, so that block stays near 2^16 entries
@@ -301,15 +303,15 @@ class KernelRows:
     """Queries of one dimension, one per row, for kernel calls that take
     one u per row and many rows at once (:func:`log_upper_curve_rows`).
 
-    Every row shares the query-free level-6 node tables; a row holds only
-    its scalars and the mask of its kept nodes, so a batch over hundreds
-    of rows builds no per-row tables.  A block of points takes the nodes
-    that any of its rows keeps and forms each point's base from its own n,
-    so a row alone in its block sums exactly the terms, in the order, of
-    its query's own rule.  A point that level 6 does not settle moves up
-    through its row's query, whose tables of the higher levels stay with
-    it.  Give the rows in ascending n: neighbouring rows then keep nearly
-    the same nodes.  Needs at least one row.
+    Every row shares the query-free node tables of the first level; a row
+    holds only its scalars and the mask of its kept nodes, so a batch over
+    hundreds of rows builds no per-row tables.  A block of points takes the
+    nodes that any of its rows keeps and forms each point's base from its
+    own n, so a row alone in its block sums exactly the terms, in the
+    order, of its query's own rule.  A point that the first level does not
+    settle moves up through its row's query, whose tables of the higher
+    levels stay with it.  Give the rows in ascending n: neighbouring rows
+    then keep nearly the same nodes.  Needs at least one row.
     """
 
     def __init__(self, queries) -> None:
@@ -330,8 +332,8 @@ class KernelRows:
         self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))
 
     def _sums(self, at: np.ndarray, u: np.ndarray, moments: bool = False) -> tuple:
-        """_rule_sums of the level-6 rule at the points (row at[i], u[i]),
-        in blocks of about _ROWS_BLOCK_ENTRIES (point, node) pairs."""
+        """_rule_sums of the first-level rule at the points (row at[i],
+        u[i]), in blocks of about _ROWS_BLOCK_ENTRIES (point, node) pairs."""
         log_weight, log_s, oms, log_oms, h_count = _rule_nodes(_FIRST_LEVEL)
         parts = []
         for i in range(0, at.size, self._block):
@@ -348,8 +350,8 @@ class KernelRows:
 
 
 def _log_kernel_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray, moments: bool = False):
-    """log F at the points (row at[i], u[i]) in one call: the level-6
-    rule on every point, and each point that it does not settle
+    """log F at the points (row at[i], u[i]) in one call: the
+    first-level rule on every point, and each point that it does not settle
     recomputed through its row's own query a level up; with moments, as
     in :func:`_log_kernel`."""
     log_sum, step, *mom = rows._sums(at, u, moments)
@@ -374,7 +376,7 @@ def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
                                      / int s^(n-1) (1-s)^(-1/2) ds,
 
     w = u/(1+u), both integrals on the same tanh-sinh nodes and summed in
-    log space.  Each point starts on the query's level-6 tables and moves
+    log space.  Each point starts on the query's level-5 tables and moves
     up while its h and 2h values of R differ by more than 1e-13 relative
     (plus a rounding floor that matters at large n); past the last level
     it raises ArithmeticError.

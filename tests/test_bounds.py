@@ -248,21 +248,40 @@ def test_residual_scan_k_plus_matches_scalar_k_plus():
     # case, at every 11th searched gap: the rows of a block sum over the
     # nodes that any of them keeps, so they may differ in the last bits
     for d in (1, 5, 10):
-        ns, kps, outcomes, _ = B._residual_k_plus(d, B.default_residual_grid(d))
-        searched = [(n, kp) for n, kp, o in zip(ns, kps, outcomes) if o is not None]
+        queries, kps, _, _ = B._residual_k_plus(d, B.default_residual_grid(d))
+        searched = [(q.n, kp) for q, kp in zip(queries, kps) if q is not None]
         for n, kp in searched[::11]:
             assert rel_err(kp, B.k_plus(BoundQuery(d=d, n=n)).value) <= 1e-12, (d, n)
 
 
-@pytest.mark.parametrize("d", [1, 4, 10])
+@pytest.mark.parametrize("d", range(1, 11))
 def test_residual_scan_matches_per_gap_oracle(d):
     # the scan against the same scan run one gap at a time through the
     # scalar k_plus, envelope_residual and k_plus_plus: Z_d, Theta_d, their
-    # gaps and the endpoint warning agree exactly.  (At d = 3 and 6..9 the
-    # batched K+ at the residual's argmax differs from the scalar one in
-    # its last bits, as above, and so does Z_d.)
+    # gaps and the endpoint warning agree exactly in every dimension, as
+    # the scan takes K+ at both argmax gaps from the one-row search that
+    # k_plus runs (a batch row may differ from it in the last bits)
     from oracles.residual_scan import residual_scan
     assert B._residual_scan.__wrapped__(d, B.default_residual_grid(d)) == residual_scan(d)
+
+
+def test_residual_scan_settles_on_the_first_level(monkeypatch):
+    # deterministic counts: every point of the d = 1 and d = 10 scans,
+    # the one-row searches at the argmax gaps included, settles on the
+    # kernel's first tanh-sinh level; a point that climbs would call
+    # _log_kernel, the level-up path
+    from sobomul import kernels as K
+    climbs, points = [], []
+    for name, out in (("_log_kernel", climbs), ("_log_kernel_rows", points)):
+        def counting(*args, _inner=getattr(K, name), _out=out, **kw):
+            _out.append(np.size(args[1]))
+            return _inner(*args, **kw)
+
+        monkeypatch.setattr(K, name, counting)
+    for d in (1, 10):
+        B._residual_scan.__wrapped__(d, B.default_residual_grid(d))
+    assert sum(points) > 1000
+    assert climbs == []
 
 
 def test_residual_scan_builds_no_result_objects(monkeypatch):
@@ -467,6 +486,19 @@ def test_log_gamma_within_k_bessel_rounding_bound():
             want = mp.loggamma(mp.mpf(float(x)))
             err = abs(mp.mpf(specfun.log_gamma(float(x))) - want)
             assert err <= B._LOG_GAMMA_ERR * max(1, abs(want)), x
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_k_bessel_at_large_n(n, capsys):
+    # the squared-norm rule's step shrinks like 1/sqrt(n) past n = 50, as
+    # the integrand's bulk narrows: with the fixed step 0.05 the rule
+    # error was 2.8e-8 at n = 300 and 1.7e-2 at n = 1000, past its 1e-9 cap
+    from sobomul import cli
+    res = B.k_bessel(q_of(1, n))
+    assert res.diagnostics["rule_error"] <= 1e-9
+    assert 0.0 < res.value < B.k_plus(q_of(1, n)).value
+    assert cli.main(["lower", "--method", "bessel", "-n", str(n), "-d", "1", "--json"]) == 0
+    capsys.readouterr()
 
 
 def test_k_bessel_domain_guard():

@@ -322,6 +322,7 @@ def test_large_n_sandwich_and_asymp_exit_0(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sandwich", "-n", "5000", "-d", "1"],
+    ["lower", "--method", "bessel", "-n", "5000", "-d", "1"],
     ["upper", "-n", "1000000", "-d", "2"],
     ["lower", "--method", "fourier-ff", "-n", "5000", "-d", "1"],
     ["asymp", "--regime", "large", "-d", "1", "--n-list", "6000"],

@@ -127,7 +127,7 @@ def test_kernel_against_hyp2f1_oracle():
                                                   -mp.mpf(u))))
                     worst = max(worst, abs(value - want) / max(1.0, abs(want)))
         # out to the double-range limit of K, where the peaked integrand
-        # takes levels 7 to 9
+        # climbs to level 9
         for d, n in ((1, 4950.0), (10, 5130.0)):
             q = BoundQuery(d=d, n=n)
             us = (1e-3, 1.0, 23.7, 1e6)
@@ -145,7 +145,7 @@ def test_kernel_against_hyp2f1_oracle():
 
 def test_kernel_moves_up_a_level_then_raises(monkeypatch):
     # (1, 0.55) at u = e^150: the level-6 rule's h and 2h values of R differ
-    # by far more than 1e-13, so the point moves to level 7, where it
+    # by far more than 1e-13, so the point climbs on, to level 9, where it
     # matches the two-term large-u form; with level 6 as the last level it
     # raises
     from sobomul.bounds import _log_kernel_far
@@ -165,7 +165,7 @@ def test_kernel_moves_up_a_level_then_raises(monkeypatch):
 def test_one_row_kernel_batch_is_bit_identical_to_the_query():
     # a KernelRows of one row sums the terms of its query's own rule in the
     # same order, so the batch kernel and the curve built on it give the
-    # scalar path's bits, also where a point moves up to level 7 (the last
+    # scalar path's bits, also where a point moves up a level (the last
     # (d, n, u) below)
     cases = [(d, d / 2.0 + gap, u)
              for d in (1, 4, 10)
@@ -203,7 +203,8 @@ def test_kernel_rows_masks_match_each_query():
         rows = K.KernelRows(queries)
         assert rows.keep.shape[0] > K._ROWS_BLOCK_ENTRIES // rows.keep.shape[1]
         for i, q in enumerate(queries):
-            assert np.array_equal(rows.keep[i], K._node_bases(6, q.n, q.n_gap - 0.5)[1])
+            want = K._node_bases(K._FIRST_LEVEL, q.n, q.n_gap - 0.5)[1]
+            assert np.array_equal(rows.keep[i], want)
 
 
 def test_upper_curve_rows_derivatives_against_mp_hyp2f1(monkeypatch):
