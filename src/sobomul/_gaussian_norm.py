@@ -31,15 +31,21 @@ _HALF_PI = 0.5 * math.pi
 
 
 def _exp_sinh_nodes(lo: float, hi: float, step: float,
-                    offset: float) -> tuple[np.ndarray, np.ndarray]:
+                    offset) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x = (pi/2) sinh(t), t = (k + offset) step, of the exp-sinh
     trapezoid rule (Takahasi & Mori 1974) over the integers k that cover
     x in [lo, hi], and log(dx/dt) there.  offset = 1/2 gives the midpoints
-    that turn the step-h rule into the h/2 rule."""
+    that turn the step-h rule into the h/2 rule; a column of offsets gives
+    one row of nodes each."""
     k = np.arange(math.floor(math.asinh(lo / _HALF_PI) / step),
                   math.ceil(math.asinh(hi / _HALF_PI) / step) + 1)
     t = (k + offset) * step
     return _HALF_PI * np.sinh(t), np.log(_HALF_PI * np.cosh(t))
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c-1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @lru_cache(maxsize=4)
@@ -47,22 +53,27 @@ def _gaussian_sum_tables(n: int, d: int):
     """(log-coefficient, p-exponent, sigma-exponent) arrays of the integer-n
     closed form sum_{a+b<=n} C_ab p^(2a) sigma^(b-d/2).  Each C_ab sums, by
     one logsumexp, the terms (l, j, g), g <= j <= l <= n, of monomial
-    (a, b) = (j-g, l+g-j); d = 1 keeps only the surviving l = j terms."""
+    (a, b) = (j-g, l+g-j), built in l-major order; d = 1 keeps only the
+    surviving l = j terms."""
     lf = np.array([sf.log_gamma(k + 1.0) for k in range(2 * n + 1)])  # log k!
-    ell, j, g = np.indices((n + 1,) * 3).reshape(3, -1)
-    keep = (j <= ell) & (g <= j)
-    if d == 1:
-        keep &= ell == j  # (0)_(l-j) kills every l != j term
-    ell, j, g = ell[keep], j[keep], g[keep]
-    lgc = (lf[n] - lf[ell] - lf[n - ell] + lf[ell] - lf[j] - lf[ell - j]
-           + lf[2 * j] - lf[2 * g] - lf[2 * (j - g)])
+    lf2 = lf[::2]  # log (2k)!
+    k = np.arange(n + 1)
+    # the (l, j) pairs; (0)_(l-j) kills every l != j term at d = 1
+    ell, j = (np.repeat(k, k + 1), _ranges(k + 1)) if d >= 2 else (k, k)
+    lgc = lf[n] - lf[ell] - lf[n - ell] + lf[ell] - lf[j] - lf[ell - j] + lf2[j]
+    # each pair's terms g = 0..j
+    count = j + 1
+    lgc, g = np.repeat(lgc, count), _ranges(count)
+    lgc -= lf2[g]
+    lgc -= lf2[np.repeat(j, count) - g]
     # (2g-1)!! / 2^g = (2g)! / (4^g g!)
-    lgc += lf[2 * g] - lf[g] - g * math.log(4.0)
+    lgc += (lf2 - lf[k] - k * math.log(4.0))[g]
     if d >= 2:
         lh = np.array([sf.log_gamma(d / 2.0 - 0.5 + k) for k in range(n + 1)])
-        up = ell > j
-        lgc[up] += lh[(ell - j)[up]] - lh[0]
-    group = (j - g) * (n + 1) + (ell + g - j)
+        up = np.repeat(ell > j, count)
+        lgc[up] += np.repeat((lh - lh[0])[ell - j], count)[up]
+    # monomial (a, b) = (j-g, l+g-j) at a (n+1) + b
+    group = np.repeat(j * n + ell, count) - g * n
     top = np.full((n + 1) ** 2, -np.inf)
     np.maximum.at(top, group, lgc)
     acc = np.bincount(group, weights=np.exp(lgc - top[group]), minlength=(n + 1) ** 2)

@@ -617,21 +617,22 @@ def _log_kernel_far(q: BoundQuery, x: np.ndarray) -> np.ndarray:
     return -n * x + log_a + np.log1p(b_over_a * np.exp(-gap * x))
 
 
-def _sq_norm_nodes(q: BoundQuery, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x = (pi/2) sinh((k + offset) h) of the squared-norm rule and
-    the lam-free log terms of its integrand there,
+def _sq_norm_nodes(q: BoundQuery) -> tuple:
+    """(x, base) of the squared-norm h rule and of its midpoints, the
+    nodes x = (pi/2) sinh(k h) and (pi/2) sinh((k + 1/2) h) that form the
+    h/2 rule, with the lam-free log terms of the integrand there,
 
         log(dx/dt) + (d/2) x + 2 log F(2n-d/2, n, n+1/2; -e^x),
 
-    from one vector kernel call.  offset = 1/2 gives the midpoints that
-    turn the h rule into the h/2 rule."""
-    x, log_dx = _exp_sinh_nodes(-92.0 / q.d, 46.0 / q.n_gap + 10.0, _sq_step(q), offset)
+    from one vector kernel call."""
+    x, log_dx = _exp_sinh_nodes(-92.0 / q.d, 46.0 / q.n_gap + 10.0, _sq_step(q),
+                                np.array([[0.0], [0.5]]))
     far = x > _SQ_X_FAR
     log_k = np.empty_like(x)
     log_k[~far] = log_hyper_kernel(q, np.exp(x[~far]))
     if far.any():
         log_k[far] = _log_kernel_far(q, x[far])
-    return x, log_dx + 0.5 * q.d * x + 2.0 * log_k
+    return tuple(zip(x, log_dx + 0.5 * q.d * x + 2.0 * log_k))
 
 
 def _log_sq_norm_sum(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
@@ -670,21 +671,19 @@ def _log_sq_norm_rule(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray]):
     return log_sq_norm
 
 
-def _log_sq_norm_refined(q: BoundQuery, nodes: tuple[np.ndarray, np.ndarray],
-                         lam: float, tol: float) -> tuple[float, float, int]:
+def _log_sq_norm_refined(q: BoundQuery, nodes: tuple, lam: float,
+                         tol: float) -> tuple[float, float, int]:
     """(log I_h/2, |I_h/2 - I_h| / I_h/2, node count) of the squared-norm
-    integral at lam, given the h-rule nodes; one more kernel call, at the
-    midpoints.  Raises ArithmeticError when the relative difference
-    exceeds tol."""
-    mid = _sq_norm_nodes(q, 0.5)
-    log_h = _log_sq_norm_sum(q, nodes, lam)
-    log_half = float(np.logaddexp(log_h, _log_sq_norm_sum(q, mid, lam))) - math.log(2.0)
+    integral at lam on the nodes of :func:`_sq_norm_nodes`.  Raises
+    ArithmeticError when the relative difference exceeds tol."""
+    log_h, log_mid = (_log_sq_norm_sum(q, part, lam) for part in nodes)
+    log_half = float(np.logaddexp(log_h, log_mid)) - math.log(2.0)
     rule_error = abs(math.expm1(log_h - log_half))
     if not rule_error <= tol:
         raise ArithmeticError(
             f"squared-norm rule error {rule_error:.2e} exceeds {tol:.0e} "
             f"(n={q.n}, d={q.d}, lam={lam})")
-    return log_half, rule_error, len(nodes[0]) + len(mid[0])
+    return log_half, rule_error, sum(len(x) for x, _ in nodes)
 
 
 def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> float:
@@ -707,7 +706,7 @@ def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> flo
         raise DomainError(
             f"squared-kernel norm needs n - d/2 >= {_KB_MIN_GAP}; "
             "use squared_trial_minorant")
-    log_int, _err, _nodes = _log_sq_norm_refined(q, _sq_norm_nodes(q, 0.0), lam, tol)
+    log_int = _log_sq_norm_refined(q, _sq_norm_nodes(q), lam, tol)[0]
     return math.exp(_log_sq_norm_prefactor(q, lam) + log_int)
 
 
@@ -816,9 +815,9 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     """K^B: maximize the Macdonald-kernel quotient over the scale lam.
 
     The squared-kernel norm's kernel does not depend on lam, so it is
-    evaluated once on the h-rule nodes, and each lam that the Newton search
-    (:func:`_search_log_lam`, from lam = 1.4) tries costs one logsumexp
-    with its moments and three 2F1.  K^B is the h/2 rule at the maximizer;
+    evaluated once, on the h rule's nodes and midpoints, and each lam that
+    the Newton search (:func:`_search_log_lam`, from lam = 1.4) tries costs
+    one logsumexp with its moments and three 2F1.  K^B is the h/2 rule at the maximizer;
     its error estimate is half the measured relative difference
     |I_h/2 - I_h| / I_h/2 (K^B goes with the square root of the integral)
     plus a rounding bound for the Gamma constants, and the diagnostics
@@ -829,8 +828,8 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     if q.n_gap < _KB_MIN_GAP:
         raise DomainError(
             f"k_bessel needs n - d/2 >= {_KB_MIN_GAP}; use k_bessel_minorant")
-    nodes = _sq_norm_nodes(q, 0.0)
-    res = _search_log_lam(_lam_objective(q, _log_sq_norm_rule(q, nodes)), 1.4)
+    nodes = _sq_norm_nodes(q)
+    res = _search_log_lam(_lam_objective(q, _log_sq_norm_rule(q, nodes[0])), 1.4)
     lam_star = math.exp(res.argmax[0])
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
     value = _exp_in_range(0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)

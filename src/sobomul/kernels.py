@@ -11,9 +11,8 @@ whole argument range and for large n:
 
   whose Euler integral runs on tanh-sinh nodes in log space and is divided
   by the same rule's value at u = 0, so F(0) = 1 exactly and no Gamma
-  constant enters.  The u-free part of the integrand is tabled once per
-  query; each u then costs one logsumexp over the nodes, checked by the
-  rule of step 2h against the rule of step h.  The kernel enters the
+  constant enters.  Each u costs one logsumexp over the nodes, checked by
+  the rule of step 2h against the rule of step h.  The kernel enters the
   upper curve and the integrand of the (B) squared trial norm.
 * ``upper_curve``       the function of u whose supremum over [0, inf)
   equals the squared upper bound; ``upper_curve_limit`` is its u -> inf
@@ -21,9 +20,14 @@ whole argument range and for large n:
   finite.
 * ``log_upper_curve_rows``  the log upper curve of many queries of one d
   (a :class:`KernelRows`) at one u each, in one call, with its exact slope
-  and curvature in x = log u: the same rule, with one query as its one-row
-  case, for the batched K+ search.  The derivatives cost two more
-  weighted sums over the terms that the value already exponentiates.
+  and curvature in x = log u, for the batched K+ search.  The derivatives
+  cost two more weighted sums over the terms that the value already
+  exponentiates.
+
+One engine evaluates the rule: :class:`KernelRows`, a batch of queries on
+one tanh-sinh level.  ``log_hyper_kernel`` is its one-row case, and a point
+that a level does not settle climbs through a one-row batch of its own
+query one level up.
 
 Log-space variants are provided where the bound evaluators need them.
 """
@@ -35,7 +39,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,12 +112,6 @@ class BoundQuery:
         return (sf.log_gamma(2.0 * self.n - self.d / 2.0) - sf.log_gamma(2.0 * self.n)
                 - 0.5 * self.d * _LOG_4PI)
 
-    @cached_property
-    def _kernel_rules(self) -> dict:
-        """The kernel's rule tables by tanh-sinh level, built on first use
-        and held for this query's later kernel calls."""
-        return {}
-
 
 def _closed_form_upper(n: float, d: int) -> bool:
     """:attr:`BoundQuery.has_closed_form_upper` of (n, d), for callers
@@ -141,81 +138,60 @@ _FIRST_LEVEL = 5
 _KERNEL_TOL = 1e-13
 _ROUNDING = 4.0 * sys.float_info.epsilon
 # Points per (points x nodes) block, so that block stays near 2^16 entries
-# for one query's many u, and near 2^13 for a batch of rows (KernelRows):
-# those blocks also hold a base per point and live beside hundreds of
-# searches, so they are kept small for the sake of peak memory.
+# for one row's many u, and near 2^13 for a batch of rows: those blocks
+# also hold a base per point and live beside hundreds of searches, so they
+# are kept small for the sake of peak memory.
 _BLOCK_ENTRIES = 1 << 16
 _ROWS_BLOCK_ENTRIES = 1 << 13
 # Nodes whose terms stay this far (in log) below every sum are dropped.
 _DROP_BELOW = 50.0
 
 
-class _KernelRule(NamedTuple):
-    """The u-free tables of one query's Euler rule at one tanh-sinh level.
-
-    The first ``h_count`` nodes form the rule of step 2h and all of them
-    the rule of step h.  ``base`` holds log(weight) + (n-1) log s
-    - (1/2) log(1-s) there.  ``log_norm`` is the log of the h rule's sum of
-    exp(base), the w = 0 integral that R is divided by, and ``step0`` the
-    2h rule's sum over the h rule's there; a point's own such ratio over
-    step0 is its 2h value of R over its h value.
-    """
-
-    oms: np.ndarray
-    base: np.ndarray
-    h_count: int
-    expo: float
-    log_norm: float = 0.0
-    step0: float = 1.0
-
-
 @lru_cache(maxsize=None)
-def _rule_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """(log weight, log s, 1-s, log(1-s), 2h-rule node count) of tanh-sinh
-    levels 0..level in level order, nodes of zero weight dropped: the
-    first nodes form the rule of step 2h, all of them the rule of step h.
-    Query-free, so built once per process."""
+def _rule_nodes(level: int) -> tuple[np.ndarray, int]:
+    """(rows log weight, log s, 1-s, log(1-s); 2h-rule node count) of
+    tanh-sinh levels 0..level in level order, nodes of zero weight dropped:
+    the first nodes form the rule of step 2h, all of them the rule of step
+    h.  Query-free, so built once per process."""
     s, oms, weight = (np.concatenate(t) for t in zip(*map(_ts_level, range(level + 1))))
     keep = weight > 0.0
     h_count = int(np.count_nonzero(keep[:-len(_ts_level(level)[0])]))
     s, oms, weight = s[keep], oms[keep], weight[keep]
-    tables = (np.log(weight), np.log(s), oms, np.log(oms))
-    for table in tables:
-        table.flags.writeable = False
-    return (*tables, h_count)
+    tables = np.array([np.log(weight), np.log(s), oms, np.log(oms)])
+    tables.flags.writeable = False
+    return tables, h_count
 
 
-def _rule_sums(rule: _KernelRule, u: np.ndarray, moments: bool = False,
-               spare: np.ndarray | None = None) -> tuple:
+def _rule_sums(u: np.ndarray, oms: np.ndarray, base: np.ndarray, expo: np.ndarray,
+               h_count: int, moments: bool = False, spare: np.ndarray | None = None) -> tuple:
     """For each u of a block: the log of the h rule's sum S of the terms
-    exp(base + expo log1p(u (1-s))), and the 2h rule's sum over S.  With
-    w = u/(1+u),
+    exp(base + expo log1p(u (1-s))), and the 2h rule's sum over S, the 2h
+    rule on the first h_count nodes; oms, base and expo as from
+    :meth:`KernelRows._rule`.  With w = u/(1+u),
 
         log (1 - w s) = log1p(u (1-s)) - log1p(u),
 
     exact at u = 0 and free of cancellation as w -> 1; the caller
     subtracts expo log1p(u) along with the Pfaff factor's n log1p(u).
-    ``base`` and ``expo`` are either one query's, shared by every u, or
-    one row per u (a (points, nodes) base and a (points, 1) expo).
 
     With moments, also the term-weighted means E[q] and E[q^2] of
     q = 1/(1 + u(1-s)), from which the derivatives of log S in log u
     follow (:func:`log_upper_curve_rows`).  q is formed in ``spare``
     where given: a (points, nodes) array that is free once base has been
-    added, such as a per-point base.
+    added, such as a base of one row per point.
     """
-    t = np.multiply.outer(u, rule.oms)
+    t = np.multiply.outer(u, oms)
     np.log1p(t, out=t)
-    t *= rule.expo
-    t += rule.base
+    t *= expo
+    t += base
     top = np.maximum.reduce(t, axis=1, keepdims=True)
     t -= top
     np.exp(t, out=t)
     fine = np.add.reduce(t, axis=1)
-    coarse = np.add.reduce(t[:, :rule.h_count], axis=1)
+    coarse = np.add.reduce(t[:, :h_count], axis=1)
     coarse /= fine
     if moments:
-        q = np.multiply.outer(u, rule.oms, out=spare)
+        q = np.multiply.outer(u, oms, out=spare)
         q += 1.0
         np.divide(1.0, q, out=q)
         mean = np.add.reduce(t * q, axis=1)
@@ -239,7 +215,7 @@ def _node_bases(level: int, n, expo) -> tuple[np.ndarray, np.ndarray]:
     values, which lie above their largest terms.  Nodes whose bound sits
     e^-50 below that are dropped: even the last level's 55,000 nodes
     together move no sum by more than about 1e-17 relative."""
-    log_weight, log_s, _, log_oms, _ = _rule_nodes(level)
+    log_weight, log_s, _, log_oms = _rule_nodes(level)[0]
     base = log_weight + (n - 1.0) * log_s - 0.5 * log_oms
     at_one = base + expo * log_oms
     floor = np.minimum(base.max(axis=-1, keepdims=True),
@@ -247,20 +223,10 @@ def _node_bases(level: int, n, expo) -> tuple[np.ndarray, np.ndarray]:
     return base, np.maximum(base, at_one) >= floor
 
 
-def _kernel_rule(q: BoundQuery, level: int) -> _KernelRule:
-    """Query q's tables on tanh-sinh levels 0..level."""
-    oms, h_count = _rule_nodes(level)[2::2]
-    expo = q.n_gap - 0.5
-    base, keep = _node_bases(level, q.n, expo)
-    rule = _KernelRule(oms[keep], base[keep], int(np.count_nonzero(keep[:h_count])), expo)
-    log_norm, step0 = _rule_sums(rule, np.zeros(1))
-    return rule._replace(log_norm=float(log_norm[0]), step0=float(step0[0]))
-
-
 def _unsettled(step, step0, log_sum, expo, log1pu) -> np.ndarray | None:
     """Mask of the points whose 2h and h values of R differ by more than
     _KERNEL_TOL relative plus the rounding floor, or None if there are
-    none; step0, expo may be one query's or one per point."""
+    none."""
     # the rounding floor only widens the bounds, so points within these
     # settle in any case
     if (np.minimum.reduce(step - step0 * (1.0 - _KERNEL_TOL)) >= 0.0
@@ -271,99 +237,100 @@ def _unsettled(step, step0, log_sum, expo, log1pu) -> np.ndarray | None:
     return off if off.any() else None
 
 
-def _log_kernel(q: BoundQuery, u: np.ndarray, level: int, moments: bool = False):
-    """log F on the rule of the given level, with the points that it does
-    not settle recomputed a level up; with moments, also the moments of
-    :func:`_rule_sums` on the rule that settles each point."""
-    if level > _TS_MAX_LEVEL:
-        raise ArithmeticError(
-            f"kernel rule did not settle by tanh-sinh level {_TS_MAX_LEVEL} "
-            f"(n={q.n}, d={q.d}, u={float(u[0])!r})")
-    rules = q._kernel_rules
-    if level not in rules:
-        rules[level] = _kernel_rule(q, level)
-    rule = rules[level]
-    block = _BLOCK_ENTRIES // rule.base.size
-    if u.size <= block:
-        log_sum, step, *mom = _rule_sums(rule, u, moments)
-    else:
-        log_sum, step, *mom = (np.concatenate(x) for x in zip(
-            *(_rule_sums(rule, u[i:i + block], moments) for i in range(0, u.size, block))))
-    log1pu = np.log1p(u)
-    log_f = log_sum - (rule.log_norm + (2.0 * q.n - 0.5 * q.d - 0.5) * log1pu)
-    off = _unsettled(step, rule.step0, log_sum, rule.expo, log1pu)
-    if off is not None:
-        up = _log_kernel(q, u[off], level + 1, moments)
-        for out, part in zip([log_f, *mom], up if moments else [up]):
-            out[off] = part
-    return (log_f, *mom) if moments else log_f
-
-
 class KernelRows:
-    """Queries of one dimension, one per row, for kernel calls that take
-    one u per row and many rows at once (:func:`log_upper_curve_rows`).
+    """Queries of one dimension, one per row, on one tanh-sinh level, for
+    kernel calls that take one u per row and many rows at once
+    (:func:`log_upper_curve_rows`), or many u of one row
+    (:func:`log_hyper_kernel`, the one-row case).
 
-    Every row shares the query-free node tables of the first level; a row
-    holds only its scalars and the mask of its kept nodes, so a batch over
+    Every row shares the query-free node tables of the level; a row holds
+    only its scalars and the mask of its kept nodes, so a batch over
     hundreds of rows builds no per-row tables.  A block of points takes the
     nodes that any of its rows keeps and forms each point's base from its
     own n, so a row alone in its block sums exactly the terms, in the
-    order, of its query's own rule.  A point that the first level does not
-    settle moves up through its row's query, whose tables of the higher
-    levels stay with it.  Give the rows in ascending n: neighbouring rows
-    then keep nearly the same nodes.  Needs at least one row.
+    order, of its query's own rule; a one-row batch forms that rule once
+    for all its points.  Give the rows in ascending n: neighbouring rows
+    then keep nearly the same nodes.
     """
 
-    def __init__(self, queries) -> None:
+    def __init__(self, queries, level: int = _FIRST_LEVEL) -> None:
         self.queries = list(queries)
+        if not self.queries:
+            raise ValueError("KernelRows needs at least one query")
         self.d = self.queries[0].d
         if any(q.d != self.d for q in self.queries):
             raise ValueError("KernelRows needs queries of one dimension")
+        self.level = level
         self.n = np.array([q.n for q in self.queries])
         self.expo = np.array([q.n_gap - 0.5 for q in self.queries])
-        self.log_scale = np.array([q._log_curve_scale for q in self.queries])
-        self.keep = np.empty((self.n.size, _rule_nodes(_FIRST_LEVEL)[0].size), dtype=bool)
+        self.keep = np.empty((self.n.size, _rule_nodes(level)[0].shape[1]), dtype=bool)
         chunk = max(1, _ROWS_BLOCK_ENTRIES // self.keep.shape[1])
         for i in range(0, self.n.size, chunk):
-            self.keep[i:i + chunk] = _node_bases(_FIRST_LEVEL, self.n[i:i + chunk, None],
+            self.keep[i:i + chunk] = _node_bases(level, self.n[i:i + chunk, None],
                                                  self.expo[i:i + chunk, None])[1]
-        # points per block, from the most nodes that one row keeps
-        self._block = max(1, _ROWS_BLOCK_ENTRIES // int(self.keep.sum(axis=1).max()))
+        # a one-row batch forms its rule once, for all its blocks and calls;
+        # points per block from the most nodes that one row keeps
+        self._one = self._rule(slice(None)) if self.n.size == 1 else None
+        entries = _ROWS_BLOCK_ENTRIES if self._one is None else _BLOCK_ENTRIES
+        self._block = max(1, entries // int(self.keep.sum(axis=1).max()))
+        # log_norm, the h rule's log sum at w = 0, divides R; step0, the 2h
+        # rule's sum over the h rule's there, divides each point's such ratio
         self.log_norm, self.step0 = self._sums(np.arange(self.n.size), np.zeros(self.n.size))
 
+    @cached_property
+    def log_scale(self) -> np.ndarray:
+        """Each row's :attr:`BoundQuery._log_curve_scale`, for the curve."""
+        return np.array([q._log_curve_scale for q in self.queries])
+
+    def _rule(self, rows) -> tuple:
+        """(1-s, base, expo, 2h-rule node count) on the nodes that any of
+        the rows (an index array, or the slice of a one-row batch) keeps,
+        base = log weight + (n-1) log s - (1/2) log(1-s), expo = n - d/2 - 1/2."""
+        tables, h_count = _rule_nodes(self.level)
+        nodes = self.keep[rows].any(axis=0)
+        log_weight, log_s, oms, log_oms = np.compress(nodes, tables, axis=1)
+        base = (self.n[rows, None] - 1.0) * log_s
+        base += log_weight
+        base -= 0.5 * log_oms
+        return oms, base, self.expo[rows, None], int(np.count_nonzero(nodes[:h_count]))
+
     def _sums(self, at: np.ndarray, u: np.ndarray, moments: bool = False) -> tuple:
-        """_rule_sums of the first-level rule at the points (row at[i],
-        u[i]), in blocks of about _ROWS_BLOCK_ENTRIES (point, node) pairs."""
-        log_weight, log_s, oms, log_oms, h_count = _rule_nodes(_FIRST_LEVEL)
+        """_rule_sums of the level's rule at the points (row at[i], u[i]),
+        in blocks of about _BLOCK_ENTRIES (one row) or _ROWS_BLOCK_ENTRIES
+        (point, node) pairs; a block of rows forms its own rule, whose base
+        then holds q."""
         parts = []
         for i in range(0, at.size, self._block):
-            rows = at[i:i + self._block]
-            nodes = self.keep[rows].any(axis=0)
-            # log_weight + (n-1) log s - (1/2) log(1-s), formed in place
-            base = (self.n[rows, None] - 1.0) * log_s[nodes]
-            base += log_weight[nodes]
-            base -= 0.5 * log_oms[nodes]
-            rule = _KernelRule(oms[nodes], base, int(np.count_nonzero(nodes[:h_count])),
-                               self.expo[rows, None])
-            parts.append(_rule_sums(rule, u[i:i + self._block], moments, spare=base))
+            rule = self._one or self._rule(at[i:i + self._block])
+            parts.append(_rule_sums(u[i:i + self._block], *rule, moments,
+                                    spare=None if self._one else rule[1]))
         return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _log_kernel_rows(rows: KernelRows, at: np.ndarray, u: np.ndarray, moments: bool = False):
-    """log F at the points (row at[i], u[i]) in one call: the
-    first-level rule on every point, and each point that it does not settle
-    recomputed through its row's own query a level up; with moments, as
-    in :func:`_log_kernel`."""
+    """log F at the points (row at[i], u[i]) in one call on the rows'
+    level, with the points that it does not settle recomputed a level up,
+    one call per climbing row on a one-row batch of that row's query; with
+    moments, also the moments of :func:`_rule_sums` on the rule that
+    settles each point.  Raises ArithmeticError past _TS_MAX_LEVEL."""
     log_sum, step, *mom = rows._sums(at, u, moments)
     log1pu = np.log1p(u)
     n = rows.n[at]
     log_f = log_sum - (rows.log_norm[at] + (2.0 * n - 0.5 * rows.d - 0.5) * log1pu)
     off = _unsettled(step, rows.step0[at], log_sum, rows.expo[at], log1pu)
     if off is not None:
-        for i in np.flatnonzero(off):
-            up = _log_kernel(rows.queries[at[i]], u[i:i + 1], _FIRST_LEVEL + 1, moments)
+        off = np.flatnonzero(off)
+        if rows.level >= _TS_MAX_LEVEL:
+            q = rows.queries[at[off[0]]]
+            raise ArithmeticError(
+                f"kernel rule did not settle by tanh-sinh level {rows.level} "
+                f"(n={q.n}, d={q.d}, u={float(u[off[0]])!r})")
+        for row in sorted(set(at[off].tolist())):
+            sel = off[at[off] == row]
+            up = _log_kernel_rows(KernelRows([rows.queries[row]], rows.level + 1),
+                                  np.zeros(sel.size, dtype=int), u[sel], moments)
             for out, part in zip([log_f, *mom], up if moments else [up]):
-                out[i] = part[0]
+                out[sel] = part
     return (log_f, *mom) if moments else log_f
 
 
@@ -376,16 +343,19 @@ def log_hyper_kernel(q: BoundQuery, u) -> float | np.ndarray:
                                      / int s^(n-1) (1-s)^(-1/2) ds,
 
     w = u/(1+u), both integrals on the same tanh-sinh nodes and summed in
-    log space.  Each point starts on the query's level-5 tables and moves
-    up while its h and 2h values of R differ by more than 1e-13 relative
-    (plus a rounding floor that matters at large n); past the last level
-    it raises ArithmeticError.
+    log space, by :func:`_log_kernel_rows` on a one-row :class:`KernelRows`.
+    Each point starts on tanh-sinh level 5 and moves up while its h and 2h
+    values of R differ by more than 1e-13 relative (plus a rounding floor
+    that matters at large n); past the last level it raises
+    ArithmeticError.  An empty array gives an empty array.
     """
     u_arr = np.asarray(u, dtype=float)
     flat = u_arr.reshape(-1)
     if not np.minimum.reduce(flat, initial=math.inf) >= 0.0:
         raise ValueError("hyper_kernel needs u >= 0")
-    out = _log_kernel(q, flat, _FIRST_LEVEL)
+    if not flat.size:
+        return np.zeros(u_arr.shape)
+    out = _log_kernel_rows(KernelRows([q]), np.zeros(flat.size, dtype=int), flat)
     return float(out[0]) if u_arr.ndim == 0 else out.reshape(u_arr.shape)
 
 

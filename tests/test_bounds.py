@@ -269,19 +269,21 @@ def test_residual_scan_settles_on_the_first_level(monkeypatch):
     # deterministic counts: every point of the d = 1 and d = 10 scans,
     # the one-row searches at the argmax gaps included, settles on the
     # kernel's first tanh-sinh level; a point that climbs would call
-    # _log_kernel, the level-up path
+    # _log_kernel_rows again on a KernelRows of the next level
     from sobomul import kernels as K
-    climbs, points = [], []
-    for name, out in (("_log_kernel", climbs), ("_log_kernel_rows", points)):
-        def counting(*args, _inner=getattr(K, name), _out=out, **kw):
-            _out.append(np.size(args[1]))
-            return _inner(*args, **kw)
+    levels, points = set(), []
+    inner = K._log_kernel_rows
 
-        monkeypatch.setattr(K, name, counting)
+    def counting(rows, at, u, moments=False):
+        levels.add(rows.level)
+        points.append(u.size)
+        return inner(rows, at, u, moments)
+
+    monkeypatch.setattr(K, "_log_kernel_rows", counting)
     for d in (1, 10):
         B._residual_scan.__wrapped__(d, B.default_residual_grid(d))
     assert sum(points) > 1000
-    assert climbs == []
+    assert levels == {K._FIRST_LEVEL}
 
 
 def test_residual_scan_builds_no_result_objects(monkeypatch):
@@ -512,17 +514,18 @@ def test_bessel_sq_norm_tol_bounds_rule_error():
     # tol caps the measured |I_h/2 - I_h| / I_h/2 of the exp-sinh rule
     q = q_of(2, Fraction(101, 100))
     _log_int, rule_error, _nodes = B._log_sq_norm_refined(
-        q, B._sq_norm_nodes(q, 0.0), 1.4, 1.0)
+        q, B._sq_norm_nodes(q), 1.4, 1.0)
     assert 0.0 < rule_error < 1e-12
     assert B.bessel_trial_sq_norm_sq(q, 1.4, tol=rule_error) > 0.0
     with pytest.raises(ArithmeticError):
         B.bessel_trial_sq_norm_sq(q, 1.4, tol=0.5 * rule_error)
 
 
-def test_k_bessel_evaluates_kernel_twice(monkeypatch):
-    # one vector kernel call on the h-rule nodes, one on the midpoints for
-    # the reported value, and no adaptive quadrature, whatever the gap: the
-    # package has none (the Gauss-Kronrod drivers are test oracles)
+def test_k_bessel_evaluates_kernel_once(monkeypatch):
+    # one vector kernel call per query, on the h rule's nodes and the
+    # midpoints of the reported h/2 rule together, and no adaptive
+    # quadrature, whatever the gap: the package has none (the Gauss-Kronrod
+    # drivers are test oracles)
     from sobomul import quad
     assert not {"integrate_finite", "integrate_semiinf"} & (set(vars(quad)) | set(vars(B)))
     calls = {"kernel": 0}
@@ -537,7 +540,7 @@ def test_k_bessel_evaluates_kernel_twice(monkeypatch):
                  (2, Fraction(101, 100))):
         calls.update(kernel=0)
         res = B.k_bessel(q_of(d, n))
-        assert calls["kernel"] <= 2, (d, n, calls)
+        assert calls["kernel"] == 1, (d, n, calls)
         assert res.diagnostics["nodes"] > 0
         assert 0.0 <= res.diagnostics["rule_error"] <= B.LOWER_TOL
 
@@ -680,6 +683,53 @@ def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
     assert len(calls) <= 3 * n + 2, len(calls)
     assert len(lgc) <= (n + 1) * (n + 2) // 2
     assert len(set(zip(pe, se))) == len(lgc)
+
+
+def _gaussian_sum_tables_by_mask(n, d):
+    """The closed-sum tables as first built: every (l, j, g) of
+    np.indices((n+1,)^3), masked to g <= j <= l (l = j at d = 1)."""
+    from sobomul import specfun
+    lf = np.array([specfun.log_gamma(k + 1.0) for k in range(2 * n + 1)])
+    ell, j, g = np.indices((n + 1,) * 3).reshape(3, -1)
+    keep = (j <= ell) & (g <= j)
+    if d == 1:
+        keep &= ell == j
+    ell, j, g = ell[keep], j[keep], g[keep]
+    lgc = (lf[n] - lf[ell] - lf[n - ell] + lf[ell] - lf[j] - lf[ell - j]
+           + lf[2 * j] - lf[2 * g] - lf[2 * (j - g)])
+    lgc += lf[2 * g] - lf[g] - g * math.log(4.0)
+    if d >= 2:
+        lh = np.array([specfun.log_gamma(d / 2.0 - 0.5 + k) for k in range(n + 1)])
+        up = ell > j
+        lgc[up] += lh[(ell - j)[up]] - lh[0]
+    group = (j - g) * (n + 1) + (ell + g - j)
+    top = np.full((n + 1) ** 2, -np.inf)
+    np.maximum.at(top, group, lgc)
+    acc = np.bincount(group, weights=np.exp(lgc - top[group]), minlength=(n + 1) ** 2)
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    mono = a + b <= n
+    return top[mono] + np.log(acc[mono]), 2.0 * a[mono], b[mono] - d / 2.0
+
+
+def test_gaussian_sum_tables_build_only_kept_terms():
+    # the tables form only the (n+1)(n+2)(n+3)/6 kept (l, j, g), in the
+    # l-major order of the masked np.indices build, so they are its bits;
+    # a cold build at (n, d) = (47, 8) peaks below 1 MB (3.24 MB masked)
+    import tracemalloc
+    for n in (1, 2, 7, 47, 50):
+        for d in (1, 2, 8):
+            G._gaussian_sum_tables.cache_clear()
+            got, want = G._gaussian_sum_tables(n, d), _gaussian_sum_tables_by_mask(n, d)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), (n, d)
+    G._gaussian_sum_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        G._gaussian_sum_tables(47, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        G._gaussian_sum_tables.cache_clear()
+    assert peak < 1e6, peak
 
 
 def test_gaussian_norm_gaussian_limit():

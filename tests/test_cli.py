@@ -405,3 +405,32 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+def test_cli_routes_never_import_numpy_ma():
+    # in one fresh interpreter, table1, table2 and sandwich on the (B),
+    # (BB), (F) and (FF) routes never import numpy.ma, whose first (lazy)
+    # import costs about 1.6 MB of peak RSS
+    import os
+    import subprocess
+    import sys
+    script = """
+import contextlib, io, json, sys
+from sobomul import cli
+runs = [["table1", "-d", "1"], ["table2", "--dmax", "2"],
+        ["sandwich", "-n", "3/2", "-d", "2"], ["sandwich", "-n", "1001/1000", "-d", "2"],
+        ["sandwich", "-n", "4", "-d", "2"], ["sandwich", "-n", "60", "-d", "1"]]
+codes, tags = [], []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv + ["--json"]))
+    if argv[0] == "sandwich":
+        tags.append(json.loads(out.getvalue())["records"][0]["tag"])
+print(codes, tags, "numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    want = "[0, 0, 0, 0, 0, 0] ['(B)', '(BB)', '(F)', '(FF)'] False\n"
+    assert done.stdout == want, (done.stdout, done.stderr)

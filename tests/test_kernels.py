@@ -143,6 +143,21 @@ def test_kernel_against_hyp2f1_oracle():
     assert [log_hyper_kernel(q, float(u)) for u in us] == list(log_hyper_kernel(q, us))
 
 
+def _spy_kernel_calls(monkeypatch) -> list:
+    """Record (first row's n, level, moments) of every _log_kernel_rows
+    call, each climb's call on a one-row KernelRows of the next level
+    included."""
+    calls = []
+    inner = K._log_kernel_rows
+
+    def spy(rows, at, u, moments=False):
+        calls.append((float(rows.n[0]), rows.level, moments))
+        return inner(rows, at, u, moments)
+
+    monkeypatch.setattr(K, "_log_kernel_rows", spy)
+    return calls
+
+
 def test_kernel_moves_up_a_level_then_raises(monkeypatch):
     # (1, 0.55) at u = e^150: the level-6 rule's h and 2h values of R differ
     # by far more than 1e-13, so the point climbs on, to level 9, where it
@@ -151,15 +166,29 @@ def test_kernel_moves_up_a_level_then_raises(monkeypatch):
     from sobomul.bounds import _log_kernel_far
     q = BoundQuery(d=1, n=0.55)
     far = float(_log_kernel_far(q, np.array([150.0]))[0])
-    rule = K._kernel_rule(q, 6)
-    _, step = K._rule_sums(rule, np.array([math.exp(150.0)]))
-    assert abs(step[0] / rule.step0 - 1.0) > 1e-9
+    rows = K.KernelRows([q], 6)
+    _, step = rows._sums(np.array([0]), np.array([math.exp(150.0)]))
+    assert abs(step[0] / rows.step0[0] - 1.0) > 1e-9
+    calls = _spy_kernel_calls(monkeypatch)
     assert rel_err(log_hyper_kernel(q, math.exp(150.0)), far) <= 1e-14
+    assert [level for _, level, _ in calls] == [5, 6, 7, 8, 9]
     monkeypatch.setattr(K, "_TS_MAX_LEVEL", 6)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="level 6"):
         log_hyper_kernel(BoundQuery(d=1, n=0.55), math.exp(150.0))
     with pytest.raises(ValueError):
         log_hyper_kernel(q, np.array([1.0, -1e-3]))
+
+
+def test_kernel_of_no_points_is_empty():
+    # an empty u gives an empty result of its shape; a batch needs a row
+    q = BoundQuery(d=2, n=1.7)
+    for f in (log_hyper_kernel, hyper_kernel, K.log_upper_curve, upper_curve):
+        for shape in ((0,), (2, 0)):
+            out = f(q, np.zeros(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape, (f, shape)
+    assert log_hyper_kernel(q, []).shape == (0,)
+    with pytest.raises(ValueError, match="at least one query"):
+        K.KernelRows([])
 
 
 def test_one_row_kernel_batch_is_bit_identical_to_the_query():
@@ -207,6 +236,32 @@ def test_kernel_rows_masks_match_each_query():
             assert np.array_equal(rows.keep[i], want)
 
 
+def test_kernel_rows_climbs_give_each_row_its_one_row_bits(monkeypatch):
+    # a batch of many rows of which three climb, to levels 9, 7 and 8:
+    # each climbing row is recomputed on a one-row KernelRows of its own
+    # query, one call per row and level, so its value and moments are that
+    # one-row batch's bits and log_hyper_kernel's; the settled rows share
+    # their blocks' nodes and stay within 1e-14
+    climbing = {0.55: math.exp(150.0), 300.0: 23.7, 1000.0: 23.7}
+    cases = sorted([*climbing.items(), *((float(n), 1.0) for n in np.geomspace(0.6, 200.0, 40))])
+    calls = _spy_kernel_calls(monkeypatch)
+    rows = K.KernelRows([BoundQuery(d=1, n=n) for n, _ in cases])
+    got = K._log_kernel_rows(rows, np.arange(len(cases)), np.array([u for _, u in cases]),
+                             moments=True)
+    assert [(n, level) for n, level, _ in calls[1:]] == [
+        (0.55, 6), (0.55, 7), (0.55, 8), (0.55, 9), (300.0, 6), (300.0, 7),
+        (1000.0, 6), (1000.0, 7), (1000.0, 8)]
+    for i, (n, u) in enumerate(cases):
+        q = BoundQuery(d=1, n=n)
+        want = [v[0] for v in K._log_kernel_rows(K.KernelRows([q]), np.array([0]),
+                                                 np.array([u]), moments=True)]
+        if n in climbing:
+            assert [v[i] for v in got] == want, (n, u)
+            assert got[0][i] == log_hyper_kernel(q, u), (n, u)
+        else:
+            assert all(abs(v[i] - w) <= 1e-14 * max(1.0, abs(w)) for v, w in zip(got, want))
+
+
 def test_upper_curve_rows_derivatives_against_mp_hyp2f1(monkeypatch):
     # slope and curvature in x = log u against 30-digit numerical
     # differentiation of the curve built on mp.hyp2f1, on both sides of
@@ -222,14 +277,7 @@ def test_upper_curve_rows_derivatives_against_mp_hyp2f1(monkeypatch):
              (4, 2.500001 + 0.5, 3e11), (6, 3.5 + 1e-3, 1e5), (8, 4.75, 1.0),
              (9, 24.0, 0.9), (10, 205.0, 1.1), (1, 0.5 + 199.9, 1e12),
              (1, 300.0, 23.7), (1, 1000.0, 23.7)]
-    levels = []
-    inner = K._log_kernel
-
-    def spy(q, u, level, moments=False):
-        levels.append((q.n, level, moments))
-        return inner(q, u, level, moments)
-
-    monkeypatch.setattr(K, "_log_kernel", spy)
+    levels = _spy_kernel_calls(monkeypatch)
     ones = [(d, n, u) for d, n, u in cases if d == 1]
     rows = K.KernelRows([BoundQuery(d=1, n=n) for _, n, _ in ones])
     batch = dict(zip(ones, zip(*K.log_upper_curve_rows(rows, np.arange(len(ones)),

@@ -74,7 +74,7 @@ def test_lam_search_derivatives_against_mp_hyp2f1(lam):
                        BoundQuery(d=5, n=2.5 + 0.05))]
     for d, n in ((2, 3.0), (1, 1.5), (7, 4.5)):
         q = BoundQuery(d=d, n=n)
-        nodes = B._sq_norm_nodes(q, 0.0)
+        nodes = B._sq_norm_nodes(q)[0]
         cases.append((B._lam_objective(q, B._log_sq_norm_rule(q, nodes)),
                       _mp_bessel_quotient(q, nodes)))
     with mp.workdps(30):
@@ -98,11 +98,11 @@ def _brent_bb(q):
 def _brent_b(q):
     """K^B by the Brent search that the Newton search replaced: on the h
     rule, then the h/2 rule at its argmax."""
-    nodes = B._sq_norm_nodes(q, 0.0)
+    nodes = B._sq_norm_nodes(q)
 
     def log_quotient(x):
         lam = math.exp(x)
-        return (0.5 * (B._log_sq_norm_prefactor(q, lam) + B._log_sq_norm_sum(q, nodes, lam))
+        return (0.5 * (B._log_sq_norm_prefactor(q, lam) + B._log_sq_norm_sum(q, nodes[0], lam))
                 - math.log(B.bessel_trial_norm_sq(q, lam, validate=False)))
 
     res = maximize_1d(log_quotient, B._LAM_LO, B._LAM_HI, math.log(1.4), tol_x=1e-7)

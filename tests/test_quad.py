@@ -188,14 +188,22 @@ def test_corpus_tolerance_monotonicity():
 # tanh-sinh
 # ----------------------------------------------------------------------
 
-def test_tanh_sinh_nodes_built_once():
+def test_tanh_sinh_nodes_built_once(monkeypatch):
     # each level's (s, 1-s, w) tables are built at most once per process and
     # are read-only, so no kernel evaluation can alter the shared nodes;
     # (n, d) = (5000, 1) at u = 23.7 climbs to level 9
+    from sobomul import kernels as K
+    levels = []
+
+    def spy(rows, level=K._FIRST_LEVEL, _cls=K.KernelRows):
+        levels.append((rows[0].n, level))
+        return _cls(rows, level)
+
+    monkeypatch.setattr(K, "KernelRows", spy)
     queries = [BoundQuery(d=d, n=n) for n, d in ((5000.0, 1), (1.0 + 1e-9, 2), (7.0, 3))]
     for q in queries:
         log_hyper_kernel(q, np.array([0.0, 1.0, 23.7, 1e3, 1e8]))
-    assert max(queries[0]._kernel_rules) >= 9
+    assert max(level for n, level in levels if n == 5000.0) >= 9
     info = quad._ts_level.cache_info()
     assert info.currsize == info.misses <= quad._TS_MAX_LEVEL + 1
     assert info.hits > info.misses
