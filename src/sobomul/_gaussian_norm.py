@@ -6,10 +6,10 @@ norm is
     sigma^-d int_{R^d} (1 + |k|^2)^n exp(-|k - p e_1|^2 / sigma) dk.
 
 Integer n up to 50 takes a closed triple sum, any other n a trapezoid
-rule in k_1 times an exp-sinh rule in |k_perp|^2.  Every evaluator takes
-k pairs (p, sigma) at once and returns per-pair arrays, with the gradient
-and Hessian in (log p, log sigma) that the (F) search steps on, so one
-call serves every live start of the search and both norms of its
+rule in asinh(k_1) times an exp-sinh rule in |k_perp|^2.  Every evaluator
+takes k pairs (p, sigma) at once and returns per-pair arrays, with the
+gradient and Hessian in (log p, log sigma) that the (F) search steps on,
+so one call serves every live start of the search and both norms of its
 quotient.  The exp-sinh nodes are shared with the (B) squared-norm rule
 in :mod:`sobomul.bounds`.
 """
@@ -115,31 +115,31 @@ def _log_gaussian_norm_sq_sum(q: BoundQuery, p, sigma, moments: bool = False):
 # Off the closed sum the Gaussian trial norm is, with s = |k_perp|^2,
 #     sigma^-d pi^((d-1)/2) / Gamma((d-1)/2) int dk_1 exp(-(k_1 - p)^2 / sigma)
 #         int_0^inf s^((d-3)/2) (1 + k_1^2 + s)^n exp(-s / sigma) ds
-# (d = 1 keeps the k_1 integral).  The uniform trapezoid rule in k_1 errs
-# like exp(-2 pi / h) for the branch points at distance 1 and like
-# exp(-pi^2 / (h^2 (1/sigma + n/8))) for the integrand's growth off the real
-# line (Trefethen & Weideman, SIAM Rev. 56, 2014), hence its step.  s takes
+# (d = 1 keeps the k_1 integral).  k_1 takes the trapezoid rule in
+# t_1 = asinh(k_1), where the peak near k_1 = sqrt(n sigma) is about
+# 1/sqrt(n) wide whatever sigma (~ 1/gap) is.  Off the real line
+# cosh(t_1)^(2n+1) only shrinks and the Gaussian grows like exp(2 nu y^2),
+# decaying only for |y| < pi/4, so a step h errs like exp(-pi^2 / (2 nu h^2))
+# (Trefethen & Weideman, SIAM Rev. 56, 2014); _k1_step sets that error to
+# e^-_K1_LOG_TOL, its step capped at _K1_MAX_STEP for the strip.  s takes
 # the exp-sinh rule in x = log s, centred on each k_1 row's peak.  Both are
 # cut 40 nats below the peak.  Searches run on the h rule; reported values
 # add the midpoints in both variables (the h/2 rule) and measure |I_h/2 - I_h|.
+_K1_LOG_TOL = 27.6
+_K1_MAX_STEP = 0.1
 _GAUSS_T_STEP = 0.07
 _GAUSS_CUT = 40.0
-# The optimal sigma grows like 1/gap and the k_1 grid like sqrt(60 sigma)/h,
-# so a rule call refuses (ArithmeticError) to allocate more nodes than this
-# for one pair; the workloads' blocks stay below 3e5 nodes per pair.
-_GAUSS_MAX_NODES = 2 ** 22
-# A call whose padded k_1 grids pass this many nodes takes its pairs in
-# halves: at that size padding a small pair to a large one costs more than
-# a call, and the arrays stay small.  The workloads' calls stay below it.
-_GAUSS_GROUP = 2 ** 16
 # Nodes per chunk of the exp-sinh rows, few enough to stay in cache.
 _GAUSS_CHUNK = 8192
 
 
-def _check_block_size(nodes: int) -> None:
-    if nodes > _GAUSS_MAX_NODES:
-        raise ArithmeticError(f"Gaussian-trial rule block of {nodes} nodes exceeds "
-                              f"{_GAUSS_MAX_NODES}: the gap is too small for the (F) rule")
+def _k1_step(n: float, p: float, sigma: float) -> float:
+    """The step in asinh(k_1) at (p, sigma): nu is n + 1/2 for a moving peak
+    (large sigma) plus (1 + 2 p^2) / (2 sigma) for one pinned near p, less
+    the power's shrinking there."""
+    m = n + 0.5
+    nu = m + (1.0 + 2.0 * p * p) / (2.0 * sigma) - m / (2.0 * (1.0 + p * p + m * sigma))
+    return 1.0 / math.sqrt(2.0 * _K1_LOG_TOL * nu / math.pi ** 2 + _K1_MAX_STEP ** -2)
 
 
 def _row_moments(n: float, rise: np.ndarray, fall: np.ndarray, x_rel: np.ndarray,
@@ -178,11 +178,11 @@ def _gaussian_rule_block(q: BoundQuery, p, sigma, k_offset,
                          t_offset: float) -> tuple[np.ndarray, ...]:
     """(log of the h rule (k,), its gradient (k, 2), its Hessian (k, 2, 2),
     node count (k,)) of the Gaussian trial norm at each of the k pairs
-    (p, sigma), on the nodes shifted by k_offset steps in k_1 (a scalar or
-    one per pair) and t_offset in the exp-sinh variable; offsets of 1/2
-    give the midpoints.  The pairs' k_1 grids differ in step and reach:
+    (p, sigma), on the nodes shifted by k_offset steps in asinh(k_1) (a
+    scalar or one per pair) and t_offset in the exp-sinh variable; offsets
+    of 1/2 give the midpoints.  The pairs' grids differ in step and reach:
     each is a row of one array, padded to the longest with nodes of
-    weight 0 (pairs whose rows together pass _GAUSS_GROUP go in halves).
+    weight 0.
 
     The derivatives, in (log p, log sigma), are the rule's with its nodes
     held fixed.  With r = k_1 - p the log integrand has first derivatives
@@ -195,34 +195,28 @@ def _gaussian_rule_block(q: BoundQuery, p, sigma, k_offset,
     p, sigma = np.ravel(p), np.ravel(sigma)
     pairs = []
     for p_i, sigma_i in zip(p.tolist(), sigma.tolist()):
-        h1 = min(0.5 / math.sqrt(1.0 / sigma_i + n / 8.0), 0.25)
-        # Beyond |k| = hi the integrand lies 60 nats below its value at p e_1.
-        hi = p_i + math.sqrt(sigma_i * 60.0)
-        while n * math.log1p(hi * hi) > (hi - p_i) ** 2 / sigma_i - 60.0:
-            hi *= 1.5
-        pairs.append((h1, math.ceil(hi / h1), 2.0 * p_i / sigma_i,
-                      math.log(h1) - d * math.log(sigma_i)))
-    h1, m, slope, log_scale = np.array(pairs).T
-    width = int(m.max())
-    _check_block_size(2 * width + 1)
-    if p.size > 1 and p.size * (2 * width + 1) > _GAUSS_GROUP:
-        k_offset = np.broadcast_to(k_offset, p.shape)
-        halves = slice(p.size // 2), slice(p.size // 2, None)
-        parts = [_gaussian_rule_block(q, p[h], sigma[h], k_offset[h], t_offset) for h in halves]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    p, sigma, slope = p[:, None], sigma[:, None], slope[:, None]
-    j = np.arange(-width, width + 1)
-    k1 = (j + np.asarray(k_offset)[..., None]) * h1[:, None]
+        h = _k1_step(n, p_i, sigma_i)
+        # beyond |k_1| = p + w the integrand lies 60 nats below its value at p
+        w = math.sqrt(sigma_i * 60.0)
+        while (n + 0.5) * math.log1p((p_i + w) ** 2) > w * w / sigma_i - 60.0:
+            w *= 1.5
+        pairs.append((h, math.ceil(math.asinh(p_i + w) / h), 2.0 * p_i / sigma_i,
+                      math.log(h) - d * math.log(sigma_i)))
+    h, m, slope, log_scale = np.array(pairs).T
+    p, sigma, slope, m = p[:, None], sigma[:, None], slope[:, None], m[:, None]
+    j = np.arange(-int(m.max()), int(m.max()) + 1)
+    inside = np.abs(j) <= m
+    # padded nodes repeat a row's end nodes, so no k_1 runs past its reach
+    k1 = np.sinh((np.clip(j, -m, m) + np.asarray(k_offset)[..., None]) * h[:, None])
     a = 1.0 + k1 * k1
     dk = k1 - p
     gauss = dk * dk / sigma
-    inside = np.abs(j) <= m[:, None]
     if d == 1:
-        y = np.where(inside, n * np.log(a) - gauss, -np.inf)
+        y = np.where(inside, (n + 0.5) * np.log(a) - gauss, -np.inf)
         top = y.max(axis=1)
         weight = np.exp(y - top[:, None])
         t_mean = 0.0
-        nodes = 2 * m.astype(int) + 1
+        nodes = 2 * m[:, 0].astype(int) + 1
     else:
         # A row's log integrand -gauss + b x + n log(a + e^x) - e^x / sigma,
         # b = (d-1)/2, peaks at x* = log s*, s* the positive root of
@@ -235,21 +229,21 @@ def _gaussian_rule_block(q: BoundQuery, p, sigma, k_offset,
         r = np.sqrt(c * c + 4.0 * sba)
         s_peak = np.where(c > 0.0, 2.0 * sba / (r + np.abs(c)), 0.5 * (r - c))
         a_peak, t_peak = a + s_peak, s_peak / sigma
-        row_peak = np.where(inside, b * np.log(s_peak) + n * np.log(a_peak) - t_peak - gauss,
-                            -np.inf)
+        row_peak = np.where(inside, b * np.log(s_peak) + n * np.log(a_peak) - t_peak - gauss
+                            + 0.5 * np.log(a), -np.inf)
         top = row_peak.max(axis=1)
         keep = row_peak > top[:, None] - _GAUSS_CUT
+        rise = (s_peak / a_peak)[keep]
+        # curvature b + n rise^2 at x*; _GAUSS_T_STEP resolves up to about 60
+        step = min(_GAUSS_T_STEP, math.sqrt(8.0 / (_K1_LOG_TOL * (b + n * float(rise.max()) ** 2))))
         reach = 1.0 + _GAUSS_CUT / b
-        x_rel, log_dx = _exp_sinh_nodes(-reach, math.log(2.0 * reach),
-                                        _GAUSS_T_STEP, t_offset)
+        x_rel, log_dx = _exp_sinh_nodes(-reach, math.log(2.0 * reach), step, t_offset)
         nodes = keep.sum(axis=1) * x_rel.size
-        _check_block_size(int(nodes.max()))
         moments = np.zeros(keep.shape + (3,))
-        moments[keep] = _row_moments(n, (s_peak / a_peak)[keep], t_peak[keep],
-                                     x_rel, b * x_rel + log_dx)
+        moments[keep] = _row_moments(n, rise, t_peak[keep], x_rel, b * x_rel + log_dx)
         weight = np.exp(row_peak - top[:, None]) * moments[..., 0]
         t_mean, t_sq = moments[..., 1], moments[..., 2]
-        log_scale += b * _LOG_PI - math.lgamma(b) + math.log(_GAUSS_T_STEP)
+        log_scale += b * _LOG_PI - math.lgamma(b) + math.log(step)
     total = weight.sum(axis=1)
     w = weight / total[:, None]
     feats = np.empty((p.size, 2, dk.shape[1]))

@@ -32,9 +32,10 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         quotient's exact slope and curvature.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
                         plane-wave quotient; off the integer-n closed sum
-                        its norms take a trapezoid x exp-sinh rule (both
-                        in :mod:`sobomul._gaussian_norm`, for many pairs
-                        per call).  A trust-region Newton search finds
+                        its norms take a trapezoid rule in asinh(k_1)
+                        times an exp-sinh rule (both in
+                        :mod:`sobomul._gaussian_norm`, for many pairs per
+                        call).  A trust-region Newton search finds
                         the sup, its three starts in lockstep, on the
                         gradient and Hessian that both norm routes form
                         exactly from their log-sum-exp weights: one
@@ -111,10 +112,11 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 _BB_SWITCH = 0.1 * (1.0 + 1e-9)
 _FF_SWITCH = 50.0
 _KB_MIN_GAP = 0.01
-# Relative quadrature tolerances of the lower bounds: the (F) and (FF) error
-# estimates, and caps on the reported values' measured rule errors.
+# Caps on the lower bounds' measured relative rule errors.
 LOWER_TOL = 1e-9
 _FF_TOL = 1e-10
+# Rounding of a Gaussian log norm per unit of max(1, |log N|) (1.4e-15 measured)
+_LOG_NORM_ROUNDING = 4e-15
 
 TAG_BY_KIND = {
     "lower_bessel": "(B)",
@@ -876,7 +878,7 @@ def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
         sigma^-d int_{R^d} (1 + |k|^2)^n exp(-|k - p e_1|^2 / sigma) dk.
 
     Integer n up to 50 uses the closed triple sum, any other n the h/2 value
-    of a trapezoid rule in k_1 times an exp-sinh rule in |k_perp|^2; tol
+    of a trapezoid rule in asinh(k_1) times an exp-sinh rule in |k_perp|^2; tol
     bounds its relative difference from the h rule (ArithmeticError above
     it).  validate (default: on for the closed sum when tol <= 1e-9) runs
     both routes, which must agree to 1e-11 (TwoPathMismatch otherwise).
@@ -904,18 +906,21 @@ def gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
 
 
 def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,
-                          tol: float) -> tuple[float, dict]:
-    """log of the plane-wave quotient at (p, sigma), with the norm route as
-    diagnostics.  Off the closed sum the norms take the h/2 rule, both in
-    one refined call, and the diagnostics add the nodes of both norms and
-    the larger of their rule errors."""
+                          tol: float) -> tuple[float, float, dict]:
+    """(log of the plane-wave quotient at (p, sigma), a bound on its relative
+    error, the norm route as diagnostics).  The bound is a rounding floor
+    plus, off the closed sum, the measured errors of the h/2 rule, which takes
+    both norms in one call; the diagnostics add their nodes and larger error."""
     pairs = np.array([2.0 * p, p]), np.array([2.0 * sigma, sigma])
+    errors, diags = (0.0, 0.0), {"route": "closed_sum"}
     if _on_closed_sum(q):
         num, den = _log_gaussian_norm_sq_sum(q, *pairs)
-        return float(0.5 * num - den), {"route": "closed_sum"}
-    (num, den), errors, nodes = _log_gaussian_norm_sq_refined(q, *pairs, tol)
-    return float(0.5 * num - den), {"route": "rule", "nodes": int(nodes.sum()),
-                                    "rule_error": float(errors.max())}
+    else:
+        (num, den), errors, nodes = _log_gaussian_norm_sq_refined(q, *pairs, tol)
+        diags = {"route": "rule", "nodes": int(nodes.sum()), "rule_error": float(max(errors))}
+    error = 0.5 * errors[0] + errors[1] + _LOG_NORM_ROUNDING * (
+        0.5 * max(1.0, abs(num)) + max(1.0, abs(den)))
+    return float(0.5 * num - den), float(error), diags
 
 
 def _fourier_search_objective(q: BoundQuery):
@@ -950,11 +955,11 @@ def k_fourier(q: BoundQuery) -> BoundResult:
     the maximizer, one rule call per exp-sinh offset."""
     res = maximize_2d(_fourier_search_objective(q), _fourier_starts(q.n))
     p_star, sigma_star = res.argmax
-    log_value, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
+    log_value, error, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
     value = _exp_in_range(log_value, "K^F", q)
     return BoundResult(value=value, kind="lower_fourier",
                        argmax=TrialParams(p=p_star, sigma=sigma_star),
-                       error_estimate=value * LOWER_TOL,
+                       error_estimate=value * error,
                        diagnostics={"evaluations": res.iterations,
                                     "converged": res.converged, **diags})
 
@@ -963,11 +968,11 @@ def k_fourier_fixed(q: BoundQuery) -> BoundResult:
     """K^FF: the quotient at the frozen pair (1/(2 sqrt 2), 3/(4n))."""
     p = 0.5 / math.sqrt(2.0)
     sigma = 0.75 / q.n
-    log_value, diags = _log_fourier_quotient(q, p, sigma, _FF_TOL)
+    log_value, error, diags = _log_fourier_quotient(q, p, sigma, _FF_TOL)
     value = _exp_in_range(log_value, "K^FF", q)
     return BoundResult(value=value, kind="lower_fourier_ff",
                        argmax=TrialParams(p=p, sigma=sigma),
-                       error_estimate=value * _FF_TOL,
+                       error_estimate=value * error,
                        diagnostics=diags)
 
 

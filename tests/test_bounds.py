@@ -660,6 +660,23 @@ def test_gaussian_norm_two_path():
     assert val > 0.0
 
 
+@pytest.mark.parametrize("route, evaluate", [
+    ("_log_gaussian_norm_sq_sum",
+     lambda q: B.log_gaussian_trial_norm_sq(q, 0.511, 1.05, validate=True)),
+    ("_log_bessel_norm_sq_sum", lambda q: B.bessel_trial_norm_sq(q, 2.0, validate=True)),
+])
+def test_two_path_mismatch_raises(monkeypatch, route, evaluate):
+    # each two-path check passes as is and raises once one of its two
+    # routes is off by 1e-8 in the log: the Gaussian norm's closed sum
+    # against its rule, the Bessel norm's binomial sum against its 2F1
+    q = q_of(2, 2)
+    evaluate(q)
+    exact = getattr(B, route)
+    monkeypatch.setattr(B, route, lambda *args, **kwargs: exact(*args, **kwargs) + 1e-8)
+    with pytest.raises(B.TwoPathMismatch):
+        evaluate(q)
+
+
 def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
     # the closed-sum tables index one vector of log k! (k <= 2n) and one of
     # log Gamma(d/2 - 1/2 + k) (k <= n): 3n + 2 log_gamma calls in all.
@@ -798,9 +815,58 @@ def test_gaussian_norm_rule_matches_closed_sum_on_grid():
     assert worst <= 1e-12, worst
 
 
+# Nodes of one h rule at one pair (k_1 rows times exp-sinh nodes for
+# d >= 2); the largest seen over d <= 10, n <= d/2 + 300 and sigma <= 1e12
+# is about 3.2e5, at d = 2, n = 301 and sigma = 1e12, and the (F) search
+# reaches at most about 3e4 (d = 2, gap 1e-12).
+RULE_NODES_PER_PAIR = 2 ** 19
+
+
+def _rule_nodes(q, p, sigma):
+    return int(G._gaussian_rule_block(q, np.array([p]), np.array([sigma]), 0.0, 0.0)[3][0])
+
+
+def test_gaussian_rule_matches_closed_sum_at_any_sigma():
+    # the rule in asinh(k_1) against the closed sum from sigma = 1e-3 up to
+    # 1e8, far past the (F) search's box, within 1e-13 of the log's size;
+    # its nodes stay bounded as sigma grows
+    worst = 0.0
+    for d in (1, 2, 5, 10):
+        for n in (k for k in (1, 2, 5, 17, 47) if k > d / 2):
+            q = q_of(d, n)
+            for p in (0.2, 0.9, 2.0):
+                for sigma in np.geomspace(1e-3, 1e8, 12).tolist():
+                    rule = G._log_gaussian_norm_sq_refined(q, p, sigma, 1e-10)[0]
+                    closed = G._log_gaussian_norm_sq_sum(q, p, sigma)
+                    worst = max(worst, abs(rule - closed) / max(1.0, abs(closed)))
+                    assert _rule_nodes(q, p, sigma) <= RULE_NODES_PER_PAIR, (d, n, p, sigma)
+    assert worst <= 1e-13, worst
+
+
+def test_gaussian_rule_error_is_bounded_at_any_sigma():
+    # off the closed sum: the rule's measured |I_h/2 - I_h| / I_h/2 and its
+    # nodes per pair over d <= 10, any gap up to 300, p in [0.01, 2] and
+    # sigma up to 1e12
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(d=st.integers(1, 10), gap=st.floats(1e-12, 300.0),
+                      p=st.floats(0.01, 2.0), log_sigma=st.floats(-3.0, 12.0))
+    def check(d, gap, p, log_sigma):
+        q = BoundQuery(d=d, n=d / 2.0 + gap)
+        sigma = 10.0 ** log_sigma
+        _log_norm, rule_error, _nodes = G._log_gaussian_norm_sq_refined(q, p, sigma, 1.0)
+        assert rule_error <= 1e-10, (d, q.n, p, sigma, rule_error)
+        assert _rule_nodes(q, p, sigma) <= RULE_NODES_PER_PAIR, (d, q.n, p, sigma)
+
+    check()
+
+
 def test_gaussian_norm_tol_bounds_rule_error():
     # tol caps the measured |I_h/2 - I_h| / I_h/2 of the Gaussian-norm rule
-    q, p, sigma = q_of(1, Fraction(61, 2)), 0.2, 0.038
+    # (at a pair where the two rules differ in their last bits)
+    q, p, sigma = q_of(1, Fraction(61, 2)), 0.4, 0.2
     _log_norm, rule_error, _nodes = G._log_gaussian_norm_sq_refined(q, p, sigma, 1.0)
     assert 0.0 < rule_error < 1e-12
     assert B.log_gaussian_trial_norm_sq(q, p, sigma, tol=rule_error) > 0.0
@@ -809,13 +875,18 @@ def test_gaussian_norm_tol_bounds_rule_error():
 
 
 def test_fourier_diagnostics_name_norm_route():
-    closed = B.k_fourier_fixed(q_of(2, 4)).diagnostics
-    assert closed == {"route": "closed_sum"}
+    # the route, and an error estimate that is the measured one: a rounding
+    # floor on the closed sum, the weighted rule errors on the rule
+    closed = B.k_fourier_fixed(q_of(2, 4))
+    assert closed.diagnostics == {"route": "closed_sum"}
+    assert 0.0 < closed.error_estimate <= 1e-13 * closed.value
     for res, tol in ((B.k_fourier_fixed(q_of(1, 60)), B._FF_TOL),
                      (B.k_fourier(q_of(1, Fraction(61, 2))), B.LOWER_TOL)):
         assert res.diagnostics["route"] == "rule"
         assert res.diagnostics["nodes"] > 0
-        assert 0.0 <= res.diagnostics["rule_error"] <= tol
+        rule_error = res.diagnostics["rule_error"]
+        assert 0.0 <= rule_error <= tol
+        assert 0.5 * rule_error < res.error_estimate / res.value <= 1.5 * rule_error + 1e-12
 
 
 @pytest.mark.parametrize("d, n", [(1, 3), (3, 12), (1, Fraction(61, 2)),
@@ -865,30 +936,6 @@ def test_rule_block_rows_match_one_pair_calls(d, n):
             assert rel_err(rows[0][i], one[0][0]) <= 1e-15
             for got, want in zip(rows[1:3], one[1:3]):
                 assert np.abs(got[i] - want[0]).max() <= 2e-15 * np.abs(want[0]).max()
-
-
-def test_rule_block_takes_large_calls_in_halves(monkeypatch):
-    # pairs whose padded k_1 grids together pass _GAUSS_GROUP nodes go in
-    # halves, down to groups below it or single pairs: the same values as
-    # one array of all pairs
-    q = q_of(1, Fraction(61, 2))
-    p, sigma = np.array([0.35, 0.7, 0.4, 0.8, 0.3]), np.array([0.75, 1.5, 1.0, 2.0, 4.0]) / q.n
-    whole = G._gaussian_rule_block(q, p, sigma, 0.5, 0.0)
-    calls = []
-    block = G._gaussian_rule_block
-
-    def counting(*args):
-        calls.append(args[1].size)
-        return block(*args)
-
-    monkeypatch.setattr(G, "_gaussian_rule_block", counting)
-    monkeypatch.setattr(G, "_GAUSS_GROUP", 2 * int(whole[3].max()))
-    split = G._gaussian_rule_block(q, p, sigma, 0.5, 0.0)
-    assert calls == [5, 2, 3, 1, 2]
-    assert split[3].tolist() == whole[3].tolist()
-    assert split[0].tolist() == whole[0].tolist()
-    for got, want in zip(split[1:3], whole[1:3]):
-        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 def test_k_fourier_evaluation_count(monkeypatch):

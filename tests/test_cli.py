@@ -259,16 +259,19 @@ def test_series_failure_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n, d", [("0.500000000001", "1"), ("5.000000000001", "10")])
-def test_fourier_at_a_tiny_gap_exits_3_promptly(capsys, n, d):
-    # the (F) optimum's sigma grows like 1/gap, and so would its rule
-    # blocks; at gap 1e-12 a block passes the node cap within a few search
-    # steps instead of allocating tens of millions of nodes
+def test_fourier_at_a_tiny_gap_returns_promptly(capsys, n, d):
+    # the (F) optimum's sigma grows like 1/gap, but the rule's nodes in
+    # asinh(k_1) grow only like log sigma: at gap 1e-12 the bound comes
+    # back, positive and below K+, within seconds
     started = time.perf_counter()
-    code, out, err = run(capsys, ["lower", "--method", "fourier", "-n", n, "-d", d])
-    assert code == 3
-    assert not out
-    assert "rule block" in err
+    code, out, _ = run(capsys, ["lower", "--method", "fourier", "-n", n, "-d", d, "--json"])
+    assert code == 0
+    (low,) = json.loads(out)["records"]
     assert time.perf_counter() - started < 10.0
+    code, out, _ = run(capsys, ["upper", "-n", n, "-d", d, "--json"])
+    assert code == 0
+    (up,) = json.loads(out)["records"]
+    assert 0.0 < low["k_minus"] < up["k_plus"]
 
 
 @pytest.mark.parametrize("argv", [["sandwich", "-n", "2000", "-d", "3"],
