@@ -2,53 +2,40 @@
 || f g ||_n <= K || f ||_n || g ||_n on H^n(R^d), n > d/2.
 
 Upper bounds
-    k_plus          K+  = sqrt( sup_u upper_curve(u) ); for
-                    n <= d/2 + 1/2 the curve is increasing and the sup is
-                    its closed-form limit at u = inf.  Above that a
-                    batched Newton search in log u, on the curve's exact
-                    slope and curvature, finds the sup; one query is its
-                    one-row case, a residual scan its many-row case.
+    k_plus          K+  = sqrt( sup_u upper_curve(u) ): the curve's
+                    closed-form limit at u = inf for n <= d/2 + 1/2, else a
+                    batched Newton search in log u on the curve's exact
+                    slope and curvature (one row per query).
     k_plus_plus     K++ >= K+, an elementary envelope built from the
                     constants of :class:`AsympConstants` and the residual
                     supremum Z_d.
     envelope_residual_sup
-                    Z_d and Theta_d from a scan over 400 gaps: K+ in
-                    closed form up to gap 1/2 and by one batched search
-                    beyond, certified row by row as k_plus certifies its
-                    one row; each gap's residual and K++ then come from
-                    the float formulas of :mod:`sobomul.envelope`, which
-                    envelope_residual and k_plus_plus share.
+                    Z_d and Theta_d from a scan over 400 gaps, its K+ from
+                    one batched search, certified row by row as k_plus is.
 
 Lower bounds (Rayleigh quotients of explicit trial functions)
     k_bessel            K^B  = sup_lam ||g_lam^2||_n / ||g_lam||_n^2 with
                         g_lam the scaled Macdonald kernel; the numerator
                         integrates a lam-free kernel on one fixed exp-sinh
-                        rule in log u with a closed-form far tail, so the
-                        kernel is evaluated once per query.
-    k_bessel_minorant   K^BB <= K^B, replaces the slowly converging
-                        squared-kernel norm by an analytic minorant; the
-                        route of choice for n within 0.1 of d/2.  Both
-                        find lam by a Newton search in log lam on the
-                        quotient's exact slope and curvature.
+                        rule in log u, evaluated once per query.
+    k_bessel_minorant   K^BB <= K^B with an analytic minorant of the
+                        squared-kernel norm; the route within 0.1 of d/2.
+                        Both find lam by a Newton search in log lam.
     k_fourier           K^F  = sup_{p, sigma} of the Gaussian-regularized
-                        plane-wave quotient; off the integer-n closed sum
-                        its norms take a trapezoid rule in asinh(k_1)
-                        times an exp-sinh rule (both in
-                        :mod:`sobomul._gaussian_norm`, for many pairs per
-                        call).  A trust-region Newton search finds
-                        the sup, its three starts in lockstep, on the
-                        gradient and Hessian that both norm routes form
-                        exactly from their log-sum-exp weights: one
-                        closed-sum or rule call per round serves both
-                        norms at every live start.
+                        plane-wave quotient, its norms a closed sum (integer
+                        n <= 50) or a rule in asinh(k_1) times an exp-sinh
+                        rule (:mod:`sobomul._gaussian_norm`); a trust-region
+                        Newton search from three starts in lockstep.
     k_fourier_fixed     K^FF, the same quotient frozen at
-                        (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for
-                        n > 50 where the 2-D search buys nothing.
+                        (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for n > 50.
     best_lower          the applicable maximum, tagged (B)/(BB)/(F)/(FF).
 
-Asymptotic laws (their constants in :mod:`sobomul.envelope`)
-    k_plus_asymp_small  M_d / sqrt(n - d/2) * (1 - N_d (n - d/2))
-    k_plus_asymp_large  T_d (2/sqrt 3)^n / n^(d/4)
+Asymptotic laws (constants in :mod:`sobomul.envelope`): k_plus_asymp_small
+M_d / sqrt(n - d/2) (1 - N_d (n - d/2)), k_plus_asymp_large T_d
+(2/sqrt 3)^n / n^(d/4).
+
+Every bound leaves through :func:`_bound_result`, which sets its value,
+error estimate and caveat (see :class:`BoundResult`).
 
 All heavy evaluation runs in log space, so the bounds hold up to where K
 itself leaves the double range (n of about 4,950 at d = 1 and 5,130 at
@@ -68,8 +55,8 @@ import numpy as np
 from . import specfun as sf
 from ._gaussian_norm import (_exp_sinh_nodes, _gaussian_rule_block,
                              _log_gaussian_norm_sq_refined, _log_gaussian_norm_sq_sum)
-from .envelope import (AsympConstants, envelope_terms, k_plus_plus_value,
-                       log_k_plus_asymp_large, residual)
+from .envelope import (AsympConstants, envelope_terms, log_k_plus_asymp_large,
+                       log_k_plus_plus, residual)
 from .kernels import (BoundQuery, DomainError, KernelRows, _closed_form_upper,
                       _log_curve_limit, log_hyper_kernel, log_upper_curve_limit,
                       log_upper_curve_rows)
@@ -124,6 +111,8 @@ TAG_BY_KIND = {
     "lower_fourier": "(F)",
     "lower_fourier_ff": "(FF)",
 }
+_BOUND_NAME = {"upper_plus": "K+", "upper_plus_plus": "K++", "lower_bessel": "K^B",
+               "lower_bessel_bb": "K^BB", "lower_fourier": "K^F", "lower_fourier_ff": "K^FF"}
 
 
 class TwoPathMismatch(RuntimeError):
@@ -156,6 +145,25 @@ class TrialParams:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """One bound, built by :func:`_bound_result`.
+
+    value           K+, K++ or a Rayleigh quotient K- at argmax (kind
+                    "upper_plus", "upper_plus_plus" or "lower_*", tagged
+                    (B), (BB), (F), (FF)); not rounded by its error.
+    error_estimate  a bound on |value - exact|: value +- error_estimate
+                    encloses the supremum of the upper curve (K+), the
+                    envelope formula (K++) or the quotient at argmax (K-).
+    argmax          where the value was found; u = inf for the curve's
+                    limit, None for K++.
+    diagnostics     "route" (K+: closed_form_limit, boundary_limit or
+                    maximize; (F)/(FF): closed_sum or rule); a search's
+                    "evaluations" and "converged"; "slope" and "curvature"
+                    at the K+ argmax; "nodes" and "rule_error" of a rule;
+                    "big_z" of K++; and "caveat" when a search did not
+                    converge: such a K+ is not certified, such a K- is a
+                    valid quotient at its argmax whose search stopped early.
+    """
+
     value: float
     kind: str
     argmax: TrialParams | None = None
@@ -197,6 +205,29 @@ def _exp_in_range(log_value: float, what: str, q: BoundQuery) -> float:
     return math.exp(log_value)
 
 
+_UPPER_CAVEAT = ("optimizer budget exhausted; the value lies below the "
+                 "supremum of the upper curve, so it is not a certified K+")
+_LOWER_CAVEAT = ("optimizer budget exhausted; the value is a valid quotient at "
+                 "its argmax, but the search stopped before the supremum")
+
+
+def _bound_result(q: BoundQuery, kind: str, log_value: float,
+                  argmax: TrialParams | None, rel_error: float,
+                  search: MaxResult | None = None, **diagnostics) -> BoundResult:
+    """The one place a bound becomes a :class:`BoundResult`: the value is
+    exp(log_value) (DomainError past the double range), the error estimate
+    value * rel_error; a search adds its evaluations, whether it converged
+    and, if it did not, a caveat.  Rounding the value outward (K+) or inward
+    (K-) by its error would go on the value's line."""
+    value = _exp_in_range(log_value, _BOUND_NAME[kind], q)
+    if search is not None:
+        diagnostics.update(evaluations=search.iterations, converged=search.converged)
+        if not search.converged:
+            diagnostics["caveat"] = _UPPER_CAVEAT if kind == "upper_plus" else _LOWER_CAVEAT
+    return BoundResult(value=value, kind=kind, argmax=argmax,
+                       error_estimate=value * rel_error, diagnostics=diagnostics)
+
+
 # ----------------------------------------------------------------------
 # upper bound K+
 # ----------------------------------------------------------------------
@@ -217,23 +248,19 @@ def _curve_rounding(q: BoundQuery, u: float) -> float:
     return 4.0 * sys.float_info.epsilon * size
 
 
-_BUDGET_CAVEAT = ("optimizer budget exhausted; the value lies below the "
-                  "supremum of the upper curve, so it is not a certified K+")
-
-
 def _certified_k_plus(queries: list[BoundQuery],
-                      outcomes: list[MaxResult | BracketBoundaryError]) -> list[float]:
-    """K+ of each row of a finished :func:`_k_plus_search`.
+                      outcomes: list[MaxResult | BracketBoundaryError]) -> list[BoundResult]:
+    """The K+ result of each row of a finished :func:`_k_plus_search`.
 
     A search that ended inside [_U_LO, _U_HI] gives the square root of its
-    best value, or DomainError when that leaves the double range; that
-    value lies below the supremum if the search ran out of budget, which
-    each caller checks.  A search still climbing at the upper bound gives
-    the closed-form limit, but only if the curve there is finite and not
-    above the limit; otherwise, or if the curve is not finite where the
-    search stopped, the supremum is unknown and ArithmeticError is raised.
+    best value, with half (K+ being a square root) the final Newton model's
+    remaining gain, the search's rounding floor and the curve's own
+    (:func:`_curve_rounding`) as relative error.  A search still climbing
+    at the upper bound gives the closed-form limit, if the curve there is
+    finite and not above it; otherwise, or if the curve is not finite where
+    the search stopped, ArithmeticError is raised.
     """
-    values = []
+    results = []
     for q, outcome in zip(queries, outcomes):
         if isinstance(outcome, BracketBoundaryError):
             # Still increasing at the bracket boundary: sup effectively at
@@ -245,52 +272,32 @@ def _certified_k_plus(queries: list[BoundQuery],
                     f"upper curve at the search boundary is {outcome.best_f!r} against "
                     f"its limit {log_limit!r} (log scale); the supremum is not certified"
                 ) from outcome
-            values.append(math.exp(0.5 * log_limit))
+            results.append(_bound_result(q, "upper_plus", 0.5 * log_limit,
+                                         TrialParams(u=math.inf), 1e-12, route="boundary_limit"))
         elif math.isfinite(outcome.max_value):
-            values.append(_exp_in_range(0.5 * outcome.max_value, "K+", q))
+            u = math.exp(outcome.argmax[0])
+            results.append(_bound_result(
+                q, "upper_plus", 0.5 * outcome.max_value, TrialParams(u=u),
+                0.5 * (outcome.gain + _curve_rounding(q, u)), outcome, route="maximize",
+                slope=outcome.slope, curvature=outcome.curvature))
         else:
             raise ArithmeticError(
                 f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
                 f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
-    return values
+    return results
 
 
 def k_plus(q: BoundQuery) -> BoundResult:
-    """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve).
-
-    For n <= d/2 + 1/2 the curve increases toward its limit, which is then
-    returned in closed form with the argmax reported as the boundary.
-    Otherwise K+ is the one-row case of :func:`_k_plus_search` and
-    :func:`_certified_k_plus`.  Its error estimate is half (K+ being a
-    square root) of the final Newton model's remaining gain, the search's
-    rounding floor and the curve's own (:func:`_curve_rounding`); a search
-    whose budget ran out carries a caveat.  Where the large-n law, which
-    lies below K+, or K+ itself exceeds the double range, DomainError is
-    raised.
+    """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve): for
+    n <= d/2 + 1/2, where the curve increases, its closed-form limit at
+    u = inf; otherwise the one-row case of :func:`_k_plus_search` and
+    :func:`_certified_k_plus`.  DomainError where the large-n law, which
+    lies below K+, or K+ itself exceeds the double range.
     """
     if q.has_closed_form_upper:
-        value = math.exp(0.5 * log_upper_curve_limit(q))
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=math.inf),
-                           error_estimate=value * 1e-14,
-                           diagnostics={"route": "closed_form_limit"})
-    (outcome,), _ = _k_plus_search([q])
-    (value,) = _certified_k_plus([q], [outcome])
-    if isinstance(outcome, BracketBoundaryError):
-        return BoundResult(value=value, kind="upper_plus",
-                           argmax=TrialParams(u=math.inf),
-                           error_estimate=value * 1e-12,
-                           diagnostics={"route": "boundary_limit"})
-    u = math.exp(outcome.argmax[0])
-    diags = {"route": "maximize", "evaluations": outcome.iterations,
-             "converged": outcome.converged, "slope": outcome.slope,
-             "curvature": outcome.curvature}
-    if not outcome.converged:
-        diags["caveat"] = _BUDGET_CAVEAT
-    return BoundResult(value=value, kind="upper_plus",
-                       argmax=TrialParams(u=u),
-                       error_estimate=value * 0.5 * (outcome.gain + _curve_rounding(q, u)),
-                       diagnostics=diags)
+        return _bound_result(q, "upper_plus", 0.5 * log_upper_curve_limit(q),
+                             TrialParams(u=math.inf), 1e-14, route="closed_form_limit")
+    return _certified_k_plus([q], _k_plus_search([q])[0])[0]
 
 
 def _scan_start_u(q: BoundQuery) -> float:
@@ -304,14 +311,11 @@ def _scan_start_u(q: BoundQuery) -> float:
 def _k_plus_search(queries: list[BoundQuery]
                    ) -> tuple[list[MaxResult | BracketBoundaryError], int]:
     """The outcome of each K+ search of queries of one d, each with
-    n > d/2 + 1/2 and given in ascending n, and the number of rounds.
-
-    One batched Newton search (:func:`maximize_1d_newton`) over x = log u
-    in [log _U_LO, log _U_HI] runs a row per query, each from
-    :func:`_scan_start_u`, which depends on its own (n, d) alone.  Each
-    round evaluates the upper curve, its slope and its curvature at every
-    live row's next point in one kernel call.  :func:`_certified_k_plus`
-    turns the outcomes into K+."""
+    n > d/2 + 1/2 and given in ascending n, and the number of rounds: one
+    batched Newton search (:func:`maximize_1d_newton`) over x = log u in
+    [log _U_LO, log _U_HI], a row per query from :func:`_scan_start_u`.
+    Each round evaluates the upper curve, its slope and its curvature at
+    every live row's next point in one kernel call."""
     for q in queries:
         _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
     rows = KernelRows(queries)
@@ -357,10 +361,12 @@ def envelope_residual(q: BoundQuery, k_plus_value: float | None = None) -> float
 
 
 def k_plus_plus(q: BoundQuery, big_z: float) -> BoundResult:
-    """Elementary upper bound K++ >= K+ given the residual supremum Z_d."""
+    """Elementary upper bound K++ >= K+ given the residual supremum Z_d; its
+    error estimate is the rounding of its float formula."""
     terms = envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
-    return BoundResult(value=k_plus_plus_value(q.n, q.n_gap, terms, big_z),
-                       kind="upper_plus_plus", diagnostics={"big_z": big_z})
+    log_value = log_k_plus_plus(q.n, q.n_gap, terms, big_z)
+    return _bound_result(q, "upper_plus_plus", log_value, None,
+                         4.0 * sys.float_info.epsilon * max(1.0, abs(log_value)), big_z=big_z)
 
 
 def default_residual_grid(d: int) -> tuple[float, ...]:
@@ -374,32 +380,25 @@ def default_residual_grid(d: int) -> tuple[float, ...]:
     return tuple(np.concatenate((left, mid, right)).tolist())
 
 
-def _round_sig(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return round(x, 2 - int(math.floor(math.log10(abs(x)))))
-
-
 def _searched_k_plus(queries: list[BoundQuery]) -> tuple[list[float], list, int]:
-    """K+, outcomes and rounds of one :func:`_k_plus_search`, raising
-    ArithmeticError for a search that does not converge."""
+    """K+, outcomes and rounds of one :func:`_k_plus_search`; a row whose
+    K+ carries a caveat raises ArithmeticError."""
     found, rounds = _k_plus_search(queries)
-    for q, outcome in zip(queries, found):
-        if isinstance(outcome, MaxResult) and not outcome.converged:
-            raise ArithmeticError(f"K+ search at (n, d) = ({q.n:g}, {q.d}): {_BUDGET_CAVEAT}")
-    return _certified_k_plus(queries, found), found, rounds
+    values = []
+    for q, res in zip(queries, _certified_k_plus(queries, found)):
+        if "caveat" in res.diagnostics:
+            raise ArithmeticError(f"K+ at (n, d) = ({q.n:g}, {q.d}): {res.diagnostics['caveat']}")
+        values.append(res.value)
+    return values, found, rounds
 
 
 def _residual_k_plus(d: int, gap_grid: tuple[float, ...]) -> tuple[
         list[BoundQuery | None], list[float], list[MaxResult | None], int]:
     """The residual scan's query, K+ and search outcome per gap of the
-    ascending gap_grid (None where K+ takes its closed form), and the
-    number of search rounds (each one kernel call).
-
-    The gaps up to 1/2, the grid's first, take K+'s closed form from plain
-    floats; the others share one batched search (:func:`_searched_k_plus`),
-    in which each row starts from its own (n, d), and only these rows get a
-    BoundQuery.  Not cached, unlike the scan's result."""
+    ascending gap_grid, and the number of search rounds (each one kernel
+    call).  The gaps up to 1/2, the grid's first, take K+'s closed form
+    from plain floats (query and outcome None); the others share one
+    batched search (:func:`_searched_k_plus`).  Not cached."""
     ns = [d / 2.0 + nd for nd in gap_grid]
     k = sum(_closed_form_upper(n, d) for n in ns)
     queries = [None] * k + [BoundQuery(d=d, n=n) for n in ns[k:]]
@@ -410,13 +409,10 @@ def _residual_k_plus(d: int, gap_grid: tuple[float, ...]) -> tuple[
 
 @lru_cache(maxsize=32)
 def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
-    """Z_d and Theta_d over gap_grid, from :func:`_residual_k_plus`.
-
-    Each gap's residual and K++ come from the formulas of
-    :func:`envelope_residual` and :func:`k_plus_plus`, on plain floats and
-    with the gap's envelope terms formed once.  At the two argmax gaps K+
-    is then the one-row K+ that k_plus gives, as a batch row may differ
-    from it in the last bits."""
+    """Z_d and Theta_d over gap_grid, from :func:`_residual_k_plus`: each
+    gap's residual and K++ by the formulas of :func:`envelope_residual` and
+    :func:`k_plus_plus` on plain floats.  At the two argmax gaps K+ is the
+    one-row K+ of k_plus, from which a batch row may differ in the last bits."""
     queries, kps, _, _ = _residual_k_plus(d, gap_grid)
     c = AsympConstants.for_dimension(d)
     rows = [(n, n - d / 2.0) for n in (d / 2.0 + nd for nd in gap_grid)]
@@ -434,15 +430,15 @@ def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
     # constant at its published 3-significant-figure precision; for d >= 8
     # the ratio responds to the constant with a factor of ~20, so the digit
     # convention is part of the definition.
-    z_for_theta = _round_sig(big_z)
-    ratios = [k_plus_plus_value(n, gap, t, z_for_theta) / k
+    z_for_theta = float(f"{big_z:.3g}")
+    ratios = [math.exp(log_k_plus_plus(n, gap, t, z_for_theta)) / k
               for (n, gap), t, k in zip(rows, terms, kps)]
     i_t = one_row(int(np.argmax(ratios)))
     warn = i_z in (0, len(gap_grid) - 1) or i_t in (0, len(gap_grid) - 1)
+    theta = math.exp(log_k_plus_plus(*rows[i_t], terms[i_t], z_for_theta)) / kps[i_t]
     return ElementaryBoundData(
-        d=d, big_z=big_z, theta=k_plus_plus_value(*rows[i_t], terms[i_t], z_for_theta) / kps[i_t],
-        argmax_gap_z=float(gap_grid[i_z]), argmax_gap_theta=float(gap_grid[i_t]),
-        endpoint_warning=warn)
+        d=d, big_z=big_z, theta=theta, argmax_gap_z=float(gap_grid[i_z]),
+        argmax_gap_theta=float(gap_grid[i_t]), endpoint_warning=warn)
 
 
 def envelope_residual_sup(d: int) -> ElementaryBoundData:
@@ -462,13 +458,11 @@ class _BesselConstants:
                  trial norm's prefactor without lam^-d;
     log_sq_norm  log of pi^(d/2) Gamma(2n-d/2)^2 / (Gamma(d/2) Gamma(2n)^2),
                  the squared-kernel norm's prefactor without lam^-d;
-    minorant     (P, Q, q), the three Gamma-ratio weights of the minorant's
-                 bracket and the log of its prefactor without lam^-d; built
-                 on first use, as its Gamma arguments stay positive only
-                 for d/2 < n <= d/2 + 1/2.
+    minorant     (P, Q, q), the minorant bracket's three Gamma-ratio
+                 weights and its prefactor's log without lam^-d; built on
+                 first use (its Gammas need d/2 < n <= d/2 + 1/2).
 
-    Callers add the lam terms last, in the order the formulas write them,
-    so every sum rounds as the written formula's does.
+    Callers add the lam terms last, in the order the formulas write them.
     """
 
     def __init__(self, n: float, d: int) -> None:
@@ -690,17 +684,13 @@ def _log_sq_norm_refined(q: BoundQuery, nodes: tuple, lam: float,
 
 def bessel_trial_sq_norm_sq(q: BoundQuery, lam: float, tol: float = 1e-9) -> float:
     """Squared Sobolev norm of the squared trial kernel: a Gamma prefactor
-    times the integral of
+    times the integral over u >= 0 of
 
-        u^(d/2-1) (1 + 4 lam^2 u)^n F(2n-d/2, n, n+1/2; -u)^2
+        u^(d/2-1) (1 + 4 lam^2 u)^n F(2n-d/2, n, n+1/2; -u)^2,
 
-    on [0, inf), whose tail decays like u^(-1-(n-d/2)).  The integral runs
-    in x = log u on a fixed exp-sinh rule, nodes x = (pi/2) sinh(k h / 2),
-    h = 0.05 min(1, sqrt(50/n)), over [-92/d, 46/gap + 10]; beyond x = 200
-    the kernel is its two-term large-u form (DLMF 15.8.4).  tol bounds the
-    relative difference between the h/2 and h rules (ArithmeticError above
-    it).  Gaps below 0.01 raise DomainError (use the minorant route
-    instead).
+    the h/2 value of the exp-sinh rule of :func:`_sq_norm_nodes`.  tol
+    bounds its relative difference from the h rule (ArithmeticError above
+    it).  Gaps below 0.01 raise DomainError (use the minorant route).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -768,11 +758,10 @@ def _search_log_lam(objective, lam0: float) -> MaxResult:
     """The lam search of (B) and (BB): a one-row :func:`maximize_1d_newton`
     over x = log lam in [log 1e-3, log 1e3] from lam0, on objective(lam) =
     (value, slope, curvature) in x.  A trial point where any of them is
-    not finite, or where a 2F1 series fails (from lam of about 31 the
-    series behind the quotient pass their term cap), reads NaN, which the
-    search rejects.  Raises the search's BracketBoundaryError, or
-    ArithmeticError (the series' own at lam0) if the value at lam0 is not
-    finite."""
+    not finite, or where a 2F1 series fails (passes its term cap, from lam
+    of about 31, or overflows), reads NaN, which the search rejects.
+    Raises the search's BracketBoundaryError, or ArithmeticError (the
+    series' own at lam0) if the value at lam0 is not finite."""
     x0 = math.log(lam0)
 
     def row(_at, x):
@@ -798,19 +787,49 @@ def _search_log_lam(objective, lam0: float) -> MaxResult:
 _LOG_GAMMA_ERR = 4e-15
 
 
+def _gamma_sizes(*xs: float) -> float:
+    """The sum over xs of max(1, |log Gamma(x)|), the size against which
+    _LOG_GAMMA_ERR bounds specfun.log_gamma's error; only sizes matter here,
+    so they come from math.lgamma."""
+    return sum(max(1.0, abs(math.lgamma(x))) for x in xs)
+
+
 def _bessel_gamma_error(q: BoundQuery) -> float:
     """Bound on the error that specfun.log_gamma leaves in log K^B.  The
     squared-norm prefactor enters with weight 1/2 (Gamma(2n-d/2)^2,
     Gamma(d/2), Gamma(2n)^2), the trial norm with weight 1 (Gamma(n+1-d/2),
-    Gamma(n)).  Only the sizes of the log Gammas matter here, so they come
-    from math.lgamma."""
+    Gamma(n))."""
     n, d = q.n, q.d
+    return _LOG_GAMMA_ERR * (_gamma_sizes(2.0 * n - d / 2.0, 2.0 * n, n + 1.0 - d / 2.0, n)
+                             + 0.5 * _gamma_sizes(d / 2.0))
 
-    def size(x: float) -> float:
-        return max(1.0, abs(math.lgamma(x)))
 
-    return _LOG_GAMMA_ERR * (size(2.0 * n - d / 2.0) + 0.5 * size(d / 2.0)
-                             + size(2.0 * n) + size(n + 1.0 - d / 2.0) + size(n))
+# At the (BB) argmax (lam in [1, 2]) for d <= 10 and gaps 1e-12 to 1/2: the
+# relative error of one 2F1, series and rounding (measured at most 2.0e-14
+# against 30-digit mpmath), and the condition sum |w_i F_i| / bracket of the
+# minorant's bracket w_1 F_1 - w_2 F_2 + w_3 F_3 / 3 (at most 7, its limit
+# as the gap falls to 0).
+_HYP_ERR = 4e-14
+_BRACKET_CONDITION = 7.0
+
+
+def _minorant_error(q: BoundQuery) -> float:
+    """Bound on the relative error of K^BB: half the bracket's, which is
+    its condition times that of a part (F_i errs by _HYP_ERR, a weight, whose
+    log holds each log Gamma of the minorant at most thrice, by three times
+    their rounding), plus the trial norm's 2F1 error, the log Gamma rounding
+    of both prefactors (bounded by (B)'s) and the rounding of their logs."""
+    n, d = q.n, q.d
+    consts = _bessel_constants(n, d)
+    co, _weights, log_pref = consts.minorant
+    # Gamma(1/2 + d/2 - n) enters only through Q, which is 0 at its pole
+    edge = (0.5 + d / 2.0 - n,) if co.q_nd else ()
+    weight_error = 3.0 * _LOG_GAMMA_ERR * _gamma_sizes(
+        n + 0.5, n + 1.0 - d / 2.0, 2.0 * n - d / 2.0, n, d / 2.0 + 1.0 - n,
+        2.0 * n + 1.0 - d, 3.0 * n + 1.0 - 1.5 * d, 3.0 * n - d, *edge)
+    rounding = 4.0 * sys.float_info.epsilon * (1.0 + 0.5 * abs(log_pref) + abs(consts.log_norm))
+    return (0.5 * _BRACKET_CONDITION * (_HYP_ERR + weight_error) + _HYP_ERR
+            + _bessel_gamma_error(q) + rounding)
 
 
 def k_bessel(q: BoundQuery) -> BoundResult:
@@ -819,13 +838,10 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     The squared-kernel norm's kernel does not depend on lam, so it is
     evaluated once, on the h rule's nodes and midpoints, and each lam that
     the Newton search (:func:`_search_log_lam`, from lam = 1.4) tries costs
-    one logsumexp with its moments and three 2F1.  K^B is the h/2 rule at the maximizer;
-    its error estimate is half the measured relative difference
-    |I_h/2 - I_h| / I_h/2 (K^B goes with the square root of the integral)
-    plus a rounding bound for the Gamma constants, and the diagnostics
-    record the node count and that difference as "nodes" and "rule_error".
-    Needs n - d/2 >= 0.01, as the squared-kernel norm does; use
-    :func:`k_bessel_minorant` below.
+    one logsumexp with its moments and three 2F1.  K^B is the h/2 rule at
+    the maximizer; its relative error is half the measured "rule_error"
+    |I_h/2 - I_h| / I_h/2 plus the Gamma constants' rounding.  Needs
+    n - d/2 >= 0.01; use :func:`k_bessel_minorant` below.
     """
     if q.n_gap < _KB_MIN_GAP:
         raise DomainError(
@@ -834,15 +850,11 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     res = _search_log_lam(_lam_objective(q, _log_sq_norm_rule(q, nodes[0])), 1.4)
     lam_star = math.exp(res.argmax[0])
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
-    value = _exp_in_range(0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
-                          - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)), "K^B", q)
-    return BoundResult(value=value, kind="lower_bessel",
-                       argmax=TrialParams(lam=lam_star),
-                       error_estimate=(0.5 * rule_error + _bessel_gamma_error(q)) * value,
-                       diagnostics={"evaluations": res.iterations,
-                                    "converged": res.converged,
-                                    "nodes": n_nodes,
-                                    "rule_error": rule_error})
+    log_value = (0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
+                 - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
+    return _bound_result(q, "lower_bessel", log_value, TrialParams(lam=lam_star),
+                         0.5 * rule_error + _bessel_gamma_error(q), res,
+                         nodes=n_nodes, rule_error=rule_error)
 
 
 def k_bessel_minorant(q: BoundQuery) -> BoundResult:
@@ -850,15 +862,11 @@ def k_bessel_minorant(q: BoundQuery) -> BoundResult:
     valid for d/2 < n <= d/2 + 1/2 and cheap arbitrarily close to d/2.
     Each lam that the Newton search (:func:`_search_log_lam`, from
     lam = 1.42) tries costs twelve 2F1: four and their contiguous
-    functions."""
+    functions.  Its error is bounded by :func:`_minorant_error`."""
     res = _search_log_lam(_lam_objective(q, lambda lam: _log_minorant(q, lam, True)), 1.42)
     lam_star = math.exp(res.argmax[0])
-    value = math.exp(res.max_value)
-    return BoundResult(value=value, kind="lower_bessel_bb",
-                       argmax=TrialParams(lam=lam_star),
-                       error_estimate=value * 1e-9,
-                       diagnostics={"evaluations": res.iterations,
-                                    "converged": res.converged})
+    return _bound_result(q, "lower_bessel_bb", res.max_value, TrialParams(lam=lam_star),
+                         _minorant_error(q), res)
 
 
 # ----------------------------------------------------------------------
@@ -956,12 +964,8 @@ def k_fourier(q: BoundQuery) -> BoundResult:
     res = maximize_2d(_fourier_search_objective(q), _fourier_starts(q.n))
     p_star, sigma_star = res.argmax
     log_value, error, diags = _log_fourier_quotient(q, p_star, sigma_star, LOWER_TOL)
-    value = _exp_in_range(log_value, "K^F", q)
-    return BoundResult(value=value, kind="lower_fourier",
-                       argmax=TrialParams(p=p_star, sigma=sigma_star),
-                       error_estimate=value * error,
-                       diagnostics={"evaluations": res.iterations,
-                                    "converged": res.converged, **diags})
+    return _bound_result(q, "lower_fourier", log_value,
+                         TrialParams(p=p_star, sigma=sigma_star), error, res, **diags)
 
 
 def k_fourier_fixed(q: BoundQuery) -> BoundResult:
@@ -969,11 +973,8 @@ def k_fourier_fixed(q: BoundQuery) -> BoundResult:
     p = 0.5 / math.sqrt(2.0)
     sigma = 0.75 / q.n
     log_value, error, diags = _log_fourier_quotient(q, p, sigma, _FF_TOL)
-    value = _exp_in_range(log_value, "K^FF", q)
-    return BoundResult(value=value, kind="lower_fourier_ff",
-                       argmax=TrialParams(p=p, sigma=sigma),
-                       error_estimate=value * error,
-                       diagnostics=diags)
+    return _bound_result(q, "lower_fourier_ff", log_value, TrialParams(p=p, sigma=sigma),
+                         error, **diags)
 
 
 # ----------------------------------------------------------------------
@@ -981,13 +982,11 @@ def k_fourier_fixed(q: BoundQuery) -> BoundResult:
 # ----------------------------------------------------------------------
 
 def best_lower(q: BoundQuery) -> BoundResult:
-    """The best applicable lower bound, tagged (B)/(BB)/(F)/(FF).
-
-    Routing: the minorant (BB) replaces the Bessel quotient within 0.1 of
-    d/2, where the squared-norm integral converges too slowly for the
-    direct route (and where the Gaussian trials cannot follow the
-    1/sqrt(n - d/2) blowup, so the Fourier side is skipped); beyond n = 50
-    the frozen-pair Fourier bound (FF) replaces both searches.
+    """The best applicable lower bound, tagged (B)/(BB)/(F)/(FF): the
+    minorant (BB) within 0.1 of d/2, where the squared-norm integral
+    converges too slowly for (B) and the Gaussian trials cannot follow the
+    1/sqrt(n - d/2) blowup, so (F) is skipped; beyond n = 50 the
+    frozen-pair (FF) replaces both searches.
     """
     candidates: list[BoundResult] = []
     if q.n_gap <= _BB_SWITCH:

@@ -12,12 +12,14 @@ rows or asymp laws; --compare appends its fields).  n accepts decimals or
 exact fractions ("5/2"); fractions keep the integer-n fast paths exact.
 Exit codes: 0 success, 2 domain violation (n <= d/2, d < 1, or a bound
 past the double range) or rejected argument (an n past the double range
-among them), 3 numerical non-convergence
-or failure.  With exit 3, table1 still prints every cell, a failed one
-with its "error" and null for the values it could not compute; upper,
-lower and sandwich print their record with a caveat when a search ran
-out of budget; a bound that raises prints nothing for the other
-commands.
+among them), 3 an uncertified K+ (its search ran out of budget) or a
+bound that raises.  upper, lower and sandwich print the caveats of their
+bounds; a K- caveat (its search stopped early, but the value is still a
+quotient at its argmax, so a valid lower bound) is informational and
+leaves exit 0.  With exit 3, table1 still prints every cell, a failed
+one with its "error" and null for the values it could not compute;
+upper and sandwich print their record with the K+ caveat; a bound that
+raises prints nothing for the other commands.
 
 JSON goes to stdout and is byte-stable across runs; its "tol_rel" is the
 fixed 1e-9 relative tolerance of the (B) and (F) lower bounds.  Wall time
@@ -136,18 +138,28 @@ def _bound_record(d: int, n_text: str, n_frac: Fraction, **extra) -> dict:
     return rec
 
 
-def _result_fields(res: bounds.BoundResult) -> dict:
+def _result_fields(res: bounds.BoundResult, *others: bounds.BoundResult) -> dict:
+    """The record fields of res, with the caveats of res and others joined
+    (null when none has one)."""
     argmax = None
     if res.argmax is not None:
         vals = [v for v in res.argmax.as_tuple() if v is not None and math.isfinite(v)]
         # a supremum at the boundary (u = inf) has no finite maximizer
         argmax = vals if len(vals) == len(res.argmax.as_tuple()) else None
+    caveats = [r.diagnostics["caveat"] for r in (*others, res) if "caveat" in r.diagnostics]
     return {
         "method": res.kind,
         "tag": res.tag if res.kind in bounds.TAG_BY_KIND else None,
         "argmax": argmax,
-        "caveat": res.diagnostics.get("caveat"),
+        "caveat": "; ".join(caveats) or None,
     }
+
+
+def _exit_code(*results: bounds.BoundResult) -> int:
+    """Exit 3 when a K+ among results carries a caveat (it is not
+    certified); a K- caveat is informational."""
+    uncertified = any(r.kind == "upper_plus" and "caveat" in r.diagnostics for r in results)
+    return _EXIT_NUMERIC if uncertified else _EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -159,18 +171,15 @@ def _cmd_upper(args) -> tuple[list[dict], int]:
     res = bounds.k_plus(q)
     rec = _bound_record(args.d, str(args.n), args.n, k_plus=res.value,
                         **_result_fields(res))
-    code = _EXIT_NUMERIC if rec.get("caveat") else _EXIT_OK
-    return [rec], code
+    return [rec], _exit_code(res)
 
 
 def _cmd_lower(args) -> tuple[list[dict], int]:
     q = _query(args.n, args.d)
-    fn = _METHODS[args.method]
-    res = fn(q)
+    res = _METHODS[args.method](q)
     rec = _bound_record(args.d, str(args.n), args.n, k_minus=res.value,
                         **_result_fields(res))
-    code = _EXIT_NUMERIC if rec.get("caveat") else _EXIT_OK
-    return [rec], code
+    return [rec], _exit_code(res)
 
 
 def _cmd_sandwich(args) -> tuple[list[dict], int]:
@@ -179,11 +188,10 @@ def _cmd_sandwich(args) -> tuple[list[dict], int]:
     low = bounds.best_lower(q)
     rec = _bound_record(args.d, str(args.n), args.n,
                         k_plus=up.value, k_minus=low.value,
-                        ratio=low.value / up.value, **_result_fields(low))
+                        ratio=low.value / up.value, **_result_fields(low, up))
     rec["upper_argmax"] = ([up.argmax.u] if up.argmax and up.argmax.u is not None
                            and math.isfinite(up.argmax.u) else None)
-    code = _EXIT_NUMERIC if (rec.get("caveat") or up.diagnostics.get("caveat")) else _EXIT_OK
-    return [rec], code
+    return [rec], _exit_code(up, low)
 
 
 def _or_none(x: float) -> float | None:
@@ -243,45 +251,33 @@ _LARGE_NS = (100.0, 200.0)
 def _cmd_asymp(args) -> tuple[list[dict], int]:
     d = args.d
     consts = bounds.AsympConstants.for_dimension(d)
-    records = []
+    records, uppers = [], []
+
+    def law(n_text: str, n_value: float, name: str, ratio: float, target: float) -> None:
+        records.append({"kind": "asymp", "regime": args.regime, "d": d, "n": n_text,
+                        "n_value": n_value, "law": name, "law_ratio": ratio,
+                        "law_target": target})
+
     if args.regime == "small":
-        gaps = args.n_list or list(_SMALL_GAPS)
-        for gap in gaps:
+        for gap in args.n_list or list(_SMALL_GAPS):
             q = BoundQuery(d=d, n=d / 2.0 + gap)
-            kp = bounds.k_plus(q).value
+            uppers.append(bounds.k_plus(q))
             kbb = bounds.k_bessel_minorant(q).value
             scale = math.sqrt(gap) / consts.amp_small
-            records.append({"kind": "asymp", "regime": "small", "d": d,
-                            "n": f"{d}/2+{gap:g}", "n_value": q.n,
-                            "law": "k_plus*sqrt(gap)/M_d",
-                            "law_ratio": kp * scale, "law_target": 1.0})
-            records.append({"kind": "asymp", "regime": "small", "d": d,
-                            "n": f"{d}/2+{gap:g}", "n_value": q.n,
-                            "law": "k_bessel_bb*sqrt(gap)/M_d",
-                            "law_ratio": kbb * scale,
-                            "law_target": math.sqrt(2.0 / 3.0)})
+            law(f"{d}/2+{gap:g}", q.n, "k_plus*sqrt(gap)/M_d", uppers[-1].value * scale, 1.0)
+            law(f"{d}/2+{gap:g}", q.n, "k_bessel_bb*sqrt(gap)/M_d", kbb * scale,
+                math.sqrt(2.0 / 3.0))
     else:
-        ns = args.n_list or list(_LARGE_NS)
         ff_const = math.sqrt(5.0 / 3.0) / 7.0 ** 0.25
-        for n in ns:
-            q = BoundQuery(d=d, n=n,
-                           n_exact=Fraction(n) if float(n).is_integer() else None)
+        for n in args.n_list or list(_LARGE_NS):
+            q = BoundQuery(d=d, n=n, n_exact=Fraction(n) if float(n).is_integer() else None)
             lead = bounds.k_plus_asymp_large(q)
-            kp = bounds.k_plus(q).value
-            kff = bounds.k_fourier_fixed(q).value
-            records.append({"kind": "asymp", "regime": "large", "d": d,
-                            "n": f"{n:g}", "n_value": n,
-                            "law": "k_plus/(T_d (2/sqrt3)^n n^-d/4)",
-                            "law_ratio": kp / lead, "law_target": 1.0})
-            records.append({"kind": "asymp", "regime": "large", "d": d,
-                            "n": f"{n:g}", "n_value": n,
-                            "law": "k_ff/(T_d (2/sqrt3)^n n^-d/4)",
-                            "law_ratio": kff / lead, "law_target": ff_const})
-            records.append({"kind": "asymp", "regime": "large", "d": d,
-                            "n": f"{n:g}", "n_value": n,
-                            "law": "k_plus/k_ff",
-                            "law_ratio": kp / kff, "law_target": 1.0 / ff_const})
-    return records, _EXIT_OK
+            uppers.append(bounds.k_plus(q))
+            kp, kff = uppers[-1].value, bounds.k_fourier_fixed(q).value
+            law(f"{n:g}", n, "k_plus/(T_d (2/sqrt3)^n n^-d/4)", kp / lead, 1.0)
+            law(f"{n:g}", n, "k_ff/(T_d (2/sqrt3)^n n^-d/4)", kff / lead, ff_const)
+            law(f"{n:g}", n, "k_plus/k_ff", kp / kff, 1.0 / ff_const)
+    return records, _exit_code(*uppers)
 
 
 _COMMANDS = {

@@ -5,7 +5,7 @@ built from them, as formulas on plain floats.
     log_k_plus_asymp_large  log T_d + n log(2/sqrt 3) - (d/4) log n
     envelope_terms          (log lead(n), main(n)) of the envelope
     residual                the residual z of a K+ value
-    k_plus_plus_value       K++ for a residual constant Z_d
+    log_k_plus_plus         log K++ for a residual constant Z_d
 
 ``bounds`` builds its public scalar functions (the asymptotic laws,
 ``envelope_residual`` and ``k_plus_plus``) and the residual scan on these,
@@ -28,7 +28,7 @@ __all__ = [
     "log_k_plus_asymp_large",
     "envelope_terms",
     "residual",
-    "k_plus_plus_value",
+    "log_k_plus_plus",
 ]
 
 _LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
@@ -96,8 +96,8 @@ def residual(n: float, gap: float, terms: tuple[float, float], k_plus: float) ->
     return (math.exp(math.log(k_plus) - log_lead) - main) * n ** 2 / gap
 
 
-def k_plus_plus_value(n: float, gap: float, terms: tuple[float, float], big_z: float) -> float:
-    """K++ = lead(n) [main(n) + Z_d gap / n^2] at n = d/2 + gap, given the
-    envelope terms there."""
+def log_k_plus_plus(n: float, gap: float, terms: tuple[float, float], big_z: float) -> float:
+    """log K++, K++ = lead(n) [main(n) + Z_d gap / n^2] at n = d/2 + gap,
+    given the envelope terms there."""
     log_lead, main = terms
-    return math.exp(log_lead + math.log(main + big_z * gap / n ** 2))
+    return log_lead + math.log(main + big_z * gap / n ** 2)

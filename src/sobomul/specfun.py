@@ -200,7 +200,7 @@ def _series(a: float, b: float, c: float, w: float) -> float:
     are sequential, so every term and sum is the one-term-at-a-time loop's
     bit for bit.  The loop stops at the first term below 1e-17 of the sum
     whose ratio to the next has modulus |w r| < 1, and after _MAX_TERMS
-    terms at most.
+    terms at most.  A partial sum that overflows raises SeriesError.
     """
     term = 1.0
     total = 1.0
@@ -210,14 +210,18 @@ def _series(a: float, b: float, c: float, w: float) -> float:
         r = _ratio_block(a, b, c, start // _SERIES_BLOCK)[:_MAX_TERMS - start]
         terms = r * w
         terms[0] *= term
-        np.multiply.accumulate(terms, out=terms)
-        sums = terms.copy()
-        sums[0] += total
-        np.add.accumulate(sums, out=sums)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(terms, out=terms)
+            sums = terms.copy()
+            sums[0] += total
+            np.add.accumulate(sums, out=sums)
         at = np.abs(terms)
         done = at <= 1e-17 * np.abs(sums)
         done &= w_abs * np.abs(r) < 1.0
         stop = int(done.argmax())
+        if not math.isfinite(sums[stop if done[stop] else -1]):
+            # a partial sum is finite only if every one before it is
+            raise SeriesError(f"2F1 series overflows for ({a}, {b}, {c}; {w})")
         if done[stop]:
             peak = max(peak, float(at[:stop + 1].max()))
             total = float(sums[stop])

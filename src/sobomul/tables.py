@@ -16,7 +16,6 @@ whose residuals and K++ values are formed gap by gap on plain floats
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,10 +117,8 @@ class Table1Cell:
     k_minus_error: float  # the lower bound's absolute error estimate
     ratio: float
     tag: str
-    upper_argmax: tuple[float, ...]
     lower_argmax: tuple[float, ...]
     error: str | None = None
-    seconds: float = 0.0
 
 
 def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
@@ -135,16 +132,15 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
     for gap in TABLE1_GAPS:
         n_exact = Fraction(d, 2) + gap
         q = BoundQuery(d=d, n=float(n_exact), n_exact=n_exact)
-        started = time.perf_counter()
         err = None
         k_plus = k_minus = k_minus_error = ratio = float("nan")
-        upper_arg: tuple[float, ...] = ()
         lower_arg: tuple[float, ...] = ()
         tag = ""
         try:
             kp = bounds.k_plus(q)
+            if "caveat" in kp.diagnostics:
+                raise ArithmeticError(kp.diagnostics["caveat"])
             k_plus = kp.value
-            upper_arg = kp.argmax.as_tuple() if kp.argmax else ()
             if with_lower:
                 low = bounds.best_lower(q)
                 k_minus = low.value
@@ -158,8 +154,7 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
         cells.append(Table1Cell(
             d=d, n_exact=n_exact, label=gap_label(d, gap), k_plus=k_plus,
             k_minus=k_minus, k_minus_error=k_minus_error, ratio=ratio, tag=tag,
-            upper_argmax=upper_arg, lower_argmax=lower_arg, error=err,
-            seconds=time.perf_counter() - started))
+            lower_argmax=lower_arg, error=err))
     return cells
 
 

@@ -196,13 +196,15 @@ def mp_log_bessel_norms(mp, d, n, lam):
 
 def test_bessel_norms_match_oracle():
     """The (B) squared-kernel norm and the K^B quotient against the 20-digit
-    oracle: (2, 3) at k_bessel's maximizer, where the reported K^B and its
-    error estimate are checked too, and the small gaps 1/100 and 1/50 at
-    lam = 1.4, where the slowly decaying tail reaches u = e^4600."""
+    oracle: (2, 3) and (1, 7/4) at k_bessel's maximizer, where the reported
+    K^B and its error estimate are checked too, and the small gaps 1/100 and
+    1/50 at lam = 1.4, where the slowly decaying tail reaches u = e^4600."""
     mp = pytest.importorskip("mpmath")
-    best = B.k_bessel(BoundQuery(d=2, n=3.0, n_exact=Fraction(3)))
+    best = {n: B.k_bessel(BoundQuery(d=d, n=float(n), n_exact=n))
+            for d, n in ((2, Fraction(3)), (1, Fraction(7, 4)))}
     worst = 0.0
-    for d, n, lam in ((2, Fraction(3), best.argmax.lam),
+    for d, n, lam in ((2, Fraction(3), best[3].argmax.lam),
+                      (1, Fraction(7, 4), best[Fraction(7, 4)].argmax.lam),
                       (2, Fraction(101, 100), 1.4),
                       (2, Fraction(51, 50), 1.4)):
         q = BoundQuery(d=d, n=float(n), n_exact=n)
@@ -211,14 +213,109 @@ def test_bessel_norms_match_oracle():
         quotient = math.sqrt(sq) / B.bessel_trial_norm_sq(q, lam, validate=False)
         worst = max(worst, abs(math.expm1(math.log(sq) - float(log_sq))),
                     abs(math.expm1(math.log(quotient) - float(log_sq / 2 - log_norm))))
-        if n == 3:
+        if n in best:
             worst = max(worst, abs(math.expm1(
-                math.log(best.value) - float(log_sq / 2 - log_norm))))
+                math.log(best[n].value) - float(log_sq / 2 - log_norm))))
             # the reported estimate covers the true error, which comes from
             # log_gamma's rounding in the Gamma constants
             oracle = float(mp.exp(log_sq / 2 - log_norm))
-            assert abs(best.value - oracle) <= best.error_estimate
+            assert abs(best[n].value - oracle) <= best[n].error_estimate
     assert worst <= 1e-12, worst
+
+
+def mp_log_upper_curve(mp, d, n, u):
+    """log of the upper curve Gamma(2n-d/2) / ((4 pi)^(d/2) Gamma(2n))
+    (1 + 4u)^n F(2n-d/2, n; n+1/2; -u) at 30 digits; n an mpf."""
+    with mp.workdps(30):
+        half_d = mp.mpf(d) / 2
+        return (mp.loggamma(2 * n - half_d) - mp.loggamma(2 * n) - half_d * mp.log(4 * mp.pi)
+                + n * mp.log1p(4 * u) + mp.log(mp.hyp2f1(2 * n - half_d, n, n + 0.5, -u)))
+
+
+def mp_log_sup_upper_curve(mp, d, n, u0):
+    """log of the supremum of the upper curve at 30 digits: for u0 = inf
+    the larger of the u -> inf limit Gamma(n+1-d/2) / (2^(d-1) pi^(d/2)
+    (n-d/2) Gamma(n)) and the curve on u = 1e12..1e60; otherwise the
+    vertex of the parabola in log u through three points 1e-5 apart
+    about u0, which lies within about 1e-7 of the argmax."""
+    with mp.workdps(30):
+        n = mp.mpf(n.numerator) / n.denominator
+        half_d = mp.mpf(d) / 2
+        if mp.isinf(u0):
+            limit = (mp.loggamma(n + 1 - half_d) - mp.log(n - half_d) - mp.loggamma(n)
+                     - (d - 1) * mp.log(2) - half_d * mp.log(mp.pi))
+            return max([limit] + [mp_log_upper_curve(mp, d, n, mp.mpf(10) ** k)
+                                  for k in range(12, 61, 6)])
+        x0, h = mp.log(u0), mp.mpf("1e-5")
+        lo, mid, hi = (mp_log_upper_curve(mp, d, n, mp.exp(x0 + k * h)) for k in (-1, 0, 1))
+        return mid - (hi - lo) ** 2 / (8 * (lo - 2 * mid + hi))
+
+
+def mp_log_minorant_quotient(mp, d, n, lam):
+    """log of the (BB) quotient sqrt(minorant) / trial norm at lam, at 30
+    digits, from the formulas of `squared_trial_minorant` and
+    `bessel_trial_norm_sq` with mpmath's Gamma and 2F1; n a float."""
+    with mp.workdps(30):
+        n, lam, half_d = mp.mpf(n), mp.mpf(lam), mp.mpf(d) / 2
+        lg, gap, w = mp.loggamma, n - half_d, 1 - 4 * lam ** 2
+        p = mp.exp(lg(n + 0.5) + lg(gap + 1) - lg(0.5) - lg(2 * n - half_d))
+        edge = 0.5 + half_d - n
+        q = 0 if edge == 0 else mp.exp(lg(n + 0.5) + lg(1 - gap) - lg(n)) / mp.gamma(edge)
+        q_small = q if p >= q else p - gap
+        bracket = (p ** 2 * mp.exp(lg(gap + 1) - lg(n)) * mp.hyp2f1(-n, half_d, n, w)
+                   - p * q * mp.exp(lg(2 * gap + 1) - lg(2 * n - half_d))
+                   * mp.hyp2f1(-n, half_d, 2 * n - half_d, w)
+                   + q_small ** 2 * mp.exp(lg(3 * gap + 1) - lg(3 * n - d)) / 3
+                   * mp.hyp2f1(-n, half_d, 3 * n - d, w))
+        log_sq = (half_d * mp.log(mp.pi) + 2 * lg(2 * n - half_d) - 2 * lg(2 * n)
+                  - 3 * mp.log(gap) - d * mp.log(lam) + mp.log(bracket))
+        log_norm = (half_d * mp.log(mp.pi) + lg(gap + 1) - mp.log(gap) - lg(n)
+                    - d * mp.log(lam) + mp.log(mp.hyp2f1(-n, half_d, n, 1 - lam ** 2)))
+        return log_sq / 2 - log_norm
+
+
+def test_k_plus_error_estimate_encloses_the_curve_supremum():
+    """K+ +- its error estimate encloses a 30-digit supremum of the upper
+    curve on every route: the closed-form limit, the limit at the search
+    boundary and the Newton maximum, from (1, 3/2) to (2, 121).  At
+    (1, 61/2) K+ lies 1.3e-14 below the supremum, inside its 3.1e-14."""
+    mp = pytest.importorskip("mpmath")
+    cells = {"closed_form_limit": ((1, Fraction(3, 4)), (3, Fraction(2))),
+             "boundary_limit": ((1, Fraction(1000000001, 10 ** 9)),
+                                (4, Fraction(2500000001, 10 ** 9))),
+             "maximize": ((1, Fraction(3, 2)), (1, Fraction(61, 2)), (2, Fraction(121)),
+                          (4, Fraction(9, 2)), (10, Fraction(12)), (3, Fraction(21, 8)))}
+    for route, pairs in cells.items():
+        for d, n in pairs:
+            res = B.k_plus(BoundQuery(d=d, n=float(n), n_exact=n))
+            assert res.diagnostics["route"] == route, (d, n)
+            exact = mp.exp(mp_log_sup_upper_curve(mp, d, n, res.argmax.u) / 2)
+            assert abs(res.value - exact) <= res.error_estimate, (d, n, res)
+
+
+def test_bb_error_estimate_encloses_a_30_digit_quotient():
+    """K^BB +- its measured error estimate encloses the 30-digit quotient at
+    its argmax for d = 1, 2, 4, 7, 10 at gaps 1e-12 to 0.0999 (the error
+    reaches 1.5e-14; the estimate is about 1e-12, not a nominal 1e-9)."""
+    mp = pytest.importorskip("mpmath")
+    for d in (1, 2, 4, 7, 10):
+        for gap in (1e-12, 1e-9, 1e-6, 1e-3, 0.0999):
+            q = BoundQuery(d=d, n=d / 2.0 + gap)
+            res = B.k_bessel_minorant(q)
+            exact = mp.exp(mp_log_minorant_quotient(mp, d, q.n, res.argmax.lam))
+            assert abs(res.value - exact) <= res.error_estimate <= 2e-12 * res.value, (d, gap)
+
+
+def test_fourier_error_estimates_enclose_a_30_digit_quotient():
+    """K^F (on the rule and on the closed sum) and K^FF +- their error
+    estimates enclose the 30-digit plane-wave quotient at their argmax."""
+    mp = pytest.importorskip("mpmath")
+    for bound, d, n in ((B.k_fourier, 2, Fraction(5, 2)), (B.k_fourier, 3, Fraction(4)),
+                        (B.k_fourier_fixed, 1, Fraction(60)),
+                        (B.k_fourier_fixed, 10, Fraction(80))):
+        res = bound(BoundQuery(d=d, n=float(n), n_exact=n))
+        exact = mp.exp(mp_log_fourier_quotient(mp, d, n, res.argmax.p, res.argmax.sigma))
+        assert abs(res.value - exact) <= res.error_estimate, (d, n, res)
 
 
 def test_criterion_2_table1_ratios_and_tags(table1_cells):

@@ -286,9 +286,12 @@ def test_residual_scan_settles_on_the_first_level(monkeypatch):
     assert levels == {K._FIRST_LEVEL}
 
 
-def test_residual_scan_builds_no_result_objects(monkeypatch):
-    # deterministic counts: the d = 10 scan builds no BoundResult and no
-    # TrialParams, and a BoundQuery only for its 220 searched rows
+def test_residual_scan_builds_one_result_per_searched_row(monkeypatch):
+    # deterministic counts: the d = 10 scan builds a BoundQuery only for
+    # its 220 searched rows, and a BoundResult with its TrialParams only
+    # where a K+ is certified: once per searched row and once for each of
+    # the two one-row reruns at the argmax gaps, none per search round and
+    # none for the 180 closed-form gaps
     built = {}
     for name in ("BoundResult", "TrialParams", "BoundQuery"):
         def counting(*args, _cls=getattr(B, name), _name=name, **kw):
@@ -297,7 +300,7 @@ def test_residual_scan_builds_no_result_objects(monkeypatch):
 
         monkeypatch.setattr(B, name, counting)
     B._residual_scan.__wrapped__(10, B.default_residual_grid(10))
-    assert built == {"BoundQuery": 220}
+    assert built == {"BoundQuery": 220, "BoundResult": 222, "TrialParams": 222}
 
 
 def test_residual_scan_kernel_call_gate(monkeypatch):
@@ -501,6 +504,29 @@ def test_k_bessel_at_large_n(n, capsys):
     assert 0.0 < res.value < B.k_plus(q_of(1, n)).value
     assert cli.main(["lower", "--method", "bessel", "-n", str(n), "-d", "1", "--json"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d, n", [(1, 600.3), (4, 4900.3)])
+def test_k_bessel_search_rejects_an_overflowing_series(monkeypatch, d, n):
+    # at non-integer n in the hundreds or thousands the lam search tries
+    # points whose 2F1 series overflows; the series raises SeriesError
+    # there, which rejects the point, and no RuntimeWarning (an error
+    # under this suite's filter) reaches the caller
+    from sobomul import specfun
+    inner, raised = specfun._series, []
+
+    def spy(*args):
+        try:
+            return inner(*args)
+        except specfun.SeriesError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(specfun, "_series", spy)
+    res = B.k_bessel(BoundQuery(d=d, n=n))
+    assert any("overflows" in msg for msg in raised)
+    assert 0.0 < res.value < B.k_plus(BoundQuery(d=d, n=n)).value
+    assert res.diagnostics["converged"]
 
 
 def test_k_bessel_domain_guard():

@@ -233,7 +233,10 @@ def test_large_half_integer_gap_sandwich(capsys, n, d):
     assert 0.0 < rec["k_minus"] < rec["k_plus"]
 
 
-def test_nonconvergence_exit_3(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["upper", "sandwich"])
+def test_nonconvergence_exit_3(monkeypatch, capsys, command):
+    # an uncertified K+ exits 3, and both commands print the caveat that
+    # decides it: sandwich joins it with the (here absent) K- caveat
     from sobomul import bounds
 
     def fake_k_plus(q):
@@ -242,9 +245,32 @@ def test_nonconvergence_exit_3(monkeypatch, capsys):
                                   diagnostics={"caveat": "budget exhausted"})
 
     monkeypatch.setattr(cli.bounds, "k_plus", fake_k_plus)
-    code, out, _ = run(capsys, ["upper", "-n", "2", "-d", "2"])
+    code, out, _ = run(capsys, [command, "-n", "2", "-d", "2"])
     assert code == 3
-    assert "CAVEAT" in out
+    assert "CAVEAT: budget exhausted" in out
+    code, out, _ = run(capsys, [command, "-n", "2", "-d", "2", "--json"])
+    assert code == 3
+    assert json.loads(out)["records"][0]["caveat"] == "budget exhausted"
+
+
+@pytest.mark.parametrize("argv", [["table1", "-d", "2", "--upper-only", "--json"],
+                                  ["asymp", "--regime", "large", "-d", "2", "--n-list", "60"]])
+def test_uncertified_k_plus_exits_3_in_table1_and_asymp(monkeypatch, capsys, argv):
+    # the one exit rule: an uncertified K+ exits 3 wherever it is used;
+    # table1 records it as the cell's error, with no K+ value
+    from sobomul import bounds
+
+    def fake_k_plus(q):
+        return bounds.BoundResult(value=1.0, kind="upper_plus",
+                                  argmax=bounds.TrialParams(u=1.0),
+                                  diagnostics={"caveat": "budget exhausted"})
+
+    monkeypatch.setattr(cli.bounds, "k_plus", fake_k_plus)
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    if argv[0] == "table1":
+        for rec in json.loads(out)["records"]:
+            assert rec["k_plus"] is None and rec["error"] == "ArithmeticError: budget exhausted"
 
 
 def test_series_failure_exits_3(monkeypatch, capsys):
@@ -268,6 +294,9 @@ def test_fourier_at_a_tiny_gap_returns_promptly(capsys, n, d):
     assert code == 0
     (low,) = json.loads(out)["records"]
     assert time.perf_counter() - started < 10.0
+    # the (F) search spends its whole budget on a flat ridge toward large
+    # sigma: its K- carries a caveat, which is informational (exit 0)
+    assert "search stopped before the supremum" in low["caveat"]
     code, out, _ = run(capsys, ["upper", "-n", n, "-d", d, "--json"])
     assert code == 0
     (up,) = json.loads(out)["records"]

@@ -53,7 +53,10 @@ def test_cli_loads_only_the_call_graph():
                                   "03_bounds_table.py", "04_elementary_envelope.py",
                                   "05_asymptotic_laws.py", "06_special_functions.py"])
 def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    # the demos run in their own interpreters, outside pytest's warning
+    # filter, so they take it on the command line
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)],
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -386,6 +386,14 @@ def test_series_term_cap_is_exact(monkeypatch):
         series_loop(*args)
 
 
+def test_series_raises_on_overflow():
+    # a partial sum past the double range raises SeriesError (which a lam
+    # search takes as a rejected point) instead of a numpy overflow warning:
+    # a trial point of the (B) search at (n, d) = (600.3, 1)
+    with pytest.raises(sf.SeriesError, match="overflows"):
+        sf._series(0.5, 1200.6, 600.3, 0.930951386103769)
+
+
 def test_hyp2f1_raises_series_error(monkeypatch):
     # a series that hits the term cap, a Kummer image that hits it, and a
     # series that cancels raise SeriesError, an ArithmeticError: no
