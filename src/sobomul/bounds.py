@@ -11,7 +11,8 @@ Upper bounds
                     supremum Z_d.
     envelope_residual_sup
                     Z_d and Theta_d from a scan over 400 gaps, its K+ from
-                    one batched search, certified row by row as k_plus is.
+                    one warm-started batched search, certified row by row
+                    by the rule of k_plus.
 
 Lower bounds (Rayleigh quotients of explicit trial functions)
     k_bessel            K^B  = sup_lam ||g_lam^2||_n / ||g_lam||_n^2 with
@@ -248,86 +249,122 @@ def _curve_rounding(q: BoundQuery, u: float) -> float:
     return 4.0 * sys.float_info.epsilon * size
 
 
-def _certified_k_plus(queries: list[BoundQuery],
-                      outcomes: list[MaxResult | BracketBoundaryError]) -> list[BoundResult]:
-    """The K+ result of each row of a finished :func:`_k_plus_search`.
-
-    A search that ended inside [_U_LO, _U_HI] gives the square root of its
-    best value, with half (K+ being a square root) the final Newton model's
-    remaining gain, the search's rounding floor and the curve's own
-    (:func:`_curve_rounding`) as relative error.  A search still climbing
-    at the upper bound gives the closed-form limit, if the curve there is
-    finite and not above it; otherwise, or if the curve is not finite where
-    the search stopped, ArithmeticError is raised.
-    """
-    results = []
-    for q, outcome in zip(queries, outcomes):
-        if isinstance(outcome, BracketBoundaryError):
-            # Still increasing at the bracket boundary: sup effectively at
-            # inf, provided the curve there is finite and not above its limit.
-            log_limit = log_upper_curve_limit(q)
-            if not (math.isfinite(outcome.best_f)
-                    and outcome.best_f <= log_limit + _LIMIT_LOG_TOL):
-                raise ArithmeticError(
-                    f"upper curve at the search boundary is {outcome.best_f!r} against "
-                    f"its limit {log_limit!r} (log scale); the supremum is not certified"
-                ) from outcome
-            results.append(_bound_result(q, "upper_plus", 0.5 * log_limit,
-                                         TrialParams(u=math.inf), 1e-12, route="boundary_limit"))
-        elif math.isfinite(outcome.max_value):
-            u = math.exp(outcome.argmax[0])
-            results.append(_bound_result(
-                q, "upper_plus", 0.5 * outcome.max_value, TrialParams(u=u),
-                0.5 * (outcome.gain + _curve_rounding(q, u)), outcome, route="maximize",
-                slope=outcome.slope, curvature=outcome.curvature))
-        else:
+def _k_plus_row(q: BoundQuery, outcome: MaxResult | BracketBoundaryError
+                ) -> tuple[float, MaxResult | None]:
+    """log K+ of one row of a finished :func:`_k_plus_search`, and its
+    search if it ended inside [_U_LO, _U_HI]: half its best value.  A
+    search still climbing at the upper bound gives the closed-form limit
+    (search None), if the curve there is finite and not above it;
+    otherwise, or if the curve is not finite where the search stopped,
+    ArithmeticError is raised."""
+    if isinstance(outcome, BracketBoundaryError):
+        log_limit = log_upper_curve_limit(q)
+        if not (math.isfinite(outcome.best_f)
+                and outcome.best_f <= log_limit + _LIMIT_LOG_TOL):
             raise ArithmeticError(
-                f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
-                f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
-    return results
+                f"upper curve at the search boundary is {outcome.best_f!r} against "
+                f"its limit {log_limit!r} (log scale); the supremum is not certified"
+            ) from outcome
+        return 0.5 * log_limit, None
+    if not math.isfinite(outcome.max_value):
+        raise ArithmeticError(
+            f"upper curve is {outcome.max_value!r} (log scale) where the K+ search "
+            f"stopped, u = {math.exp(outcome.argmax[0])!r}; the supremum is not certified")
+    return 0.5 * outcome.max_value, outcome
 
 
 def k_plus(q: BoundQuery) -> BoundResult:
     """Upper bound K+ = sqrt(sup over u >= 0 of the upper curve): for
     n <= d/2 + 1/2, where the curve increases, its closed-form limit at
-    u = inf; otherwise the one-row case of :func:`_k_plus_search` and
-    :func:`_certified_k_plus`.  DomainError where the large-n law, which
-    lies below K+, or K+ itself exceeds the double range.
+    u = inf; otherwise the one-row case of :func:`_k_plus_search`,
+    certified by :func:`_k_plus_row`.  The boundary limit carries a 1e-12
+    relative error; a search's value carries half (K+ being a square root)
+    the final Newton model's remaining gain, the search's rounding floor
+    and the curve's own (:func:`_curve_rounding`).  DomainError where the
+    large-n law, which lies below K+, or K+ itself exceeds the double range.
     """
     if q.has_closed_form_upper:
         return _bound_result(q, "upper_plus", 0.5 * log_upper_curve_limit(q),
                              TrialParams(u=math.inf), 1e-14, route="closed_form_limit")
-    return _certified_k_plus([q], _k_plus_search([q])[0])[0]
+    log_k, found = _k_plus_row(q, _k_plus_search([q])[0][0])
+    if found is None:
+        return _bound_result(q, "upper_plus", log_k, TrialParams(u=math.inf), 1e-12,
+                             route="boundary_limit")
+    u = math.exp(found.argmax[0])
+    return _bound_result(q, "upper_plus", log_k, TrialParams(u=u),
+                         0.5 * (found.gain + _curve_rounding(q, u)), found, route="maximize",
+                         slope=found.slope, curvature=found.curvature)
 
 
 def _scan_start_u(q: BoundQuery) -> float:
-    """A start for the K+ search that depends on (n, d) alone: the argmax
-    of the upper curve nears 1/2 + (3d/8 + 3/2)/(n - d/2) at large gaps
-    (a fit to the d = 1..10 scans) and grows without bound as the gap
-    falls to 1/2."""
+    """The cold start of a K+ search, from (n, d) alone: the argmax of the
+    upper curve nears 1/2 + (3d/8 + 3/2)/(n - d/2 - 1/2) at large gaps (a
+    fit to the d = 1..10 scans) and grows without bound as the gap falls to
+    1/2.  It misses the argmax by a median of 0.014 in log u, and by up to
+    3.4 near gap 1/2; a one-row search and a batch's first pass start here."""
     return min(0.5 + (0.375 * q.d + 1.5) / (q.n_gap - 0.5), _U_HI)
+
+
+# The first pass of a batched K+ search takes every _SEED_STRIDE-th row and
+# the last; over the d = 1..10 scans strides of 8, 16, 32 and 64 take
+# 4,813, 4,786, 5,756 and 7,012 evaluations.
+_SEED_STRIDE = 16
+
+
+def _warm_starts(t_seed: np.ndarray, x_seed: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x at each t from the cubic (Lagrange form) through the four seeds
+    (t_seed ascending, x_seed) around it, fewer if there are fewer seeds,
+    clipped to the search's [log _U_LO, log _U_HI]."""
+    start = np.clip(np.searchsorted(t_seed, t) - 2, 0, max(t_seed.size - 4, 0))
+    window = start[:, None] + np.arange(min(t_seed.size, 4))
+    tk, xk = t_seed[window], x_seed[window]
+    x = np.zeros(t.size)
+    for j in range(tk.shape[1]):
+        others = [k for k in range(tk.shape[1]) if k != j]
+        x += xk[:, j] * np.prod((t[:, None] - tk[:, others])
+                                / (tk[:, [j]] - tk[:, others]), axis=1)
+    return np.clip(x, math.log(_U_LO), math.log(_U_HI))
 
 
 def _k_plus_search(queries: list[BoundQuery]
                    ) -> tuple[list[MaxResult | BracketBoundaryError], int]:
     """The outcome of each K+ search of queries of one d, each with
-    n > d/2 + 1/2 and given in ascending n, and the number of rounds: one
-    batched Newton search (:func:`maximize_1d_newton`) over x = log u in
-    [log _U_LO, log _U_HI], a row per query from :func:`_scan_start_u`.
-    Each round evaluates the upper curve, its slope and its curvature at
-    every live row's next point in one kernel call."""
+    n > d/2 + 1/2 and given in ascending n, and the number of rounds:
+    batched Newton searches (:func:`maximize_1d_newton`) over x = log u in
+    [log _U_LO, log _U_HI] on one :class:`KernelRows`, in two passes.  The
+    first takes every _SEED_STRIDE-th row and the last, each from
+    :func:`_scan_start_u` (a one-row search is all first pass); the second
+    takes the others, each from :func:`_warm_starts` on the first pass's
+    argmaxes in log(n - d/2 - 1/2).  Both run the same search to the same
+    stop rule; only the starts differ.  Each round evaluates the upper
+    curve, its slope and its curvature at every live row's next point in
+    one kernel call."""
     for q in queries:
         _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
     rows = KernelRows(queries)
     rounds = 0
+    outcomes = [None] * len(queries)
 
-    def objective(at: np.ndarray, x: np.ndarray) -> tuple:
-        nonlocal rounds
-        rounds += 1
-        return log_upper_curve_rows(rows, at, np.exp(x))
+    def search(idx: np.ndarray, x0: list[float]) -> None:
+        def objective(at: np.ndarray, x: np.ndarray) -> tuple:
+            nonlocal rounds
+            rounds += 1
+            return log_upper_curve_rows(rows, idx[at], np.exp(x))
 
-    outcomes = maximize_1d_newton(objective, math.log(_U_LO), math.log(_U_HI),
-                                  [math.log(_scan_start_u(q)) for q in queries])
+        for i, outcome in zip(idx.tolist(),
+                              maximize_1d_newton(objective, math.log(_U_LO),
+                                                 math.log(_U_HI), x0)):
+            outcomes[i] = outcome
+
+    first = np.zeros(len(queries), dtype=bool)
+    first[::_SEED_STRIDE] = first[-1] = True
+    seeds, rest = np.flatnonzero(first), np.flatnonzero(~first)
+    search(seeds, [math.log(_scan_start_u(queries[i])) for i in seeds])
+    if rest.size:
+        x_seed = np.array([o.best_x if isinstance(o, BracketBoundaryError) else o.argmax[0]
+                           for o in (outcomes[i] for i in seeds)])
+        t = np.log(rows.expo)
+        search(rest, _warm_starts(t[seeds], x_seed, t[rest]).tolist())
     return outcomes, rounds
 
 
@@ -381,14 +418,16 @@ def default_residual_grid(d: int) -> tuple[float, ...]:
 
 
 def _searched_k_plus(queries: list[BoundQuery]) -> tuple[list[float], list, int]:
-    """K+, outcomes and rounds of one :func:`_k_plus_search`; a row whose
-    K+ carries a caveat raises ArithmeticError."""
+    """K+, outcomes and rounds of one :func:`_k_plus_search`, each row
+    certified by :func:`_k_plus_row` with no result object built; a row
+    whose search did not converge raises ArithmeticError."""
     found, rounds = _k_plus_search(queries)
     values = []
-    for q, res in zip(queries, _certified_k_plus(queries, found)):
-        if "caveat" in res.diagnostics:
-            raise ArithmeticError(f"K+ at (n, d) = ({q.n:g}, {q.d}): {res.diagnostics['caveat']}")
-        values.append(res.value)
+    for q, outcome in zip(queries, found):
+        log_k, search = _k_plus_row(q, outcome)
+        if search is not None and not search.converged:
+            raise ArithmeticError(f"K+ at (n, d) = ({q.n:g}, {q.d}): {_UPPER_CAVEAT}")
+        values.append(_exp_in_range(log_k, "K+", q))
     return values, found, rounds
 
 
@@ -398,7 +437,9 @@ def _residual_k_plus(d: int, gap_grid: tuple[float, ...]) -> tuple[
     ascending gap_grid, and the number of search rounds (each one kernel
     call).  The gaps up to 1/2, the grid's first, take K+'s closed form
     from plain floats (query and outcome None); the others share one
-    batched search (:func:`_searched_k_plus`).  Not cached."""
+    two-pass batched search, whose second pass starts from the first's
+    argmaxes, certified row by row with no result object
+    (:func:`_searched_k_plus`).  Not cached."""
     ns = [d / 2.0 + nd for nd in gap_grid]
     k = sum(_closed_form_upper(n, d) for n in ns)
     queries = [None] * k + [BoundQuery(d=d, n=n) for n in ns[k:]]
@@ -804,21 +845,31 @@ def _bessel_gamma_error(q: BoundQuery) -> float:
                              + 0.5 * _gamma_sizes(d / 2.0))
 
 
-# At the (BB) argmax (lam in [1, 2]) for d <= 10 and gaps 1e-12 to 1/2: the
-# relative error of one 2F1, series and rounding (measured at most 2.0e-14
-# against 30-digit mpmath), and the condition sum |w_i F_i| / bracket of the
-# minorant's bracket w_1 F_1 - w_2 F_2 + w_3 F_3 / 3 (at most 7, its limit
-# as the gap falls to 0).
+# The relative error of one 2F1 of the (B) and (BB) norms, series and
+# rounding, against 30-digit mpmath for d <= 10 and gaps 1e-12 to 50 - d/2:
+# at most 2.0e-14 for lam in [1, 2], where every argmax of the tables and
+# query streams lies, and elsewhere at most 2.9e-12 for lam in [0.1, 30]
+# (the Kummer series converges slowly as lam grows) and 1.7e-12 in
+# [1e-3, 0.1].  The condition sum |w_i F_i| / bracket of the minorant's
+# bracket w_1 F_1 - w_2 F_2 + w_3 F_3 / 3 is at most 7 for lam in [0.5, 30],
+# its limit as the gap falls to 0.
 _HYP_ERR = 4e-14
+_HYP_ERR_OFF_BAND = 6e-12
 _BRACKET_CONDITION = 7.0
 
 
-def _minorant_error(q: BoundQuery) -> float:
-    """Bound on the relative error of K^BB: half the bracket's, which is
-    its condition times that of a part (F_i errs by _HYP_ERR, a weight, whose
-    log holds each log Gamma of the minorant at most thrice, by three times
-    their rounding), plus the trial norm's 2F1 error, the log Gamma rounding
-    of both prefactors (bounded by (B)'s) and the rounding of their logs."""
+def _hyp_error(lam: float) -> float:
+    """Bound on the relative error of one 2F1 of the (B)/(BB) norms at lam."""
+    return _HYP_ERR if 1.0 <= lam <= 2.0 else _HYP_ERR_OFF_BAND
+
+
+def _minorant_error(q: BoundQuery, lam: float) -> float:
+    """Bound on the relative error of K^BB at lam: half the bracket's,
+    which is its condition times that of a part (F_i errs by
+    :func:`_hyp_error`, a weight, whose log holds each log Gamma of the
+    minorant at most thrice, by three times their rounding), plus the trial
+    norm's 2F1 error, the log Gamma rounding of both prefactors (bounded by
+    (B)'s) and the rounding of their logs."""
     n, d = q.n, q.d
     consts = _bessel_constants(n, d)
     co, _weights, log_pref = consts.minorant
@@ -828,7 +879,8 @@ def _minorant_error(q: BoundQuery) -> float:
         n + 0.5, n + 1.0 - d / 2.0, 2.0 * n - d / 2.0, n, d / 2.0 + 1.0 - n,
         2.0 * n + 1.0 - d, 3.0 * n + 1.0 - 1.5 * d, 3.0 * n - d, *edge)
     rounding = 4.0 * sys.float_info.epsilon * (1.0 + 0.5 * abs(log_pref) + abs(consts.log_norm))
-    return (0.5 * _BRACKET_CONDITION * (_HYP_ERR + weight_error) + _HYP_ERR
+    hyp_error = _hyp_error(lam)
+    return (0.5 * _BRACKET_CONDITION * (hyp_error + weight_error) + hyp_error
             + _bessel_gamma_error(q) + rounding)
 
 
@@ -840,7 +892,8 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     the Newton search (:func:`_search_log_lam`, from lam = 1.4) tries costs
     one logsumexp with its moments and three 2F1.  K^B is the h/2 rule at
     the maximizer; its relative error is half the measured "rule_error"
-    |I_h/2 - I_h| / I_h/2 plus the Gamma constants' rounding.  Needs
+    |I_h/2 - I_h| / I_h/2 plus the trial norm's 2F1 error
+    (:func:`_hyp_error`) and the Gamma constants' rounding.  Needs
     n - d/2 >= 0.01; use :func:`k_bessel_minorant` below.
     """
     if q.n_gap < _KB_MIN_GAP:
@@ -853,7 +906,7 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     log_value = (0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
                  - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
     return _bound_result(q, "lower_bessel", log_value, TrialParams(lam=lam_star),
-                         0.5 * rule_error + _bessel_gamma_error(q), res,
+                         0.5 * rule_error + _hyp_error(lam_star) + _bessel_gamma_error(q), res,
                          nodes=n_nodes, rule_error=rule_error)
 
 
@@ -866,7 +919,7 @@ def k_bessel_minorant(q: BoundQuery) -> BoundResult:
     res = _search_log_lam(_lam_objective(q, lambda lam: _log_minorant(q, lam, True)), 1.42)
     lam_star = math.exp(res.argmax[0])
     return _bound_result(q, "lower_bessel_bb", res.max_value, TrialParams(lam=lam_star),
-                         _minorant_error(q), res)
+                         _minorant_error(q, lam_star), res)
 
 
 # ----------------------------------------------------------------------

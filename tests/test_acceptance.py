@@ -306,6 +306,58 @@ def test_bb_error_estimate_encloses_a_30_digit_quotient():
             assert abs(res.value - exact) <= res.error_estimate <= 2e-12 * res.value, (d, gap)
 
 
+def test_bessel_argmax_lam_lies_in_the_measured_2f1_band():
+    """Every (B) and (BB) search of table1 (d = 1..4) and of the benchmark's
+    query streams (seeds 1-3, read from bench/workloads.py) ends at lam in
+    [1, 2], where one 2F1 errs by at most B._HYP_ERR; off that band the
+    error estimates take the larger B._HYP_ERR_OFF_BAND (230 distinct
+    searches, lam in [1.21, 1.66] measured)."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    queries = {q for d in range(1, 5) for q in tables.table1_queries(d)}
+    for seed in (1, 2, 3):
+        for _cls, argv in workloads.query_stream(seed):
+            n, d = Fraction(argv[2]), int(argv[4])
+            queries.add(BoundQuery(d=d, n=float(n), n_exact=n))
+    lams = []
+    for q in sorted(queries, key=lambda q: (q.d, q.n)):
+        if q.n_gap <= B._BB_SWITCH:
+            res = B.k_bessel_minorant(q)
+        elif q.n <= B._FF_SWITCH:
+            res = B.k_bessel(q)
+        else:
+            continue
+        assert 1.0 <= res.argmax.lam <= 2.0, (q, res.argmax.lam)
+        lams.append(res.argmax.lam)
+    assert len(lams) >= 200, len(lams)
+
+
+def test_off_band_2f1_error_bound_against_30_digits():
+    """One 2F1 of the (B)/(BB) norms errs by at most B._HYP_ERR_OFF_BAND at
+    lam in [0.1, 30] (2.9e-12 measured, largest as lam nears 30 at d = 10)
+    and by at most B._HYP_ERR at lam in [1, 2], against 30-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for d in (1, 4, 10):
+        for gap in (1e-11, 1e-3, 0.05, 3.3, 40.0):
+            n = d / 2.0 + gap
+            cs = () if gap > 0.1 else (n, 2.0 * n - d / 2.0, 3.0 * n - d)
+            for lam in (0.1, 0.59, 1.2, 1.9, 3.7, 12.0, 29.0):
+                for c, scale in [(n, 1.0)] + [(c, 4.0) for c in cs]:
+                    w = 1.0 - scale * lam * lam
+                    try:
+                        f = sf.hyp2f1(-n, d / 2.0, c, w)
+                    except sf.HypergeometricError:
+                        continue
+                    exact = mp.hyp2f1(-mp.mpf(n), mp.mpf(d) / 2, mp.mpf(c), mp.mpf(w))
+                    err = float(abs((f - exact) / exact))
+                    assert err <= B._hyp_error(lam), (d, gap, c, lam, err)
+
+
 def test_fourier_error_estimates_enclose_a_30_digit_quotient():
     """K^F (on the rule and on the closed sum) and K^FF +- their error
     estimates enclose the 30-digit plane-wave quotient at their argmax."""

@@ -245,12 +245,15 @@ def test_residual_scan_searches_converge():
 
 def test_residual_scan_k_plus_matches_scalar_k_plus():
     # the rows of the scan's batched search against k_plus, its one-row
-    # case, at every 11th searched gap: the rows of a block sum over the
-    # nodes that any of them keeps, so they may differ in the last bits
+    # case, at every searched gap: the rows of a block sum over the nodes
+    # that any of them keeps, so they may differ in the last bits; a
+    # warm-started row that climbed to another local maximum than the
+    # cold start's would differ by far more
     for d in (1, 5, 10):
         queries, kps, _, _ = B._residual_k_plus(d, B.default_residual_grid(d))
         searched = [(q.n, kp) for q, kp in zip(queries, kps) if q is not None]
-        for n, kp in searched[::11]:
+        assert len(searched) == 220
+        for n, kp in searched:
             assert rel_err(kp, B.k_plus(BoundQuery(d=d, n=n)).value) <= 1e-12, (d, n)
 
 
@@ -269,29 +272,36 @@ def test_residual_scan_settles_on_the_first_level(monkeypatch):
     # deterministic counts: every point of the d = 1 and d = 10 scans,
     # the one-row searches at the argmax gaps included, settles on the
     # kernel's first tanh-sinh level; a point that climbs would call
-    # _log_kernel_rows again on a KernelRows of the next level
+    # _log_kernel_rows again on a KernelRows of the next level, and the
+    # kernel's points would then outnumber the searches' evaluations
     from sobomul import kernels as K
-    levels, points = set(), []
-    inner = K._log_kernel_rows
+    levels, points, evaluations = set(), [], []
+    inner, search = K._log_kernel_rows, B.maximize_1d_newton
 
     def counting(rows, at, u, moments=False):
         levels.add(rows.level)
         points.append(u.size)
         return inner(rows, at, u, moments)
 
+    def counting_search(*args, **kw):
+        outcomes = search(*args, **kw)
+        evaluations.extend(o.iterations for o in outcomes)
+        return outcomes
+
     monkeypatch.setattr(K, "_log_kernel_rows", counting)
+    monkeypatch.setattr(B, "maximize_1d_newton", counting_search)
     for d in (1, 10):
         B._residual_scan.__wrapped__(d, B.default_residual_grid(d))
-    assert sum(points) > 1000
+    assert sum(points) == sum(evaluations)
     assert levels == {K._FIRST_LEVEL}
 
 
-def test_residual_scan_builds_one_result_per_searched_row(monkeypatch):
+def test_residual_scan_builds_no_result_per_searched_row(monkeypatch):
     # deterministic counts: the d = 10 scan builds a BoundQuery only for
-    # its 220 searched rows, and a BoundResult with its TrialParams only
-    # where a K+ is certified: once per searched row and once for each of
-    # the two one-row reruns at the argmax gaps, none per search round and
-    # none for the 180 closed-form gaps
+    # its 220 searched rows and no BoundResult or TrialParams at all: it
+    # certifies each searched row, and the two one-row reruns at the
+    # argmax gaps, by k_plus's rule on the search outcome itself; none per
+    # search round and none for the 180 closed-form gaps
     built = {}
     for name in ("BoundResult", "TrialParams", "BoundQuery"):
         def counting(*args, _cls=getattr(B, name), _name=name, **kw):
@@ -300,14 +310,14 @@ def test_residual_scan_builds_one_result_per_searched_row(monkeypatch):
 
         monkeypatch.setattr(B, name, counting)
     B._residual_scan.__wrapped__(10, B.default_residual_grid(10))
-    assert built == {"BoundQuery": 220, "BoundResult": 222, "TrialParams": 222}
+    assert built == {"BoundQuery": 220}
 
 
 def test_residual_scan_kernel_call_gate(monkeypatch):
     # deterministic counts: the d = 10 scan evaluates its 220 searches in
-    # at most 12 batched kernel calls and 1,200 points (9 and 829
-    # measured); one kernel call per search evaluation fails here.  Its
-    # AsympConstants are built once.
+    # at most 12 batched kernel calls and 520 points (12 and 482 measured,
+    # 9 and 829 with every row cold from _scan_start_u); one kernel call per
+    # search evaluation fails here.  Its AsympConstants are built once.
     from sobomul import kernels as K
     calls = []
     for name in ("log_hyper_kernel", "_log_kernel_rows"):
@@ -327,7 +337,7 @@ def test_residual_scan_kernel_call_gate(monkeypatch):
     _, _, outcomes, rounds = B._residual_k_plus(10, grid)
     evaluations = sum(o.iterations for o in outcomes if o is not None)
     assert len(calls) == rounds <= 12
-    assert sum(calls) == evaluations <= 1200
+    assert sum(calls) == evaluations <= 520
 
 
 def test_asymp_constants_cached_bit_identical():
