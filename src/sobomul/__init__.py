@@ -2,13 +2,14 @@
 algebras H^n(R^d), n > d/2, together with the special functions, the
 kernel's tanh-sinh rule and the Newton searches they are built on.  Of
 Gamma it keeps only ``log_gamma``; the constants that need Gamma or
-digamma at d/2 take ``math.gamma`` and a harmonic sum.  2F1 is summed as
-a series in every regime.
+digamma at d/2 take ``math.gamma`` and a harmonic sum.  Of 2F1 it keeps
+only the family F(-n, d/2; c; 1 - t lam^2) of the (B) and (BB) norms,
+summed as a series on each of its paths.
 
 The package holds only what the bounds and the command line call.  The
-tests' reference implementations (adaptive Gauss-Kronrod quadrature, the
-Laplace-method engine, the real-space Macdonald kernel) live under
-``tests/oracles/``.
+tests' reference implementations (the general real 2F1, adaptive
+Gauss-Kronrod quadrature, the Laplace-method engine, the real-space
+Macdonald kernel) live under ``tests/oracles/``.
 """
 
 from .bounds import (AsympConstants, BoundResult, ElementaryBoundData,

@@ -31,7 +31,7 @@ Lower bounds (Rayleigh quotients of explicit trial functions)
                         (p, sigma) = (1/(2 sqrt 2), 3/(4n)); used for n > 50.
     best_lower          the applicable maximum, tagged (B)/(BB)/(F)/(FF).
 
-Asymptotic laws (constants in :mod:`sobomul.envelope`): k_plus_asymp_small
+Asymptotic laws (constants in :class:`AsympConstants`): k_plus_asymp_small
 M_d / sqrt(n - d/2) (1 - N_d (n - d/2)), k_plus_asymp_large T_d
 (2/sqrt 3)^n / n^(d/4).
 
@@ -56,8 +56,6 @@ import numpy as np
 from . import specfun as sf
 from ._gaussian_norm import (_exp_sinh_nodes, _gaussian_rule_block,
                              _log_gaussian_norm_sq_refined, _log_gaussian_norm_sq_sum)
-from .envelope import (AsympConstants, envelope_terms, log_k_plus_asymp_large,
-                       log_k_plus_plus, residual)
 from .kernels import (BoundQuery, DomainError, KernelRows, _closed_form_upper,
                       _log_curve_limit, log_hyper_kernel, log_upper_curve_limit,
                       log_upper_curve_rows)
@@ -340,7 +338,7 @@ def _k_plus_search(queries: list[BoundQuery]
     curve, its slope and its curvature at every live row's next point in
     one kernel call."""
     for q in queries:
-        _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
+        _exp_in_range(_log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
     rows = KernelRows(queries)
     rounds = 0
     outcomes = [None] * len(queries)
@@ -368,6 +366,87 @@ def _k_plus_search(queries: list[BoundQuery]
     return outcomes, rounds
 
 
+# ----------------------------------------------------------------------
+# asymptotic laws, the elementary envelope K++ and its residual
+# ----------------------------------------------------------------------
+# The formulas on plain floats (_log_k_plus_asymp_large, _envelope_terms,
+# _residual, _log_k_plus_plus) serve both the public scalar functions and
+# the residual scan, so that each is written once and both paths give the
+# same bits.  Every exp, log and power here is the math module's: one ulp
+# of log K+ at the scan's first gap moves Z_1 by 3.55e-9.
+
+_LOG_2_OVER_SQRT3 = math.log(2.0 / math.sqrt(3.0))
+
+
+def _amp_large(d: int) -> float:
+    """T_d = 3^(d/4+1/4) / (2^d pi^(d/4)), which needs no Gamma function."""
+    return 3.0 ** (d / 4.0 + 0.25) / (2.0 ** d * math.pi ** (d / 4.0))
+
+
+@dataclass(frozen=True)
+class AsympConstants:
+    """The four elementary constants of the asymptotic laws:
+
+    amp_small  M_d = 1 / (2^(d/2-1/2) pi^(d/4) sqrt(Gamma(d/2)))
+    slope_small N_d = (psi(d/2) + gamma_E) / 2
+    amp_large  T_d = 3^(d/4+1/4) / (2^d pi^(d/4))
+    drift      V_d = log(sqrt(3)/2) + 1/2 + 3/d - N_d
+    """
+
+    d: int
+    amp_small: float
+    slope_small: float
+    amp_large: float
+    drift: float
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def for_dimension(cls, d: int) -> "AsympConstants":
+        """The constants of dimension d, built once per d and process."""
+        if d < 1 or d != int(d):
+            raise DomainError(f"d must be a positive integer, got {d}")
+        m_d = 1.0 / (2.0 ** (d / 2.0 - 0.5) * math.pi ** (d / 4.0)
+                     * math.sqrt(math.gamma(d / 2.0)))
+        # psi(d/2) + gamma_E = sum_{j < d/2 - h} 1/(h + j), h = 1 for even d;
+        # h = 1/2 for odd d, less 2 log 2 (DLMF 5.4.14-5.4.15).
+        h = 1.0 - 0.5 * (d % 2)
+        n_d = 0.5 * (sum(1.0 / (h + j) for j in range((d - 1) // 2))
+                     - (d % 2) * math.log(4.0))
+        t_d = _amp_large(d)
+        v_d = math.log(math.sqrt(3.0) / 2.0) + 0.5 + 3.0 / d - n_d
+        return cls(d=d, amp_small=m_d, slope_small=n_d, amp_large=t_d, drift=v_d)
+
+
+def _log_k_plus_asymp_large(n: float, d: int) -> float:
+    """log of the large-n law T_d (2/sqrt 3)^n / n^(d/4)."""
+    return math.log(_amp_large(d)) + n * _LOG_2_OVER_SQRT3 - 0.25 * d * math.log(n)
+
+
+def _envelope_terms(n: float, gap: float, c: AsympConstants) -> tuple[float, float]:
+    """(log lead(n), main(n)) of the envelope at n = d/2 + gap, d = c.d:
+    lead is (2/sqrt 3)^n / n^(d/4), and main carries the small-gap and
+    large-n model terms."""
+    d = c.d
+    return (n * _LOG_2_OVER_SQRT3 - 0.25 * d * math.log(n),
+            (3.0 * d / 8.0) ** (d / 4.0) * c.amp_small / math.sqrt(gap)
+            * (1.0 - gap / n) ** 1.5 * (1.0 + c.drift * gap)
+            + c.amp_large * (gap / n) ** 1.5)
+
+
+def _residual(n: float, gap: float, terms: tuple[float, float], k_plus: float) -> float:
+    """The residual z solving K+ = lead(n) [main(n) + z gap / n^2] at
+    n = d/2 + gap, given the envelope terms there."""
+    log_lead, main = terms
+    return (math.exp(math.log(k_plus) - log_lead) - main) * n ** 2 / gap
+
+
+def _log_k_plus_plus(n: float, gap: float, terms: tuple[float, float], big_z: float) -> float:
+    """log K++, K++ = lead(n) [main(n) + Z_d gap / n^2] at n = d/2 + gap,
+    given the envelope terms there."""
+    log_lead, main = terms
+    return log_lead + math.log(main + big_z * gap / n ** 2)
+
+
 def k_plus_asymp_small(q: BoundQuery) -> float:
     """Leading small-gap law (M_d / sqrt(n - d/2)) (1 - N_d (n - d/2))."""
     c = AsympConstants.for_dimension(q.d)
@@ -376,12 +455,8 @@ def k_plus_asymp_small(q: BoundQuery) -> float:
 
 def k_plus_asymp_large(q: BoundQuery) -> float:
     """Leading large-n law T_d (2/sqrt 3)^n / n^(d/4)."""
-    return _exp_in_range(log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
+    return _exp_in_range(_log_k_plus_asymp_large(q.n, q.d), "the large-n law of K+", q)
 
-
-# ----------------------------------------------------------------------
-# elementary envelope K++ and its residual
-# ----------------------------------------------------------------------
 
 def envelope_residual(q: BoundQuery, k_plus_value: float | None = None) -> float:
     """The residual z solving
@@ -393,15 +468,15 @@ def envelope_residual(q: BoundQuery, k_plus_value: float | None = None) -> float
     """
     if k_plus_value is None:
         k_plus_value = k_plus(q).value
-    terms = envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
-    return residual(q.n, q.n_gap, terms, k_plus_value)
+    terms = _envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
+    return _residual(q.n, q.n_gap, terms, k_plus_value)
 
 
 def k_plus_plus(q: BoundQuery, big_z: float) -> BoundResult:
     """Elementary upper bound K++ >= K+ given the residual supremum Z_d; its
     error estimate is the rounding of its float formula."""
-    terms = envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
-    log_value = log_k_plus_plus(q.n, q.n_gap, terms, big_z)
+    terms = _envelope_terms(q.n, q.n_gap, AsympConstants.for_dimension(q.d))
+    log_value = _log_k_plus_plus(q.n, q.n_gap, terms, big_z)
     return _bound_result(q, "upper_plus_plus", log_value, None,
                          4.0 * sys.float_info.epsilon * max(1.0, abs(log_value)), big_z=big_z)
 
@@ -457,26 +532,26 @@ def _residual_scan(d: int, gap_grid: tuple[float, ...]) -> ElementaryBoundData:
     queries, kps, _, _ = _residual_k_plus(d, gap_grid)
     c = AsympConstants.for_dimension(d)
     rows = [(n, n - d / 2.0) for n in (d / 2.0 + nd for nd in gap_grid)]
-    terms = [envelope_terms(n, gap, c) for n, gap in rows]
+    terms = [_envelope_terms(n, gap, c) for n, gap in rows]
 
     def one_row(i: int) -> int:
         if queries[i] is not None:
             kps[i] = _searched_k_plus([queries[i]])[0][0]
         return i
 
-    zs = [residual(n, gap, t, k) for (n, gap), t, k in zip(rows, terms, kps)]
+    zs = [_residual(n, gap, t, k) for (n, gap), t, k in zip(rows, terms, kps)]
     i_z = one_row(int(np.argmax(zs)))
-    big_z = residual(*rows[i_z], terms[i_z], kps[i_z])
+    big_z = _residual(*rows[i_z], terms[i_z], kps[i_z])
     # The ratio supremum is quoted for the envelope built with the residual
     # constant at its published 3-significant-figure precision; for d >= 8
     # the ratio responds to the constant with a factor of ~20, so the digit
     # convention is part of the definition.
     z_for_theta = float(f"{big_z:.3g}")
-    ratios = [math.exp(log_k_plus_plus(n, gap, t, z_for_theta)) / k
+    ratios = [math.exp(_log_k_plus_plus(n, gap, t, z_for_theta)) / k
               for (n, gap), t, k in zip(rows, terms, kps)]
     i_t = one_row(int(np.argmax(ratios)))
     warn = i_z in (0, len(gap_grid) - 1) or i_t in (0, len(gap_grid) - 1)
-    theta = math.exp(log_k_plus_plus(*rows[i_t], terms[i_t], z_for_theta)) / kps[i_t]
+    theta = math.exp(_log_k_plus_plus(*rows[i_t], terms[i_t], z_for_theta)) / kps[i_t]
     return ElementaryBoundData(
         d=d, big_z=big_z, theta=theta, argmax_gap_z=float(gap_grid[i_z]),
         argmax_gap_theta=float(gap_grid[i_t]), endpoint_warning=warn)
@@ -852,15 +927,19 @@ def _bessel_gamma_error(q: BoundQuery) -> float:
 # (the Kummer series converges slowly as lam grows) and 1.7e-12 in
 # [1e-3, 0.1].  The condition sum |w_i F_i| / bracket of the minorant's
 # bracket w_1 F_1 - w_2 F_2 + w_3 F_3 / 3 is at most 7 for lam in [0.5, 30],
-# its limit as the gap falls to 0.
+# its limit as the gap falls to 0.  Past gap 50 the error grows with n: for
+# d = 1, 4 and 10 up to the double-range limit, the trial norm's 2F1 errs by
+# at most 2.0e-13 at the (B) argmax and 3.1e-13 over lam in [1, 2] (both
+# near n = 4,000; 1.9e-13 at n = 1,200), so both figures scale by
+# max(1, n / 100).
 _HYP_ERR = 4e-14
 _HYP_ERR_OFF_BAND = 6e-12
 _BRACKET_CONDITION = 7.0
 
 
-def _hyp_error(lam: float) -> float:
-    """Bound on the relative error of one 2F1 of the (B)/(BB) norms at lam."""
-    return _HYP_ERR if 1.0 <= lam <= 2.0 else _HYP_ERR_OFF_BAND
+def _hyp_error(lam: float, n: float) -> float:
+    """Bound on the relative error of one 2F1 of the (B)/(BB) norms at lam, n."""
+    return (_HYP_ERR if 1.0 <= lam <= 2.0 else _HYP_ERR_OFF_BAND) * max(1.0, n / 100.0)
 
 
 def _minorant_error(q: BoundQuery, lam: float) -> float:
@@ -879,7 +958,7 @@ def _minorant_error(q: BoundQuery, lam: float) -> float:
         n + 0.5, n + 1.0 - d / 2.0, 2.0 * n - d / 2.0, n, d / 2.0 + 1.0 - n,
         2.0 * n + 1.0 - d, 3.0 * n + 1.0 - 1.5 * d, 3.0 * n - d, *edge)
     rounding = 4.0 * sys.float_info.epsilon * (1.0 + 0.5 * abs(log_pref) + abs(consts.log_norm))
-    hyp_error = _hyp_error(lam)
+    hyp_error = _hyp_error(lam, n)
     return (0.5 * _BRACKET_CONDITION * (hyp_error + weight_error) + hyp_error
             + _bessel_gamma_error(q) + rounding)
 
@@ -905,8 +984,8 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
     log_value = (0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
                  - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
-    return _bound_result(q, "lower_bessel", log_value, TrialParams(lam=lam_star),
-                         0.5 * rule_error + _hyp_error(lam_star) + _bessel_gamma_error(q), res,
+    error = 0.5 * rule_error + _hyp_error(lam_star, q.n) + _bessel_gamma_error(q)
+    return _bound_result(q, "lower_bessel", log_value, TrialParams(lam=lam_star), error, res,
                          nodes=n_nodes, rule_error=rule_error)
 
 

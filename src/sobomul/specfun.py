@@ -1,19 +1,23 @@
 """Real-argument special functions: log Gamma and the Gauss
-hypergeometric function 2F1.
+hypergeometric function 2F1 of the bounds' family.
 
 Everything here is self-contained double-precision code.  log Gamma uses a
-Lanczos approximation with reflection below 1/2.  2F1 sums a terminating
-polynomial or one power series: directly for |w| <= 0.7, after Kummer's
-map w -> w/(w-1) for w < -0.7, and after Euler's transformation for
-0.7 < w < 1 where that series has positive terms.  Any other request, and
-a series that reaches its term cap or cancels, raises a
-HypergeometricError, which is an ArithmeticError.  The bounds need 2F1
-only in the (B) and (BB) trial norms, where their lam searches keep w in
-[-9.96, -0.35] on the tables and query streams measured.
+Lanczos approximation with reflection below 1/2.  2F1 serves one contract,
+0 < b < c, a < c and w < 1, which holds for every call of the (B) and
+(BB) trial norms: F(-n, d/2; c; 1 - t lam^2) with c in {n, 2n - d/2,
+3n - d}, t in {1, 4}, and its contiguous shifts (+1, +1, +1) and
+(+2, +2, +2).  It takes one of five paths: w = 0 gives 1, a non-positive
+integer a the terminating polynomial, |w| <= 0.7 the direct power series,
+w < -0.7 Pfaff's map w -> w/(w-1), and 0.7 < w < 1 Euler's
+transformation.  Under the contract both maps give series of positive
+terms.  A request outside the contract, and a series that reaches its
+term cap, overflows or cancels, raises a HypergeometricError, which is an
+ArithmeticError.  The general real 2F1 is a test oracle
+(``tests/oracles/hyp2f1.py``).
 
 Accuracy targets (checked by the test suite):
     log_gamma <= 1e-12 relative (or absolute below 1) on [1e-4, 500]
-    hyp2f1    <= 1e-10 relative on the supported regimes
+    hyp2f1    <= 1e-10 relative on the family
 """
 
 from __future__ import annotations
@@ -28,14 +32,11 @@ __all__ = [
     "HyperEval",
     "GammaPoleError",
     "HypergeometricError",
-    "DivergenceError",
-    "UnsupportedRegimeError",
     "SeriesError",
     "log_gamma",
     "log_gamma_signed",
     "hyp2f1",
     "hyp2f1_derivatives",
-    "gauss_value",
 ]
 
 
@@ -44,16 +45,8 @@ class GammaPoleError(ValueError):
 
 
 class HypergeometricError(ValueError, ArithmeticError):
-    """Base class for 2F1 evaluation failures: a request outside the
-    supported domain, or a numerical failure."""
-
-
-class DivergenceError(HypergeometricError):
-    """2F1 requested at w = 1 with c <= a + b (series diverges)."""
-
-
-class UnsupportedRegimeError(HypergeometricError):
-    """Parameter/argument combination outside the supported real regimes."""
+    """A 2F1 request outside the contract 0 < b < c, a < c, w < 1, and the
+    base class of the numerical failures."""
 
 
 class SeriesError(HypergeometricError):
@@ -108,21 +101,37 @@ def log_gamma_signed(x: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# Gauss hypergeometric function
+# Gauss hypergeometric function of the bounds' family
 # ----------------------------------------------------------------------
+
+_SERIES_CUT = 0.7
+_MAX_TERMS = 200_000
+_CANCEL_LIMIT = 1e10
+
+
+def _regime(a: float, b: float, c: float, w: float) -> str:
+    """The path on which :func:`hyp2f1` evaluates 2F1(a, b, c; w):
+    "closed_form" at w = 0, "terminating" for a non-positive integer a,
+    "series" for |w| <= 0.7, "kummer" (Pfaff's map) for w < -0.7 and
+    "euler" for 0.7 < w < 1.  A request outside the contract
+    0 < b < c, a < c, w < 1 raises HypergeometricError."""
+    if not (0.0 < b < c and a < c and w < 1.0):
+        raise HypergeometricError(
+            f"2F1({a}, {b}, {c}; {w}) is outside the contract 0 < b < c, a < c, w < 1")
+    if w == 0.0:
+        return "closed_form"
+    if _is_nonpositive_integer(a, tol=1e-13):
+        return "terminating"
+    if abs(w) <= _SERIES_CUT:
+        return "series"
+    return "kummer" if w < 0.0 else "euler"
+
 
 @dataclass(frozen=True)
 class HyperEval:
-    """One 2F1 request: parameters (a, b, c) and argument w, and the
-    regime in which :func:`hyp2f1` evaluates it.
-
-    c must avoid the poles 0, -1, -2, ...; w = 1 needs c > a + b.  The
-    regime is checked in hyp2f1's order: w = 0, then a terminating
-    parameter, then b = c or a = c, which read "closed_form" where hyp2f1
-    returns 1 or (1 - w)^(-a) without a sum.  A request that no regime
-    serves reads "unsupported" (hyp2f1 raises).  Evaluation is symmetric
-    in (a, b).
-    """
+    """One 2F1 request (a, b, c; w) and the path on which :func:`hyp2f1`
+    evaluates it (:func:`_regime`); building one outside the contract
+    raises HypergeometricError."""
 
     a: float
     b: float
@@ -130,50 +139,11 @@ class HyperEval:
     w: float
 
     def __post_init__(self) -> None:
-        _check_request(self.a, self.b, self.c, self.w)
+        _regime(self.a, self.b, self.c, self.w)
 
     @property
     def regime(self) -> str:
-        a, b, c, w = self.a, self.b, self.c, self.w
-        if w == 0.0:
-            return "closed_form"
-        if _is_nonpositive_integer(b, tol=1e-13) or _is_nonpositive_integer(a, tol=1e-13):
-            return "terminating"
-        if b == c or a == c:
-            return "closed_form"
-        if w == 1.0:
-            return "gauss_point"
-        if abs(w) <= _SERIES_CUT:
-            return "series"
-        if w < -_SERIES_CUT:
-            return "kummer"
-        return "euler" if _euler_signs(a, b, c) else "unsupported"
-
-
-def _check_request(a: float, b: float, c: float, w: float) -> None:
-    """Raise the defined error of a 2F1 request outside the supported domain."""
-    if _is_nonpositive_integer(c, tol=1e-13):
-        raise GammaPoleError(f"2F1 parameter c = {c} is a pole")
-    if w > 1.0:
-        raise UnsupportedRegimeError(f"2F1 argument w = {w} > 1 is outside the real domain")
-    if w == 1.0 and c <= a + b:
-        raise DivergenceError(f"2F1 at w = 1 needs c > a + b; got c - a - b = {c - a - b}")
-
-
-_SERIES_CUT = 0.7
-_MAX_TERMS = 200_000
-_CANCEL_LIMIT = 1e10
-
-
-def gauss_value(a: float, b: float, c: float) -> float:
-    """2F1(a, b, c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
-    if c <= a + b:
-        raise DivergenceError("Gauss value needs c > a + b")
-    num1, s1 = log_gamma_signed(c)
-    num2, s2 = log_gamma_signed(c - a - b)
-    den1, s3 = log_gamma_signed(c - a)
-    den2, s4 = log_gamma_signed(c - b)
-    return s1 * s2 * s3 * s4 * math.exp(num1 + num2 - den1 - den2)
+        return _regime(self.a, self.b, self.c, self.w)
 
 
 # The series runs in blocks of _SERIES_BLOCK terms.  A block's term ratios
@@ -247,48 +217,31 @@ def _terminating(a: float, m: int, c: float, w: float) -> float:
 
 
 def hyp2f1(a: float, b: float, c: float, w: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b, c; w), real arguments.
+    """Gauss hypergeometric function 2F1(a, b, c; w) for 0 < b < c, a < c
+    and w < 1, on the path that :func:`_regime` names.
 
-    The evaluation strategy (terminating sum, series, Kummer map
-    w -> w/(w-1), Euler transformation) is internal; callers only see the
-    value, and :attr:`HyperEval.regime` names it.  A series that reaches
-    _MAX_TERMS terms or loses its digits to cancellation raises
-    SeriesError, and 0.7 < w < 1 without positive Euler terms raises
-    UnsupportedRegimeError.
+    Both maps are DLMF 15.8.1.  Pfaff's takes its exponent from b when
+    a < 0 and from a otherwise (a shifted call with n < k has a >= 0);
+    under the contract its image and Euler's have positive terms.  The
+    direct series may alternate; it raises SeriesError when it cancels,
+    and every series does when it reaches _MAX_TERMS terms or overflows.
     """
     a, b, c, w = float(a), float(b), float(c), float(w)
-    _check_request(a, b, c, w)
-
-    # Canonical order: a terminating parameter goes second; otherwise sort
-    # so that evaluation is exactly symmetric in (a, b).
-    a_ends = _is_nonpositive_integer(a, tol=1e-13)
-    b_ends = _is_nonpositive_integer(b, tol=1e-13)
-    if not b_ends and (a_ends or a < b):
-        a, b, b_ends = b, a, a_ends
-
-    if w == 0.0:
+    regime = _regime(a, b, c, w)
+    if regime == "closed_form":
         return 1.0
-    if b_ends:
-        return _terminating(a, int(round(-b)), c, w)
-    if b == c:
-        return (1.0 - w) ** (-a)
-    if a == c:
-        return (1.0 - w) ** (-b)
-    if w == 1.0:
-        return gauss_value(a, b, c)
-
-    if abs(w) <= _SERIES_CUT:
-        return _series(a, b, c, w)
-    if w < -_SERIES_CUT:
-        return _kummer(a, b, c, w)
-
-    # 0.7 < w < 1: Euler's transformation (DLMF 15.8.1)
-    #     2F1(a, b, c; w) = (1-w)^(c-a-b) 2F1(c-a, c-b, c; w)
-    # where its series has one sign.
-    if not _euler_signs(a, b, c):
-        raise UnsupportedRegimeError(
-            f"2F1({a}, {b}, {c}; {w}) falls outside the supported evaluation regimes")
-    return math.exp((c - a - b) * math.log1p(-w) + math.log(_series(c - a, c - b, c, w)))
+    if regime == "terminating":
+        return _terminating(b, int(round(-a)), c, w)
+    if regime == "series":
+        return _series(b, a, c, w)
+    if regime == "kummer":
+        # 2F1(a, b, c; w) = (1-w)^(-b) 2F1(b, c-a, c; w/(w-1)), symmetric in (a, b)
+        wt = w / (w - 1.0)
+        if a < 0.0:
+            return (1.0 - w) ** (-b) * _series(b, c - a, c, wt)
+        return (1.0 - w) ** (-a) * _series(a, c - b, c, wt)
+    # 2F1(a, b, c; w) = (1-w)^(c-a-b) 2F1(c-a, c-b, c; w)
+    return math.exp((c - b - a) * math.log1p(-w) + math.log(_series(c - b, c - a, c, w)))
 
 
 def hyp2f1_derivatives(a: float, b: float, c: float, w: float) -> tuple[float, float, float]:
@@ -301,24 +254,3 @@ def hyp2f1_derivatives(a: float, b: float, c: float, w: float) -> tuple[float, f
     return (hyp2f1(a, b, c, w),
             a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, w),
             a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0)) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, w))
-
-
-def _euler_signs(a: float, b: float, c: float) -> bool:
-    """Whether Euler's transformation maps onto a series of positive terms."""
-    return c > 0.0 and c - a > 0.0 and c - b > 0.0
-
-
-def _kummer(a: float, b: float, c: float, w: float) -> float:
-    """Map w < 0 to w/(w-1) in (0, 1):
-
-        2F1(a, b, c; w) = (1-w)^(-b) 2F1(b, c-a, c; w/(w-1))
-
-    or with a and b exchanged, whichever has fewer negative image
-    parameters (the form above on a tie), so the transformed series has
-    one sign and no cancellation where it can.
-    """
-    wt = w / (w - 1.0)
-    expo, pa, pb = b, b, c - a
-    if (a < 0.0) + (c - b < 0.0) < (b < 0.0) + (c - a < 0.0):
-        expo, pa, pb = a, a, c - b
-    return (1.0 - w) ** (-expo) * _series(pa, pb, c, wt)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracles.hyp2f1 import hyp2f1
 from sobomul import bounds as B
 from sobomul import specfun as sf
 
@@ -30,7 +31,7 @@ def bessel_sq_norm_double_sum(q, lam):
         for j in range(m + 1):
             lg = (sf.log_gamma(d / 2.0 + ell + j) + sf.log_gamma(q.n_gap)
                   - sf.log_gamma(n + ell + j))
-            fval = sf.hyp2f1(-n, d / 2.0 + ell + j, n + ell + j, w)
+            fval = hyp2f1(-n, d / 2.0 + ell + j, n + ell + j, w)
             total += coefs[ell] * coefs[j] * math.exp(lg) * fval
     return math.exp(B._log_sq_norm_prefactor(q, lam) + math.log(total))
 

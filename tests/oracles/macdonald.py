@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from oracles.hyp2f1 import hyp2f1
 from sobomul import specfun as sf
 from sobomul.bessel import bessel_k
 from sobomul.kernels import BoundQuery, DomainError
@@ -48,6 +49,6 @@ def bessel_macdonald_moment(mu: float, nu: float, h: float) -> float:
     lg = (0.5 * math.log(math.pi) + sf.log_gamma(mu + nu + 1.0)
           + sf.log_gamma(mu + nu / 2.0 + 1.0) - (mu + 2.0) * math.log(2.0)
           - sf.log_gamma(mu + nu / 2.0 + 1.5))
-    f = sf.hyp2f1(mu + nu + 1.0, mu + nu / 2.0 + 1.0, mu + nu / 2.0 + 1.5,
+    f = hyp2f1(mu + nu + 1.0, mu + nu / 2.0 + 1.0, mu + nu / 2.0 + 1.5,
                   -0.25 * h * h)
     return math.exp(lg + mu * math.log(h)) * f

@@ -339,23 +339,37 @@ def test_bessel_argmax_lam_lies_in_the_measured_2f1_band():
 def test_off_band_2f1_error_bound_against_30_digits():
     """One 2F1 of the (B)/(BB) norms errs by at most B._HYP_ERR_OFF_BAND at
     lam in [0.1, 30] (2.9e-12 measured, largest as lam nears 30 at d = 10)
-    and by at most B._HYP_ERR at lam in [1, 2], against 30-digit mpmath."""
+    and by at most B._HYP_ERR at lam in [1, 2], against 30-digit mpmath, up
+    to n = 100; past it both grow with n, and the trial norm's cells at
+    n = 600.3 and 1600.3 check that growth, at the (B) argmax lam* among
+    others (1.0e-13 measured at d = 4, n = 1600.3, where a flat figure
+    fails).  A 2F1 past the double range
+    raises, as it does in the lam searches, and is skipped."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
+    checked = 0
     for d in (1, 4, 10):
-        for gap in (1e-11, 1e-3, 0.05, 3.3, 40.0):
+        for gap in (1e-11, 1e-3, 0.05, 3.3, 40.0, 600.3 - d / 2.0, 1600.3 - d / 2.0):
             n = d / 2.0 + gap
             cs = () if gap > 0.1 else (n, 2.0 * n - d / 2.0, 3.0 * n - d)
-            for lam in (0.1, 0.59, 1.2, 1.9, 3.7, 12.0, 29.0):
+            lams = (0.1, 0.59, 1.2, 1.9, 3.7, 12.0, 29.0)
+            if n > 100:
+                lams += (B.k_bessel(BoundQuery(d=d, n=n)).argmax.lam,)
+            for lam in lams:
                 for c, scale in [(n, 1.0)] + [(c, 4.0) for c in cs]:
                     w = 1.0 - scale * lam * lam
                     try:
                         f = sf.hyp2f1(-n, d / 2.0, c, w)
                     except sf.HypergeometricError:
                         continue
-                    exact = mp.hyp2f1(-mp.mpf(n), mp.mpf(d) / 2, mp.mpf(c), mp.mpf(w))
+                    # the alternating series of large n cancel: let mpmath
+                    # raise its working precision as far as it needs
+                    exact = mp.hyp2f1(-mp.mpf(n), mp.mpf(d) / 2, mp.mpf(c), mp.mpf(w),
+                                      maxprec=60000)
                     err = float(abs((f - exact) / exact))
-                    assert err <= B._hyp_error(lam), (d, gap, c, lam, err)
+                    assert err <= B._hyp_error(lam, n), (d, gap, c, lam, err)
+                    checked += n > 100
+    assert checked >= 12, checked
 
 
 def test_fourier_error_estimates_enclose_a_30_digit_quotient():
@@ -504,22 +518,30 @@ def test_criterion_6_identity_suite():
     worst["euler"] = max(errs)
 
     errs = []
-    for _ in range(120):  # value at w = 1
-        a, b = rng.uniform(0.1, 2.0, 2)
-        c = float(rng.uniform(a + b + 0.05, a + b + 5.0))
-        lhs = sf.hyp2f1(a, b, c, 1.0)
-        rhs = math.exp(sf.log_gamma(c) + sf.log_gamma(c - a - b)
-                       - sf.log_gamma(c - a) - sf.log_gamma(c - b))
+    for _ in range(120):  # the family's two Pfaff maps: the runtime's own
+        # (exponent from b) against the other (exponent from a), whose image
+        # w/(w-1) > 0.7 the runtime evaluates by Euler's map
+        d = int(rng.integers(1, 11))
+        n = d / 2.0 + float(rng.uniform(0.01, 49.0))
+        c = (n, 2.0 * n - d / 2.0, 3.0 * n - d)[int(rng.integers(0, 3))]
+        w = float(rng.uniform(-10.0, -2.4))
+        lhs = sf.hyp2f1(-n, d / 2.0, c, w)
+        rhs = (1.0 - w) ** n * sf.hyp2f1(-n, c - d / 2.0, c, w / (w - 1.0))
         errs.append(rel_err(lhs, rhs))
-    worst["gauss_value"] = max(errs)
+    worst["family_pfaff"] = max(errs)
 
     errs = []
-    for _ in range(120):  # degeneration F(a, b, b; w) = (1-w)^(-a)
-        a = float(rng.uniform(0.1, 4.0))
-        b = float(rng.uniform(0.1, 4.0))
-        w = float(rng.uniform(-6.0, 0.95))
-        errs.append(rel_err(sf.hyp2f1(a, b, b, w), (1.0 - w) ** (-a)))
-    worst["degeneration"] = max(errs)
+    for _ in range(120):  # the family at integer n = m: its exact polynomial
+        d = int(rng.integers(1, 11))
+        m = int(rng.integers(d // 2 + 1, 41))
+        c = (Fraction(m), 2 * m - Fraction(d, 2), Fraction(3 * m - d))[int(rng.integers(0, 3))]
+        w = float(rng.uniform(-10.0, -0.35))
+        term = total = Fraction(1)
+        for k in range(m):
+            term *= (k - m) * (Fraction(d, 2) + k) / ((c + k) * (k + 1)) * Fraction(w)
+            total += term
+        errs.append(rel_err(sf.hyp2f1(-float(m), d / 2.0, float(c), w), float(total)))
+    worst["family_terminating"] = max(errs)
 
     errs = []
     for _ in range(100):  # beta-type integral on the half line

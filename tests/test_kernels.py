@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles.gauss_kronrod import integrate_finite
+from oracles.hyp2f1 import hyp2f1
 from oracles.macdonald import bessel_macdonald_moment, macdonald_profile
 from sobomul import kernels as K
 from sobomul import specfun as sf
@@ -52,16 +53,16 @@ def test_kernel_at_zero_is_one():
 
 def test_kernel_two_representations_agree():
     # F(2n-d/2, n, n+1/2; -u) against its Kummer transform
-    # (1+u)^(-n) F(n, d/2+1/2-n, n+1/2; u/(1+u)), via the generic evaluator.
+    # (1+u)^(-n) F(n, d/2+1/2-n, n+1/2; u/(1+u)), via the general 2F1 oracle.
     rng = np.random.default_rng(37)
     worst = 0.0
     for _ in range(60):
         d = int(rng.integers(1, 5))
         n = float(rng.uniform(d / 2.0 + 0.05, 6.0))
         u = float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
-        direct = sf.hyp2f1(2.0 * n - d / 2.0, n, n + 0.5, -u)
-        transformed = (1.0 + u) ** (-n) * sf.hyp2f1(n, d / 2.0 + 0.5 - n,
-                                                    n + 0.5, u / (1.0 + u))
+        direct = hyp2f1(2.0 * n - d / 2.0, n, n + 0.5, -u)
+        transformed = (1.0 + u) ** (-n) * hyp2f1(n, d / 2.0 + 0.5 - n,
+                                                 n + 0.5, u / (1.0 + u))
         worst = max(worst, rel_err(direct, transformed))
         q = BoundQuery(d=d, n=n)
         worst = max(worst, rel_err(hyper_kernel(q, u), direct))
@@ -70,10 +71,10 @@ def test_kernel_two_representations_agree():
 
 def test_kernel_gap_form_matches_transformed():
     # (n, d) = (5/2, 2): a half-integer gap, where the kernel's 2F1
-    # terminates; against the generic 2F1 at u = 1
+    # terminates; against the general 2F1 oracle at u = 1
     q = BoundQuery(d=2, n=2.5, n_exact=Fraction(5, 2))
     a = hyper_kernel(q, 1.0)
-    b = sf.hyp2f1(2.0 * 2.5 - 1.0, 2.5, 3.0, -1.0)
+    b = hyp2f1(2.0 * 2.5 - 1.0, 2.5, 3.0, -1.0)
     assert rel_err(a, b) < 1e-10
 
 
@@ -314,7 +315,7 @@ def test_upper_curve_two_two_formula():
     q = BoundQuery(d=2, n=2.0)
     for u in (0.0, 0.7, 6.84, 40.0):
         want = (1.0 + 4.0 * u) ** 2 / (12.0 * math.pi) \
-            * sf.hyp2f1(3.0, 2.0, 2.5, -u)
+            * hyp2f1(3.0, 2.0, 2.5, -u)
         assert rel_err(upper_curve(q, u), want) < 1e-11
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hyp2f1 as H
 from oracles.series_loop import series_loop
 from sobomul import specfun as sf
 
@@ -103,8 +104,8 @@ def series_oracle(a, b, c, w, terms=200_000):
 
 
 def test_hyp2f1_degenerate_b_equals_c():
-    # F(a, b, b; w) = (1-w)^(-a)
-    assert rel_err(sf.hyp2f1(2.0, 1.5, 1.5, -3.0), 1.0 / 16.0) < 1e-13
+    # F(a, b, b; w) = (1-w)^(-a): the general oracle's closed form
+    assert rel_err(H.hyp2f1(2.0, 1.5, 1.5, -3.0), 1.0 / 16.0) < 1e-13
 
 
 def test_hyp2f1_at_zero():
@@ -120,10 +121,10 @@ def test_hyp2f1_log2():
 
 @pytest.mark.parametrize("abcw", [
     (0.3, 0.7, 2.2, 0.5),
-    (3.0, 2.0, 2.5, -6.84),
+    (-2.5, 1.0, 2.5, -6.84),  # the trial norm's F(-n, d/2; n; 1 - lam^2), d = 2
     (1.2, 0.4, 5.0, 0.95),
     (5.0, 1.0, 5.5, -40.0),
-    (241.5, 0.5, 121.0, 0.34),
+    (-120.75, 0.5, 120.75, 0.34),  # the same at d = 1, n = 120.75
     (-2.5, 1.0, 6.0, 0.99),
 ])
 def test_hyp2f1_vs_series_oracle(abcw):
@@ -137,21 +138,21 @@ def test_hyp2f1_vs_series_oracle(abcw):
 
 
 def test_hyp2f1_terminating():
-    # F(a, -m, c; w) is a polynomial; compare with explicit evaluation
-    a, m, c, w = 2.5, 3, 4.4, 0.8
+    # F(-m, b, c; w) is a polynomial; compare with explicit evaluation
+    b, m, c, w = 2.5, 3, 4.4, 0.8
     def rising(x, k):
         return math.prod(x + i for i in range(k))
 
-    want = sum(rising(a, k) * rising(-m, k)
+    want = sum(rising(b, k) * rising(-m, k)
                / (rising(c, k) * math.factorial(k)) * w ** k
                for k in range(m + 1))
-    assert rel_err(sf.hyp2f1(a, -float(m), c, w), want) < 1e-13
-    # symmetry: terminating parameter first
-    assert sf.hyp2f1(-float(m), a, c, w) == sf.hyp2f1(a, -float(m), c, w)
+    assert rel_err(sf.hyp2f1(-float(m), b, c, w), want) < 1e-13
+    # the oracle puts the terminating parameter second, and sums the same
+    assert H.hyp2f1(b, -float(m), c, w) == sf.hyp2f1(-float(m), b, c, w)
 
 
 def test_hyp2f1_gauss_point():
-    got = sf.hyp2f1(0.5, 0.25, 3.0, 1.0)
+    got = H.hyp2f1(0.5, 0.25, 3.0, 1.0)
     want = math.exp(sf.log_gamma(3.0) + sf.log_gamma(2.25)
                     - sf.log_gamma(2.5) - sf.log_gamma(2.75))
     assert rel_err(got, want) < 1e-12
@@ -159,14 +160,14 @@ def test_hyp2f1_gauss_point():
 
 def _value_or_error(*args):
     try:
-        return sf.hyp2f1(*args)
+        return H.hyp2f1(*args)
     except sf.HypergeometricError as exc:
         return type(exc)
 
 
 def test_hyp2f1_symmetry_in_ab():
-    # each swapped pair gives equal values, or raises the same error where
-    # 0.7 < w < 1 has no positive Euler terms
+    # the general oracle: each swapped pair gives equal values, or raises
+    # the same error where 0.7 < w < 1 has no positive Euler terms
     rng = np.random.default_rng(23)
     raised = 0
     for _ in range(100):
@@ -175,7 +176,7 @@ def test_hyp2f1_symmetry_in_ab():
         w = float(rng.uniform(-5.0, 0.99))
         got, swapped = _value_or_error(a, b, c, w), _value_or_error(b, a, c, w)
         if isinstance(got, type):
-            assert got is swapped is sf.UnsupportedRegimeError, (a, b, c, w)
+            assert got is swapped is H.UnsupportedRegimeError, (a, b, c, w)
             raised += 1
         else:
             assert rel_err(got, swapped) <= 1e-13
@@ -219,19 +220,45 @@ def test_hyp2f1_monotone_in_w():
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
+# Requests outside the contract 0 < b < c, a < c, w < 1: b <= 0, b = c,
+# b > c, a = c, a > c, w = 1, w > 1, a pole c, and NaN in each place.
+_OUTSIDE = [(1.0, 0.0, 2.0, 0.5), (-2.0, -1.5, 2.0, 0.5), (1.0, 2.0, 2.0, -3.0),
+            (1.0, 2.5, 2.0, 0.5), (2.0, 1.5, 2.0, 0.5), (3.0, 2.0, 2.5, -6.84),
+            (1.0, 0.5, 3.0, 1.0), (1.0, 0.5, 3.0, 1.5), (1.0, 1.0, -2.0, 0.5)]
+_OUTSIDE += [tuple(math.nan if i == j else v for i, v in enumerate((-1.5, 0.5, 1.5, -2.0)))
+             for j in range(4)]
+
+
 def test_hyp2f1_errors():
-    with pytest.raises(sf.DivergenceError):
-        sf.hyp2f1(2.0, 2.0, 3.0, 1.0)
+    # each request outside the contract raises the one defined error, from
+    # hyp2f1, hyp2f1_derivatives and HyperEval alike
+    for args in _OUTSIDE:
+        for fn in (sf.hyp2f1, sf.hyp2f1_derivatives, sf.HyperEval):
+            with pytest.raises(sf.HypergeometricError, match="outside the contract") as exc:
+                fn(*args)
+            assert type(exc.value) is sf.HypergeometricError, (fn, args)
+    # its edges are inside: w just below 1, b just inside (0, c), a just below c
+    assert sf.HyperEval(-1.5, 0.5, 1.5, math.nextafter(1.0, 0.0)).regime == "euler"
+    assert sf.HyperEval(-1.5, 5e-324, 1.5, 0.5).regime == "series"
+    assert sf.HyperEval(math.nextafter(1.5, 0.0), 0.5, 1.5, -2.0).regime == "kummer"
+
+
+def test_oracle_hyp2f1_errors():
+    # the general oracle's error classes, all HypergeometricErrors
+    with pytest.raises(H.DivergenceError):
+        H.hyp2f1(2.0, 2.0, 3.0, 1.0)
     with pytest.raises(sf.GammaPoleError):
-        sf.hyp2f1(1.0, 1.0, -2.0, 0.5)
-    with pytest.raises(sf.UnsupportedRegimeError):
-        sf.hyp2f1(1.0, 1.0, 2.0, 1.5)
-    with pytest.raises(sf.UnsupportedRegimeError):
+        H.hyp2f1(1.0, 1.0, -2.0, 0.5)
+    with pytest.raises(H.UnsupportedRegimeError):
+        H.hyp2f1(1.0, 1.0, 2.0, 1.5)
+    with pytest.raises(H.UnsupportedRegimeError):
         # 0.7 < w < 1 with neither a nor b inside (0, c), and c - a < 0
-        sf.hyp2f1(1.0, 1.2, 0.5, 0.9)
+        H.hyp2f1(1.0, 1.2, 0.5, 0.9)
     # neither a nor b inside (0, c) either, but Euler's transformation
     # has positive terms: 2F1(0.9, 1.7, 0.4; 0.9)
-    assert rel_err(sf.hyp2f1(-0.5, -1.3, 0.4, 0.9), 2.3780347504802) < 1e-12  # mpmath.hyp2f1
+    assert rel_err(H.hyp2f1(-0.5, -1.3, 0.4, 0.9), 2.3780347504802) < 1e-12  # mpmath.hyp2f1
+    assert issubclass(H.DivergenceError, sf.HypergeometricError)
+    assert issubclass(H.UnsupportedRegimeError, sf.HypergeometricError)
 
 
 def test_hyp2f1_derivatives_against_mp():
@@ -266,23 +293,75 @@ def test_hyp2f1_euler_transformation_near_w_one():
     assert worst <= 1e-12, worst
 
 
-def test_hyper_eval_regimes():
-    # the closed forms that hyp2f1 takes before any sum name their regime,
-    # in hyp2f1's order: w = 0 first, then a terminating parameter, then
-    # b = c or a = c, at every w that they serve
+def test_hyper_eval_regimes(monkeypatch):
+    # the five paths, in hyp2f1's order: w = 0 first (1 without a sum),
+    # then a terminating a, then the direct series, Pfaff's map and
+    # Euler's map by w; HyperEval names the one hyp2f1 takes
+    assert sf.HyperEval(-2.0, 1.5, 3.0, 0.0).regime == "closed_form"
+    assert sf.hyp2f1(-2.0, 1.5, 3.0, 0.0) == 1.0
+    for w in (-40.0, -0.3, 0.9):
+        assert sf.HyperEval(-2.0, 1.5, 3.0, w).regime == "terminating"
+        assert sf.hyp2f1(-2.0, 1.5, 3.0, w) == sf._terminating(1.5, 2, 3.0, w)
+    for w, regime in ((0.7, "series"), (-0.7, "series"), (-0.71, "kummer"), (0.71, "euler")):
+        assert sf.HyperEval(-2.5, 1.5, 3.0, w).regime == regime, w
+        assert sf._regime(-2.5, 1.5, 3.0, w) == regime
+    # both read the one regime decision
+    calls = []
+    inner = sf._regime
+    monkeypatch.setattr(sf, "_regime", lambda *args: calls.append(args) or inner(*args))
+    sf.hyp2f1(-2.5, 1.5, 3.0, 0.5)
+    assert sf.HyperEval(-2.5, 1.5, 3.0, 0.5).regime == "series"
+    assert calls == [(-2.5, 1.5, 3.0, 0.5)] * 3
+
+
+def test_oracle_hyper_eval_regimes():
+    # the general oracle: the closed forms that its hyp2f1 takes before any
+    # sum name their regime, in its order: w = 0 first, then a terminating
+    # parameter, then b = c or a = c, at every w that they serve
     for a, b, c, w in ((1.0, 0.5, 3.0, 0.0), (1.0, -2.0, 3.0, 0.0), (2.0, 1.5, 1.5, -3.0),
                        (1.5, 2.0, 1.5, 0.5), (2.0, 1.5, 1.5, 0.9), (2.0, 1.5, 1.5, -40.0)):
-        assert sf.HyperEval(a, b, c, w).regime == "closed_form", (a, b, c, w)
-        assert sf.hyp2f1(a, b, c, w) == (1.0 if w == 0.0 else (1.0 - w) ** -2.0)
-    assert sf.HyperEval(-2.0, 1.5, 1.5, 0.5).regime == "terminating"
-    assert sf.HyperEval(1.0, -2.0, 3.0, 0.5).regime == "terminating"
-    assert sf.HyperEval(1.0, 0.5, 3.0, 0.5).regime == "series"
-    assert sf.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
-    assert sf.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "euler"
-    assert sf.HyperEval(1.0, 3.5, 3.0, 0.9).regime == "unsupported"
-    with pytest.raises(sf.UnsupportedRegimeError):
-        sf.hyp2f1(1.0, 3.5, 3.0, 0.9)
-    assert sf.HyperEval(1.0, 0.5, 3.0, 1.0).regime == "gauss_point"
+        assert H.HyperEval(a, b, c, w).regime == "closed_form", (a, b, c, w)
+        assert H.hyp2f1(a, b, c, w) == (1.0 if w == 0.0 else (1.0 - w) ** -2.0)
+    assert H.HyperEval(-2.0, 1.5, 1.5, 0.5).regime == "terminating"
+    assert H.HyperEval(1.0, -2.0, 3.0, 0.5).regime == "terminating"
+    assert H.HyperEval(1.0, 0.5, 3.0, 0.5).regime == "series"
+    assert H.HyperEval(1.0, 0.5, 3.0, -5.0).regime == "kummer"
+    assert H.HyperEval(1.0, 0.5, 3.0, 0.9).regime == "euler"
+    assert H.HyperEval(1.0, 3.5, 3.0, 0.9).regime == "unsupported"
+    with pytest.raises(H.UnsupportedRegimeError):
+        H.hyp2f1(1.0, 3.5, 3.0, 0.9)
+    assert H.HyperEval(1.0, 0.5, 3.0, 1.0).regime == "gauss_point"
+
+
+def _family_grid():
+    """F(-n + k, d/2 + k; c + k; 1 - t lam^2): d = 1..10, gaps from 1e-12
+    (an integer n among them for every d), c in {n, 2n - d/2, 3n - d},
+    t in {1, 4}, lam from 0.3 (w = 0.91, Euler's map) to 8 (w = -255), k = 0
+    (hyp2f1_derivatives adds the shifts k = 1, 2)."""
+    for d in range(1, 11):
+        half = d / 2.0
+        for gap in (1e-12, 1e-4, 0.0999, 2.0 + 0.5 * (d % 2), 3.3, 47.9 - half):
+            n = half + gap
+            for c in (n, 2.0 * n - half, 3.0 * n - d):
+                for t in (1.0, 4.0):
+                    for lam in (0.3, 0.6, 1.45, 4.0, 8.0):
+                        yield -n, half, c, 1.0 - t * lam * lam
+
+
+def test_family_matches_general_oracle_bit_for_bit():
+    # on the family the narrowed evaluator takes the oracle's path with the
+    # same series arguments: every value, derivative and error is the same
+    seen = set()
+    for args in _family_grid():
+        got = _outcome(lambda *x: sf.hyp2f1_derivatives(*x), *args)
+        want = _outcome(lambda *x: H.hyp2f1_derivatives(*x), *args)
+        assert got == want, args
+        for k in range(3):
+            shifted = (args[0] + k, args[1] + k, args[2] + k, args[3])
+            regime = sf.HyperEval(*shifted).regime
+            assert regime == H.HyperEval(*shifted).regime, shifted
+            seen.add(regime)
+    assert seen == {"terminating", "series", "kummer", "euler"}
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +369,12 @@ def test_hyper_eval_regimes():
 # ----------------------------------------------------------------------
 
 def _outcome(fn, *args):
-    """The value's bits, or the SeriesError's message."""
+    """The value's bits (each one's, for a tuple), or the SeriesError's message."""
     try:
-        return fn(*args).hex()
+        got = fn(*args)
     except sf.SeriesError as exc:
         return str(exc)
+    return tuple(v.hex() for v in got) if isinstance(got, tuple) else got.hex()
 
 
 def _bb_series_arguments(monkeypatch):
@@ -406,15 +486,23 @@ def test_hyp2f1_raises_series_error(monkeypatch):
         with pytest.raises(sf.SeriesError, match="did not converge"):
             sf.hyp2f1(*args)
     monkeypatch.setattr(sf, "_MAX_TERMS", 200_000)
-    assert sf.HyperEval(40.0, 1.5, 2.5, -0.7).regime == "series"
+    # the trial norm's F(-n, d/2; n; 0.7) at d = 10: its terms peak at 10.4
+    # and alternate to a sum of 0.056, so a guard of 100 fires and the real
+    # one (1e10, which no call of the family comes near) does not
+    args = (-25.3, 5.0, 25.3, 0.7)
+    assert sf.HyperEval(*args).regime == "series"
+    want = sf.hyp2f1(*args)
+    assert rel_err(want, 0.05627972820214043) < 1e-12  # mpmath.hyp2f1
+    monkeypatch.setattr(sf, "_CANCEL_LIMIT", 100.0)
     with pytest.raises(ArithmeticError, match="cancellation"):
-        sf.hyp2f1(40.0, 1.5, 2.5, -0.7)
+        sf.hyp2f1(*args)
 
 
 def test_bounds_reach_only_series_regimes(monkeypatch):
     # the premise of a 2F1 without quadrature: best_lower over the table1
     # rows, and (B) and (BB) across their gap ranges, evaluate 2F1 only in
-    # the terminating, series and Kummer regimes, with w in [-10, -0.3]
+    # the terminating, series and Kummer regimes, with w in [-10, -0.3],
+    # and every call keeps the contract 0 < b < c, a < c, w < 1
     from sobomul import bounds as B
     from sobomul.kernels import BoundQuery
     from sobomul.tables import table1_queries
@@ -422,6 +510,7 @@ def test_bounds_reach_only_series_regimes(monkeypatch):
     inner = sf.hyp2f1
 
     def recording(a, b, c, w):
+        assert 0.0 < b < c and a < c and w < 1.0, (a, b, c, w)
         seen.append((sf.HyperEval(a, b, c, w).regime, w))
         return inner(a, b, c, w)
 
