@@ -25,8 +25,8 @@ print("supremum:", k_bessel(q).value, "at lam =", k_bessel(q).argmax.lam)
 print()
 print("Plane-wave quotient at the same query, along sigma at p = 0.511:")
 for sigma in (0.4, 0.8, 1.05, 1.6, 3.0):
-    quot = (math.sqrt(gaussian_trial_norm_sq(q, 2 * 0.511, 2 * sigma, validate=False))
-            / gaussian_trial_norm_sq(q, 0.511, sigma, validate=False))
+    quot = (math.sqrt(gaussian_trial_norm_sq(q, 2 * 0.511, 2 * sigma))
+            / gaussian_trial_norm_sq(q, 0.511, sigma))
     print(f"  sigma = {sigma:4.2f}: quotient = {quot:.6f}")
 print("supremum:", k_fourier(q).value, "at (p, sigma) =", k_fourier(q).argmax.as_tuple())
 

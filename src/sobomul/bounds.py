@@ -67,7 +67,6 @@ __all__ = [
     "AsympConstants",
     "MinorantCoeffs",
     "ElementaryBoundData",
-    "TwoPathMismatch",
     "TAG_BY_KIND",
     "LOWER_TOL",
     "k_plus",
@@ -112,10 +111,6 @@ TAG_BY_KIND = {
 }
 _BOUND_NAME = {"upper_plus": "K+", "upper_plus_plus": "K++", "lower_bessel": "K^B",
                "lower_bessel_bb": "K^BB", "lower_fourier": "K^F", "lower_fourier_ff": "K^FF"}
-
-
-class TwoPathMismatch(RuntimeError):
-    """Closed-form and quadrature evaluations of the same norm disagree."""
 
 
 @dataclass(frozen=True)
@@ -652,39 +647,18 @@ def _log_bessel_norm_sq_hyper(q: BoundQuery, lam: float, derivatives: bool = Fal
     return _log_and_derivatives(log_n, q.d, f)
 
 
-def _log_bessel_norm_sq_sum(q: BoundQuery, lam: float) -> float:
-    """Integer-n route: logsumexp of the binomial expansion."""
-    n, d = int(round(q.n)), q.d
-    loglam2 = 2.0 * math.log(lam)
-    terms = [sf.log_gamma(n + 1.0) - sf.log_gamma(ell + 1.0) - sf.log_gamma(n - ell + 1.0)
-             + sf.log_gamma(ell + d / 2.0) + sf.log_gamma(2.0 * n - d / 2.0 - ell) + ell * loglam2
-             for ell in range(n + 1)]
-    m = max(terms)
-    s = sum(math.exp(t - m) for t in terms)
-    return (0.5 * d * _LOG_PI - sf.log_gamma(d / 2.0) - sf.log_gamma(2.0 * n)
-            - d * math.log(lam) + m + math.log(s))
-
-
-def bessel_trial_norm_sq(q: BoundQuery, lam: float,
-                         validate: bool | None = None) -> float:
+def bessel_trial_norm_sq(q: BoundQuery, lam: float, *, validate: bool = False) -> float:
     """Squared Sobolev norm of the scaled Macdonald trial kernel:
 
         pi^(d/2) Gamma(n+1-d/2) / ((n-d/2) Gamma(n) lam^d)
         * F(-n, d/2, n; 1 - lam^2).
-
-    For integer n the equivalent finite binomial sum is evaluated as well
-    (by default) and the two routes must agree to 1e-10.
     """
+    if validate:
+        raise TypeError("validate is not supported; the binomial-sum oracle is "
+                        "tests/oracles/macdonald.py")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    log_hyper = _log_bessel_norm_sq_hyper(q, lam)
-    if validate is not False and q.n_is_integer:
-        log_sum = _log_bessel_norm_sq_sum(q, lam)
-        if abs(log_sum - log_hyper) > 1e-10:
-            raise TwoPathMismatch(
-                f"trial norm routes disagree at (n={q.n}, d={q.d}, lam={lam}): "
-                f"{log_hyper} vs {log_sum}")
-    return math.exp(log_hyper)
+    return math.exp(_log_bessel_norm_sq_hyper(q, lam))
 
 
 def _log_sq_norm_prefactor(q: BoundQuery, lam: float) -> float:
@@ -983,7 +957,7 @@ def k_bessel(q: BoundQuery) -> BoundResult:
     lam_star = math.exp(res.argmax[0])
     log_int, rule_error, n_nodes = _log_sq_norm_refined(q, nodes, lam_star, LOWER_TOL)
     log_value = (0.5 * (_log_sq_norm_prefactor(q, lam_star) + log_int)
-                 - math.log(bessel_trial_norm_sq(q, lam_star, validate=False)))
+                 - math.log(bessel_trial_norm_sq(q, lam_star)))
     error = 0.5 * rule_error + _hyp_error(lam_star, q.n) + _bessel_gamma_error(q)
     return _bound_result(q, "lower_bessel", log_value, TrialParams(lam=lam_star), error, res,
                          nodes=n_nodes, rule_error=rule_error)
@@ -1011,8 +985,7 @@ def _on_closed_sum(q: BoundQuery) -> bool:
 
 
 def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
-                               tol: float = 1e-10,
-                               validate: bool | None = None) -> float:
+                               tol: float = 1e-10, *, validate: bool = False) -> float:
     """log of the squared Sobolev norm of exp(i p x_1 - sigma |x|^2 / 2),
 
         sigma^-d int_{R^d} (1 + |k|^2)^n exp(-|k - p e_1|^2 / sigma) dk.
@@ -1020,29 +993,23 @@ def log_gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
     Integer n up to 50 uses the closed triple sum, any other n the h/2 value
     of a trapezoid rule in asinh(k_1) times an exp-sinh rule in |k_perp|^2; tol
     bounds its relative difference from the h rule (ArithmeticError above
-    it).  validate (default: on for the closed sum when tol <= 1e-9) runs
-    both routes, which must agree to 1e-11 (TwoPathMismatch otherwise).
+    it).
     """
+    if validate:
+        raise TypeError("validate is not supported; the tests check the closed sum "
+                        "against the h/2 rule")
     if not (p > 0.0 and sigma > 0.0):
         raise ValueError("p and sigma must be positive")
-    if not _on_closed_sum(q):
-        return float(_log_gaussian_norm_sq_refined(q, p, sigma, tol)[0])
-    log_val = float(_log_gaussian_norm_sq_sum(q, p, sigma))
-    if validate or (validate is None and tol <= 1e-9):
-        log_rule = _log_gaussian_norm_sq_refined(q, p, sigma, min(tol, 1e-10))[0]
-        if abs(log_rule - log_val) > 1e-11:
-            raise TwoPathMismatch(
-                f"Gaussian norm routes disagree at (n={q.n}, d={q.d}, "
-                f"p={p}, sigma={sigma}): {log_val} vs {log_rule}")
-    return log_val
+    if _on_closed_sum(q):
+        return float(_log_gaussian_norm_sq_sum(q, p, sigma))
+    return float(_log_gaussian_norm_sq_refined(q, p, sigma, tol)[0])
 
 
 def gaussian_trial_norm_sq(q: BoundQuery, p: float, sigma: float,
-                           tol: float = 1e-10,
-                           validate: bool | None = None) -> float:
+                           tol: float = 1e-10) -> float:
     """exp of :func:`log_gaussian_trial_norm_sq`; overflows for n in the
     hundreds, where the log form does not."""
-    return math.exp(log_gaussian_trial_norm_sq(q, p, sigma, tol, validate))
+    return math.exp(log_gaussian_trial_norm_sq(q, p, sigma, tol))
 
 
 def _log_fourier_quotient(q: BoundQuery, p: float, sigma: float,

@@ -10,10 +10,10 @@ Lanczos approximation with reflection below 1/2.  2F1 serves one contract,
 integer a the terminating polynomial, |w| <= 0.7 the direct power series,
 w < -0.7 Pfaff's map w -> w/(w-1), and 0.7 < w < 1 Euler's
 transformation.  Under the contract both maps give series of positive
-terms.  A request outside the contract, and a series that reaches its
-term cap, overflows or cancels, raises a HypergeometricError, which is an
-ArithmeticError.  The general real 2F1 is a test oracle
-(``tests/oracles/hyp2f1.py``).
+terms.  A request outside the contract, a series that reaches its term
+cap, overflows or cancels, and a polynomial that overflows raise a
+HypergeometricError, which is an ArithmeticError.  The general real 2F1
+is a test oracle (``tests/oracles/hyp2f1.py``).
 
 Accuracy targets (checked by the test suite):
     log_gamma <= 1e-12 relative (or absolute below 1) on [1e-4, 500]
@@ -213,6 +213,8 @@ def _terminating(a: float, m: int, c: float, w: float) -> float:
     for ell in range(m):
         term *= (a + ell) * (-m + ell) / ((c + ell) * (ell + 1.0)) * w
         total += term
+    if not math.isfinite(total):
+        raise SeriesError(f"2F1 polynomial overflows for ({a}, {-m}, {c}; {w})")
     return total
 
 
@@ -224,7 +226,8 @@ def hyp2f1(a: float, b: float, c: float, w: float) -> float:
     a < 0 and from a otherwise (a shifted call with n < k has a >= 0);
     under the contract its image and Euler's have positive terms.  The
     direct series may alternate; it raises SeriesError when it cancels,
-    and every series does when it reaches _MAX_TERMS terms or overflows.
+    every series does when it reaches _MAX_TERMS terms, and every series
+    or polynomial does when it overflows.
     """
     a, b, c, w = float(a), float(b), float(c), float(w)
     regime = _regime(a, b, c, w)

@@ -129,9 +129,7 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
     computed are NaN, and the row continues.
     """
     cells: list[Table1Cell] = []
-    for gap in TABLE1_GAPS:
-        n_exact = Fraction(d, 2) + gap
-        q = BoundQuery(d=d, n=float(n_exact), n_exact=n_exact)
+    for gap, q in zip(TABLE1_GAPS, table1_queries(d)):
         err = None
         k_plus = k_minus = k_minus_error = ratio = float("nan")
         lower_arg: tuple[float, ...] = ()
@@ -152,7 +150,7 @@ def table1_rows(d: int, with_lower: bool = True) -> list[Table1Cell]:
             tag = "(?)" if with_lower else ""
             err = f"{type(exc).__name__}: {exc}"
         cells.append(Table1Cell(
-            d=d, n_exact=n_exact, label=gap_label(d, gap), k_plus=k_plus,
+            d=d, n_exact=q.n_exact, label=gap_label(d, gap), k_plus=k_plus,
             k_minus=k_minus, k_minus_error=k_minus_error, ratio=ratio, tag=tag,
             lower_argmax=lower_arg, error=err))
     return cells

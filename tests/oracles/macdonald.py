@@ -1,5 +1,9 @@
-"""The Macdonald trial kernel in real space and its J*K^2 moment.
+"""The Macdonald trial kernel: its norm as a finite sum, its real-space
+profile and its J*K^2 moment.
 
+* ``log_bessel_norm_sq_sum``  log of the (B) trial kernel's squared norm
+  at integer n, the logsumexp of its binomial expansion; the runtime
+  evaluates the same norm as a terminating 2F1.
 * ``macdonald_profile``  the radial profile r^(n-d/2) K_(n-d/2)(r) /
   (2^(n-1) Gamma(n)) of the inverse transform of (1+|k|^2)^(-n).
 * ``bessel_macdonald_moment``  the closed form of
@@ -8,7 +12,7 @@
 With (mu, nu) = (d/2 - 1, 2n - d) the moment is the Fourier transform of
 the squared profile, which is the hypergeometric kernel of the (B) bound;
 the tests check that identity and both functions against direct
-quadrature.  No bound evaluates either.
+quadrature.  No bound evaluates any of the three.
 """
 
 from __future__ import annotations
@@ -22,7 +26,20 @@ from sobomul import specfun as sf
 from sobomul.bessel import bessel_k
 from sobomul.kernels import BoundQuery, DomainError
 
-__all__ = ["macdonald_profile", "bessel_macdonald_moment"]
+__all__ = ["log_bessel_norm_sq_sum", "macdonald_profile", "bessel_macdonald_moment"]
+
+
+def log_bessel_norm_sq_sum(q: BoundQuery, lam: float) -> float:
+    """Integer-n route: logsumexp of the binomial expansion."""
+    n, d = int(round(q.n)), q.d
+    loglam2 = 2.0 * math.log(lam)
+    terms = [sf.log_gamma(n + 1.0) - sf.log_gamma(ell + 1.0) - sf.log_gamma(n - ell + 1.0)
+             + sf.log_gamma(ell + d / 2.0) + sf.log_gamma(2.0 * n - d / 2.0 - ell) + ell * loglam2
+             for ell in range(n + 1)]
+    m = max(terms)
+    s = sum(math.exp(t - m) for t in terms)
+    return (0.5 * d * math.log(math.pi) - sf.log_gamma(d / 2.0) - sf.log_gamma(2.0 * n)
+            - d * math.log(lam) + m + math.log(s))
 
 
 def macdonald_profile(q: BoundQuery, r) -> float | np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import laplace as L
 from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
-from oracles.macdonald import bessel_macdonald_moment
+from oracles.macdonald import bessel_macdonald_moment, log_bessel_norm_sq_sum
 from sobomul import _gaussian_norm as G
 from sobomul import bounds as B
 from sobomul import specfun as sf
@@ -210,7 +210,7 @@ def test_bessel_norms_match_oracle():
         q = BoundQuery(d=d, n=float(n), n_exact=n)
         log_sq, log_norm = mp_log_bessel_norms(mp, d, n, lam)
         sq = B.bessel_trial_sq_norm_sq(q, lam)
-        quotient = math.sqrt(sq) / B.bessel_trial_norm_sq(q, lam, validate=False)
+        quotient = math.sqrt(sq) / B.bessel_trial_norm_sq(q, lam)
         worst = max(worst, abs(math.expm1(math.log(sq) - float(log_sq))),
                     abs(math.expm1(math.log(quotient) - float(log_sq / 2 - log_norm))))
         if n in best:
@@ -564,20 +564,18 @@ def test_criterion_6_identity_suite():
 
 def test_criterion_7_two_path_oracles(sq_norm_double_sum):
     """Closed forms against their independent second routes, >= 20 draws
-    each, agreement <= 1e-7 relative."""
+    each, agreement <= 1e-7 relative (<= 1e-10 for the trial-kernel norm)."""
     rng = np.random.default_rng(777)
     worst = {}
 
-    errs = []  # trial-kernel norm: hypergeometric route vs binomial sum
-    for _ in range(24):
-        d = int(rng.integers(1, 5))
-        n = int(rng.integers(int(d / 2) + 1, 10))
-        if n <= d / 2.0:
-            n = int(d / 2.0) + 1
-        lam = float(rng.uniform(0.5, 2.5))
+    errs = []  # trial-kernel norm: hypergeometric route vs binomial-sum oracle
+    for _ in range(100):  # the (B) range of best_lower at integer n
+        d = int(rng.integers(1, 11))
+        n = int(rng.integers(d // 2 + 1, 51))
+        lam = math.exp(rng.uniform(math.log(0.5), math.log(3.0)))
         q = BoundQuery(d=d, n=float(n), n_exact=Fraction(n))
-        a = B._log_bessel_norm_sq_hyper(q, lam)
-        b = B._log_bessel_norm_sq_sum(q, lam)
+        a = math.log(B.bessel_trial_norm_sq(q, lam))
+        b = log_bessel_norm_sq_sum(q, lam)
         errs.append(abs(math.expm1(a - b)))
     worst["kernel_norm"] = max(errs)
 
@@ -623,6 +621,7 @@ def test_criterion_7_two_path_oracles(sq_norm_double_sum):
     print(f"[criterion 7] two-path oracle suite (max rel err "
           f"{max(worst.values()):.2e}): {status}")
     assert max(worst.values()) <= 1e-7, worst
+    assert worst["kernel_norm"] <= 1e-10, worst
 
 
 def test_criterion_8_laplace_engine():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles.gauss_kronrod import TailSpec, integrate_finite, integrate_semiinf
+from oracles.macdonald import log_bessel_norm_sq_sum
 from oracles.nelder_mead import maximize_2d_simplex
 from sobomul import _gaussian_norm as G
 from sobomul import bounds as B
@@ -391,12 +392,11 @@ def test_bessel_norm_at_unit_scale():
 
 
 def test_bessel_norm_integer_two_path():
-    # hypergeometric route vs binomial sum; the call validates internally
+    # the hypergeometric route against the binomial-sum oracle
     q = q_of(2, 2)
-    val = B.bessel_trial_norm_sq(q, 2.0, validate=True)
+    val = B.bessel_trial_norm_sq(q, 2.0)
     assert val > 0.0
-    got = B._log_bessel_norm_sq_sum(q, 2.0)
-    assert abs(got - math.log(val)) < 1e-10
+    assert abs(log_bessel_norm_sq_sum(q, 2.0) - math.log(val)) < 1e-10
 
 
 def test_bessel_norm_against_defining_integral():
@@ -667,7 +667,7 @@ def test_k_bessel_minorant_is_the_public_quotient(d, n):
     res = B.k_bessel_minorant(q)
     lam = res.argmax.lam
     minorant = B.squared_trial_minorant(q, lam)
-    norm = B.bessel_trial_norm_sq(q, lam, validate=False)
+    norm = B.bessel_trial_norm_sq(q, lam)
     assert res.value == math.exp(0.5 * math.log(minorant) - math.log(norm))
     assert rel_err(res.value, math.sqrt(minorant) / norm) <= 1e-14
 
@@ -682,7 +682,7 @@ def test_k_bessel_is_the_public_quotient(d, n):
     res = B.k_bessel(q)
     lam = res.argmax.lam
     want = (math.sqrt(B.bessel_trial_sq_norm_sq(q, lam))
-            / B.bessel_trial_norm_sq(q, lam, validate=False))
+            / B.bessel_trial_norm_sq(q, lam))
     assert rel_err(res.value, want) <= 1e-14
 
 
@@ -691,26 +691,36 @@ def test_k_bessel_is_the_public_quotient(d, n):
 # ----------------------------------------------------------------------
 
 def test_gaussian_norm_two_path():
-    # integer n: closed sum against the Cartesian rule
-    val = B.gaussian_trial_norm_sq(q_of(2, 2), 0.511, 1.05, validate=True)
-    assert val > 0.0
-
-
-@pytest.mark.parametrize("route, evaluate", [
-    ("_log_gaussian_norm_sq_sum",
-     lambda q: B.log_gaussian_trial_norm_sq(q, 0.511, 1.05, validate=True)),
-    ("_log_bessel_norm_sq_sum", lambda q: B.bessel_trial_norm_sq(q, 2.0, validate=True)),
-])
-def test_two_path_mismatch_raises(monkeypatch, route, evaluate):
-    # each two-path check passes as is and raises once one of its two
-    # routes is off by 1e-8 in the log: the Gaussian norm's closed sum
-    # against its rule, the Bessel norm's binomial sum against its 2F1
+    # integer n: the closed sum that the public norm returns against the rule
     q = q_of(2, 2)
-    evaluate(q)
-    exact = getattr(B, route)
-    monkeypatch.setattr(B, route, lambda *args, **kwargs: exact(*args, **kwargs) + 1e-8)
-    with pytest.raises(B.TwoPathMismatch):
-        evaluate(q)
+    log_val = B.log_gaussian_trial_norm_sq(q, 0.511, 1.05)
+    assert log_val == float(G._log_gaussian_norm_sq_sum(q, 0.511, 1.05))
+    assert abs(G._log_gaussian_norm_sq_refined(q, 0.511, 1.05, 1e-10)[0] - log_val) < 1e-11
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, Fraction(7, 2)), (1, 30), (2, Fraction(9, 4))])
+def test_validate_keyword_keeps_its_bits_and_refuses_a_check(d, n):
+    # the keyword that bench/checks.py passes: validate=False returns the
+    # same bits as no keyword, on both Bessel norm routes (integer and
+    # non-integer n) and both Gaussian norm routes (closed sum and rule);
+    # a truthy value raises TypeError naming the oracle, and the keyword
+    # cannot be passed by position
+    q = q_of(d, n)
+    assert (B.bessel_trial_norm_sq(q, 1.3, validate=False)
+            == B.bessel_trial_norm_sq(q, 1.3))
+    assert (B.log_gaussian_trial_norm_sq(q, 0.4, 0.8, tol=1e-9, validate=False)
+            == B.log_gaussian_trial_norm_sq(q, 0.4, 0.8, tol=1e-9))
+    for validate in (True, 1):
+        with pytest.raises(TypeError, match="binomial-sum oracle"):
+            B.bessel_trial_norm_sq(q, 1.3, validate=validate)
+        with pytest.raises(TypeError, match="h/2 rule"):
+            B.log_gaussian_trial_norm_sq(q, 0.4, 0.8, tol=1e-9, validate=validate)
+    with pytest.raises(TypeError):
+        B.bessel_trial_norm_sq(q, 1.3, False)
+    with pytest.raises(TypeError):
+        B.log_gaussian_trial_norm_sq(q, 0.4, 0.8, 1e-9, False)
+    with pytest.raises(TypeError):
+        B.gaussian_trial_norm_sq(q, 0.4, 0.8, validate=False)
 
 
 def test_gaussian_sum_tables_log_gamma_count(monkeypatch):
@@ -806,7 +816,7 @@ def test_gaussian_norm_against_1d_definition():
 
     res = integrate_finite(f, p - 45.0, p + 45.0, tol=1e-11)
     want = res.value / sigma
-    got = B.gaussian_trial_norm_sq(q_of(1, 3), p, sigma, validate=False)
+    got = B.gaussian_trial_norm_sq(q_of(1, 3), p, sigma)
     assert rel_err(got, want) < 1e-8
 
 
@@ -1133,10 +1143,9 @@ def test_multiplication_inequality_at_sample_points():
     for _ in range(5):
         p1, p2 = rng.uniform(0.2, 1.0, 2)
         s1, s2 = rng.uniform(0.3, 2.0, 2)
-        norm_fg = math.sqrt(B.gaussian_trial_norm_sq(q, p1 + p2, s1 + s2,
-                                                     validate=False))
-        norm_f = math.sqrt(B.gaussian_trial_norm_sq(q, p1, s1, validate=False))
-        norm_g = math.sqrt(B.gaussian_trial_norm_sq(q, p2, s2, validate=False))
+        norm_fg = math.sqrt(B.gaussian_trial_norm_sq(q, p1 + p2, s1 + s2))
+        norm_f = math.sqrt(B.gaussian_trial_norm_sq(q, p1, s1))
+        norm_g = math.sqrt(B.gaussian_trial_norm_sq(q, p2, s2))
         assert norm_fg <= kp * norm_f * norm_g * (1.0 + 1e-9)
 
 

@@ -89,7 +89,7 @@ def _brent_bb(q):
     def log_quotient(x):
         lam = math.exp(x)
         return (0.5 * math.log(B.squared_trial_minorant(q, lam))
-                - math.log(B.bessel_trial_norm_sq(q, lam, validate=False)))
+                - math.log(B.bessel_trial_norm_sq(q, lam)))
 
     res = maximize_1d(log_quotient, B._LAM_LO, B._LAM_HI, math.log(1.42), tol_x=1e-9)
     return math.exp(res.max_value)
@@ -103,13 +103,13 @@ def _brent_b(q):
     def log_quotient(x):
         lam = math.exp(x)
         return (0.5 * (B._log_sq_norm_prefactor(q, lam) + B._log_sq_norm_sum(q, nodes[0], lam))
-                - math.log(B.bessel_trial_norm_sq(q, lam, validate=False)))
+                - math.log(B.bessel_trial_norm_sq(q, lam)))
 
     res = maximize_1d(log_quotient, B._LAM_LO, B._LAM_HI, math.log(1.4), tol_x=1e-7)
     lam = math.exp(res.argmax[0])
     log_int = B._log_sq_norm_refined(q, nodes, lam, B.LOWER_TOL)[0]
     return math.exp(0.5 * (B._log_sq_norm_prefactor(q, lam) + log_int)
-                    - math.log(B.bessel_trial_norm_sq(q, lam, validate=False)))
+                    - math.log(B.bessel_trial_norm_sq(q, lam)))
 
 
 def _check_against_brent(res, q, want):

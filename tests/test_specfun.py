@@ -400,7 +400,7 @@ def _bb_series_arguments(monkeypatch):
                     B.squared_trial_minorant(q, lam)
                 except sf.SeriesError:
                     raised[d, lam] = seen[-1]
-                B.bessel_trial_norm_sq(q, lam, validate=False)
+                B.bessel_trial_norm_sq(q, lam)
     return seen, raised
 
 
@@ -472,6 +472,20 @@ def test_series_raises_on_overflow():
     # a trial point of the (B) search at (n, d) = (600.3, 1)
     with pytest.raises(sf.SeriesError, match="overflows"):
         sf._series(0.5, 1200.6, 600.3, 0.930951386103769)
+
+
+def test_terminating_raises_on_overflow():
+    # the polynomial raises SeriesError like the series, instead of
+    # returning inf: the (B) trial norm's F(-n, 1/2; n; 1 - lam^2) at
+    # integer n = 4,900 and lam = 2, where d = 1 leaves K in the double
+    # range; its value, 3.4e612 (mpmath.hyp2f1), does not fit a double
+    args = (-4900.0, 0.5, 4900.0, -3.0)
+    assert sf.HyperEval(*args).regime == "terminating"
+    with pytest.raises(sf.SeriesError, match="overflows"):
+        sf.hyp2f1(*args)
+    with pytest.raises(sf.SeriesError, match="overflows"):
+        sf.hyp2f1_derivatives(*args)
+    assert math.isfinite(sf.hyp2f1(-400.0, 0.5, 400.0, -3.0))
 
 
 def test_hyp2f1_raises_series_error(monkeypatch):
